@@ -10,12 +10,7 @@ import (
 	"context"
 	"testing"
 
-	"mdspec/internal/ckpt"
-	"mdspec/internal/config"
-	"mdspec/internal/core"
-	"mdspec/internal/emu"
 	"mdspec/internal/experiments"
-	"mdspec/internal/parsim"
 	"mdspec/internal/stats"
 	"mdspec/internal/workload"
 )
@@ -329,121 +324,6 @@ func BenchmarkAblationBPred(b *testing.B) {
 		}
 		b.ReportMetric(100*stats.Mean(combined), "oracle-rel-combined-%")
 		b.ReportMetric(100*stats.Mean(static), "oracle-rel-static-%")
-	}
-}
-
-// BenchmarkSimulatorSpeed measures raw simulation throughput
-// (simulated instructions per wall second) on the gcc analog across a
-// small configuration matrix. All sub-benchmarks replay one shared
-// recording of the dynamic instruction stream, the same way sweep
-// configs share a per-benchmark recording through the runner cache, so
-// the numbers reflect the timing core alone.
-func BenchmarkSimulatorSpeed(b *testing.B) {
-	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
-	matrix := []struct {
-		name string
-		cfg  config.Machine
-	}{
-		{"NAS-NO", config.Default128().WithPolicy(config.NoSpec)},
-		{"AS-NAV", config.Default128().WithPolicy(config.Naive).WithAddressScheduler(1)},
-		{"NAS-SYNC", config.Default128().WithPolicy(config.Sync)},
-	}
-	// Warm the recording once (untimed) over the full benchmark horizon —
-	// committed budget plus the window's fetch-ahead — so no sub-benchmark
-	// iteration ever pays recording extension beyond the warmed prefix.
-	rec.Record(50_000 + int64(matrix[0].cfg.Window) + 4096)
-	for _, m := range matrix {
-		b.Run(m.name, func(b *testing.B) {
-			var simulated int64
-			for i := 0; i < b.N; i++ {
-				pipe, err := core.New(m.cfg, rec.NewReplay())
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := pipe.Run(50_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				simulated += res.Committed
-			}
-			b.ReportMetric(float64(simulated)/b.Elapsed().Seconds(), "sim-insts/s")
-			b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(simulated), "ns/committed-inst")
-			b.ReportMetric(float64(rec.SizeBytes())/float64(rec.Len()), "bytes/inst")
-		})
-	}
-}
-
-// BenchmarkSampledParallel measures the interval-parallel sampled
-// engine against serial RunSampled at the same sampling budget (the
-// paper's 1:2 timing:functional ratio on the gcc analog). The serial
-// and worker-count variants all simulate identical timing windows over
-// one shared recording, so their sim-insts/s ratios are wall-clock
-// speedups at equal work; the merged counters are bit-identical across
-// all variants by construction.
-//
-// The par* variants resume each segment from a pre-captured warm-state
-// checkpoint set, the way experiments.Runner runs production sweeps:
-// the one-time capture pass (like the recording fill) is untimed, so
-// the reported figure is steady-state throughput with the warm cache
-// amortized across a sweep. par8-cold keeps the old methodology —
-// every segment functionally fast-forwards from sequence zero — and
-// quantifies exactly what checkpoints remove.
-func BenchmarkSampledParallel(b *testing.B) {
-	const total, tw, fw = 200_000, 5_000, 10_000
-	prog := workload.MustBuild("126.gcc")
-	rec := emu.NewRecording(emu.New(prog))
-	cfg := config.Default128().WithPolicy(config.Sync)
-	// Fill the recording once (untimed) over the full sampled stream —
-	// the functional windows consume stream positions beyond the timing
-	// budget — so no variant pays the one-time emulation.
-	rec.Record(total/tw*(tw+fw) + int64(cfg.Window) + 4096)
-	// Capture the warm-state checkpoint schedule once (untimed): one
-	// frame at each segment's warm-up start, zero fast-forward residue.
-	seqs := ckpt.Positions(total, tw, fw, parsim.DefaultSegmentPeriods, tw)
-	set, err := ckpt.Build(cfg, rec, emu.ProgramFingerprint(prog), seqs)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("serial", func(b *testing.B) {
-		var simulated int64
-		for i := 0; i < b.N; i++ {
-			pipe, err := core.New(cfg, rec.NewReplay())
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := pipe.RunSampled(total, tw, fw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			simulated += res.Committed
-		}
-		b.ReportMetric(float64(simulated)/b.Elapsed().Seconds(), "sim-insts/s")
-	})
-	variants := []struct {
-		name    string
-		workers int
-		ckpts   *ckpt.Set
-	}{
-		{"par1", 1, set},
-		{"par8", 8, set},
-		{"par8-cold", 8, nil},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			var simulated int64
-			for i := 0; i < b.N; i++ {
-				res, err := parsim.Run(bg, cfg, rec, parsim.Options{
-					TotalTiming: total, TimingInsts: tw, FunctionalInsts: fw,
-					Workers: v.workers, Checkpoints: v.ckpts,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				simulated += res.Committed
-			}
-			b.ReportMetric(float64(simulated)/b.Elapsed().Seconds(), "sim-insts/s")
-		})
 	}
 }
 

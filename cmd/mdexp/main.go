@@ -207,7 +207,6 @@ func main() {
 		if !opt.Sampled {
 			fatal(errors.New("-phases requires -sampled"))
 		}
-		opt.PhaseSampled = true
 		opt.Phases = *phases
 	}
 	if *benchList != "" {

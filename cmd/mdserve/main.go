@@ -19,12 +19,12 @@
 // With -workers N the daemon becomes a fleet supervisor: it forks N
 // copies of itself in -worker mode (each a full server on a private
 // unix socket, sharing -journal and -recdir), dispatches cells to them
-// with work stealing, restarts crashed or wedged workers under capped
-// backoff, and degrades to in-process execution if the whole fleet is
-// down (reported as degraded in /v1/healthz; per-worker liveness,
-// steal, and restart counters in /v1/metrics). Each worker owns a
-// lease-protected journal segment runs.<id>.journal; the supervisor
-// merges every segment on restart.
+// from one shared queue, restarts crashed or wedged workers under
+// capped backoff, and degrades to in-process execution if the whole
+// fleet is down (reported as degraded in /v1/healthz; per-worker
+// liveness, failover, and restart counters in /v1/metrics). Each
+// worker owns a lease-protected journal segment runs.<id>.journal; the
+// supervisor merges every segment on restart.
 //
 // With -journal (single-process mode), every finished cell is
 // checkpointed to <dir>/runs.journal and a restarted daemon re-primes
@@ -109,7 +109,6 @@ func main() {
 		if !opt.Sampled {
 			fatal(fmt.Errorf("-phases requires -sampled"))
 		}
-		opt.PhaseSampled = true
 		opt.Phases = *phases
 	}
 

@@ -1,4 +1,4 @@
-// Package analysis implements mdlint's static-analysis layer: a small
+// Package analysis implements mdvet's static-analysis layer: a small
 // framework mirroring the golang.org/x/tools/go/analysis API plus the
 // project analyzers that guard the simulator's two load-bearing
 // guarantees — determinism (golden equivalence, recording replay) and
@@ -82,13 +82,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All returns the full mdvet analyzer suite, in order.
 func All() []*Analyzer {
 	return []*Analyzer{Determinism, HotPathAlloc, StatsGuard, GuardedBy, ColParity, CtxFlow, ErrDiscard}
-}
-
-// Legacy returns the original mdlint trio (pre-mdvet), kept as its own
-// CI gate so a regression in the new analyzers can never mask one in
-// the determinism/allocation guards.
-func Legacy() []*Analyzer {
-	return []*Analyzer{Determinism, HotPathAlloc, StatsGuard}
 }
 
 // ByName resolves analyzer names (comma- or space-separated) against

@@ -7,7 +7,7 @@ import (
 	"os"
 )
 
-// Main implements the shared mdlint/mdvet command line: it runs the
+// Main implements the mdvet command line: it runs the
 // candidate analyzers over the argument patterns (default ./...) and
 // prints findings in the machine-parseable
 //

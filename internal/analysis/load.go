@@ -26,7 +26,7 @@ type Package struct {
 	directives directiveIndex
 }
 
-// A Program is the closed set of source packages one mdlint run
+// A Program is the closed set of source packages one mdvet run
 // analyzes: the packages matched by the load patterns (Targets) plus
 // every in-module dependency, all type-checked from source against gc
 // export data. Standard-library dependencies are imported from export

@@ -8,7 +8,7 @@
 // complete file or the new complete file, never a torn one.
 //
 // The package is deterministic (no wall-clock, no randomness beyond the
-// kernel's temp-name counter, no goroutines) and is covered by mdlint's
+// kernel's temp-name counter, no goroutines) and is covered by mdvet's
 // determinism analyzer.
 package atomicio
 

@@ -442,7 +442,8 @@ func (p *Pipeline) Run(maxInsts int64) (*stats.Run, error) {
 		}
 	}
 	p.captureMemStats()
-	return &p.res, nil
+	res := p.res // a copy: the caller must not keep the Pipeline alive
+	return &res, nil
 }
 
 // captureMemStats copies the memory system's counters into the result at
@@ -507,7 +508,7 @@ func (p *Pipeline) deadlockSnapshot() string {
 // step advances the machine by one cycle. It is the zero-allocation
 // warm path: after warmup, steady-state stepping must not allocate
 // (pinned by TestStepZeroAllocSteadyState and enforced statically by
-// mdlint's hotpathalloc walk rooted here).
+// mdvet's hotpathalloc walk rooted here).
 //
 //md:hotpath
 func (p *Pipeline) step() {

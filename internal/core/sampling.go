@@ -126,7 +126,8 @@ func (p *Pipeline) RunSampledInterval(start, end, timingInsts, functionalInsts, 
 		}
 	}
 	p.captureMemStats()
-	return &p.res, nil
+	res := p.res // a copy: the caller must not keep the Pipeline alive
+	return &res, nil
 }
 
 // sampledDeadlock builds the typed watchdog error for a stalled sampled

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mdspec/internal/config"
@@ -180,5 +181,46 @@ func TestSampledIntervalWarmupClamped(t *testing.T) {
 	none, clamped := run(0), run(5_000)
 	if !reflect.DeepEqual(none, clamped) {
 		t.Errorf("warm-up at stream start changed the result:\nnone: %+v\nclamped: %+v", none, clamped)
+	}
+}
+
+// The *stats.Run that Run and RunSampled return must not point into
+// the Pipeline: the experiment runner's memo keeps one result per
+// simulated cell, and a result aliasing p.res would keep every cell's
+// whole Pipeline (window, caches, predictors) reachable.
+func TestRunResultDoesNotRetainPipeline(t *testing.T) {
+	const cells = 6
+	prog := workload.MustBuild("126.gcc")
+	for _, tc := range []struct {
+		name string
+		run  func(p *Pipeline) (*stats.Run, error)
+	}{
+		{"Run", func(p *Pipeline) (*stats.Run, error) { return p.Run(2000) }},
+		{"RunSampled", func(p *Pipeline) (*stats.Run, error) { return p.RunSampled(2000, 500, 1000) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			kept := make([]*stats.Run, 0, cells)
+			for i := 0; i < cells; i++ {
+				pl, err := New(config.Default128(), emu.NewTrace(emu.New(prog)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := tc.run(pl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept = append(kept, r)
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			perCell := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / cells
+			if perCell > 64<<10 {
+				t.Errorf("each kept result retains %d KiB of heap; want a detached copy (< 64 KiB)", perCell>>10)
+			}
+			runtime.KeepAlive(kept)
+		})
 	}
 }

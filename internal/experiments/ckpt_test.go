@@ -148,15 +148,14 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestRunnerPhaseSampled: PhaseSampled sweeps are deterministic across
-// runners, simulate at most Phases representative segments per
-// benchmark, and carry the phase count in the journal fingerprint so
-// phase-weighted journals never prime exhaustive sweeps.
+// TestRunnerPhaseSampled: phase-sampled sweeps (Phases > 0) are
+// deterministic across runners, simulate at most Phases representative
+// segments per benchmark, and carry the phase count in the journal
+// fingerprint so phase-weighted journals never prime exhaustive sweeps.
 func TestRunnerPhaseSampled(t *testing.T) {
 	const bench = "102.swim"
 	cfg := nas(config.Sync)
 	opt := ckptOpt()
-	opt.PhaseSampled = true
 	opt.Phases = 2
 
 	a := NewRunner(opt)

@@ -80,7 +80,7 @@ type Fingerprint struct {
 	TimingWindow     int64  `json:"timing_window,omitempty"`
 	FunctionalWindow int64  `json:"functional_window,omitempty"`
 	SegmentPeriods   int    `json:"segment_periods,omitempty"`
-	// Phases is the phase cluster count of a PhaseSampled sweep (0 when
+	// Phases is the phase cluster count of a phase-sampled sweep (0 when
 	// phase selection is off): phase-weighted cells are not the cells of
 	// an exhaustive sampled sweep, so the two must not prime each other.
 	Phases int `json:"phases,omitempty"`
@@ -94,9 +94,7 @@ func (opt Options) Fingerprint() Fingerprint {
 		m.TimingWindow = opt.timingWindow()
 		m.FunctionalWindow = opt.functionalWindow()
 		m.SegmentPeriods = opt.SegmentPeriods
-		if opt.PhaseSampled {
-			m.Phases = opt.phases()
-		}
+		m.Phases = opt.Phases
 	}
 	return m
 }

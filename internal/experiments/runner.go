@@ -64,17 +64,15 @@ type Options struct {
 	// periods (default parsim.DefaultSegmentPeriods). It fixes the
 	// decomposition, so results are independent of Parallel.
 	SegmentPeriods int
-	// PhaseSampled narrows a sampled sweep to phase-representative
-	// segments: each benchmark's segments are summarized by basic-block
-	// vectors, clustered into Phases groups with deterministic seeded
-	// k-means, and only one representative per cluster is simulated, its
-	// statistics weighted by the cluster population (SimPoint-style).
-	// Requires Sampled; full-timing and split-window cells are
-	// unaffected.
-	PhaseSampled bool
-	// Phases is the phase cluster count (default DefaultPhases). It
-	// bounds, not fixes, how many segments per benchmark are simulated —
-	// benchmarks with fewer segments than Phases run them all.
+	// Phases, when positive, narrows a sampled sweep to
+	// phase-representative segments: each benchmark's segments are
+	// summarized by basic-block vectors, clustered into Phases groups
+	// with deterministic seeded k-means, and only one representative per
+	// cluster is simulated, its statistics weighted by the cluster
+	// population (SimPoint-style). It bounds, not fixes, how many
+	// segments per benchmark are simulated — benchmarks with fewer
+	// segments than Phases run them all. Requires Sampled; full-timing
+	// and split-window cells are unaffected.
 	Phases int
 	// Retry bounds how often a cell whose simulation fails transiently
 	// (worker panic, watchdog deadlock report) is re-attempted before
@@ -102,10 +100,6 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{Insts: 150_000}
 }
-
-// DefaultPhases is the default phase cluster count for PhaseSampled
-// sweeps.
-const DefaultPhases = 8
 
 // phaseSeed fixes the k-means initialization so phase plans — and the
 // sweep results built on them — are reproducible across processes.
@@ -144,13 +138,6 @@ func (o Options) segmentPeriods() int {
 		return o.SegmentPeriods
 	}
 	return parsim.DefaultSegmentPeriods
-}
-
-func (o Options) phases() int {
-	if o.Phases > 0 {
-		return o.Phases
-	}
-	return DefaultPhases
 }
 
 // checkpointSeqs is the warm-state checkpoint schedule these options
@@ -681,7 +668,7 @@ func (r *Runner) buildPhasePlan(bench string) []ckpt.WeightedSegment {
 	if err != nil || len(vecs) < 2 {
 		return nil
 	}
-	return ckpt.Plan(vecs, r.opt.phases(), phaseSeed)
+	return ckpt.Plan(vecs, r.opt.Phases, phaseSeed)
 }
 
 // simulate is the real simulation backend behind Run. With
@@ -703,7 +690,7 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine)
 			Sem:             r.sem,
 			Checkpoints:     r.checkpointSet(bench, cfg),
 		}
-		if r.opt.PhaseSampled {
+		if r.opt.Phases > 0 {
 			popt.Select = r.phasePlan(bench)
 		}
 		res, err := parsim.Run(ctx, cfg, rec, popt)
@@ -728,7 +715,7 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine)
 // simulateSerialSampled is the graceful-degradation backend for sampled
 // cells: one serial sampled pass on a private pipeline, touching none
 // of the interval-parallel machinery that kept failing (checkpoints,
-// phase selection, and segment workers included — a PhaseSampled cell
+// phase selection, and segment workers included — a phase-sampled cell
 // degrades to the full, unweighted serial methodology, which is at
 // least as accurate). Slower and warmed slightly differently than the
 // segmented run (the paper's serial methodology), but it lets the sweep

@@ -16,19 +16,24 @@
 // merges every segment via experiments.ReplayJournalDir, so nothing a
 // worker journaled before dying is ever re-simulated.
 //
-// Dispatch is work-stealing: cells land on the least-loaded live
-// worker's queue, and an idle worker's delivery runners steal from the
-// longest backlog. Cross-process dedup rides on the shared
-// content-addressed recording cache plus the caller-side singleflight
-// (the Pool is mounted behind experiments.Runner.UseBackend, which
-// collapses identical concurrent cells before they reach dispatch).
+// The control channel is the daemon's own API: each worker is a full
+// mdserve server on a private unix socket, driven through a
+// server.Client (NewSocketClient) over /v1/runs and /v1/healthz.
+//
+// Dispatch is one central FIFO, the paper's centralized window issuing
+// from one pool: every live worker's delivery runners pull from it, so
+// an idle worker takes the next cell and a slow one simply takes fewer.
+// A failed delivery puts its cell back at the front. Cross-process
+// dedup rides on the shared content-addressed recording cache plus the
+// caller-side singleflight (the Pool is mounted behind
+// experiments.Runner.UseBackend, which collapses identical concurrent
+// cells before they reach dispatch).
 //
 // Degradation is graceful and total-loss-proof: while any worker
-// lives, its queue absorbs the work; when the whole fleet is down
-// longer than Config.DegradeAfter, the Pool flips to degraded and runs
-// cells through Config.Fallback (the in-process simulation path),
-// bounded by a semaphore so a dead fleet cannot oversubscribe the
-// host. Liveness, steal, restart, and heartbeat-miss counters per
+// lives, the queue feeds it; when the whole fleet is down longer than
+// Config.DegradeAfter, the Pool flips to degraded and runs cells
+// through Config.Fallback (the in-process simulation path), bounded by
+// a semaphore so a dead fleet cannot oversubscribe the host. Liveness, failover, restart, and heartbeat-miss counters per
 // worker are exported via Report for /v1/metrics; /v1/healthz reports
 // `degraded: true` off the same state.
 package fleet
@@ -38,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -51,6 +55,7 @@ import (
 	"mdspec/internal/faultinject"
 	"mdspec/internal/parsim"
 	"mdspec/internal/retry"
+	"mdspec/internal/server"
 	"mdspec/internal/stats"
 )
 
@@ -157,14 +162,13 @@ func WorkerID(slot int) string { return fmt.Sprintf("w%d", slot) }
 
 // worker is one supervised slot. Everything here is immutable after
 // Start except the atomics, which are the per-worker counters Report
-// exports; the mutable scheduling state (queue, liveness, in-flight
-// count) lives in Pool-level slices guarded by Pool.mu.
+// exports; liveness and the in-flight count live in Pool-level slices
+// guarded by Pool.mu.
 type worker struct {
 	slot    int
 	id      string
 	socket  string
-	hc      *http.Client
-	wake    chan struct{} // cap 1: nudges idle delivery runners
+	client  *server.Client
 	killReq chan struct{} // cap 1: asks the supervisor to SIGKILL the child
 
 	pid      atomic.Int64
@@ -175,15 +179,16 @@ type worker struct {
 }
 
 // cell is one dispatched (bench, config) simulation. A cell has
-// exactly one owner at a time — the enqueuer until it lands in a
-// queue, then whichever delivery runner popped it — so attempts needs
-// no lock; requeues hand ownership back through Pool.mu.
+// exactly one owner at a time — the enqueuer until it lands in the
+// queue, then whichever delivery runner popped it — so attempts and
+// failedOn need no lock; requeues hand ownership back through Pool.mu.
 type cell struct {
 	bench    string
 	cfg      config.Machine
 	ctx      context.Context
 	done     chan cellResult // cap 1, single send via finish
 	attempts int
+	failedOn *worker // where the last delivery failed; nil before any
 }
 
 type cellResult struct {
@@ -198,7 +203,7 @@ func (c *cell) finish(rec *experiments.RunRecord, err error) {
 	}
 }
 
-// Pool is the fleet supervisor: process lifecycle, work-stealing
+// Pool is the fleet supervisor: process lifecycle, single-queue
 // dispatch, and degraded fallback behind one Simulate entry point.
 type Pool struct {
 	cfg     Config
@@ -211,20 +216,20 @@ type Pool struct {
 	fallbackCells atomic.Int64
 
 	mu         sync.Mutex
-	queues     [][]*cell //md:guardedby mu — per-slot backlog, popped front-first
-	pending    []*cell   //md:guardedby mu — cells with no live worker to queue on
-	alive      []bool    //md:guardedby mu
-	inflight   []int     //md:guardedby mu — cells a slot's runners hold in flight
-	aliveCount int       //md:guardedby mu
-	downSince  time.Time //md:guardedby mu — when aliveCount last hit zero
-	degraded   bool      //md:guardedby mu
-	closed     bool      //md:guardedby mu
+	ready      *sync.Cond // on mu: the queue, liveness, or closed changed
+	queue      []*cell    //md:guardedby mu — FIFO every live worker's runners pull from
+	alive      []bool     //md:guardedby mu
+	inflight   []int      //md:guardedby mu — cells a slot's runners hold in flight
+	aliveCount int        //md:guardedby mu
+	downSince  time.Time  //md:guardedby mu — when aliveCount last hit zero
+	degraded   bool       //md:guardedby mu
+	closed     bool       //md:guardedby mu
 }
 
 // Start forks and supervises the fleet. The returned Pool is live
 // immediately: cells submitted before the first worker is ready wait
-// in the pending list (or degrade to Fallback if no worker arrives
-// within DegradeAfter). Close releases everything.
+// in the queue (or degrade to Fallback if no worker arrives within
+// DegradeAfter). Close releases everything.
 func Start(ctx context.Context, cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Exec == "" || cfg.Args == nil {
@@ -245,28 +250,30 @@ func Start(ctx context.Context, cfg Config) (*Pool, error) {
 		ctx:       pctx,
 		cancel:    cancel,
 		fbSem:     parsim.NewSem(cfg.FallbackPar),
-		queues:    make([][]*cell, cfg.Procs),
 		alive:     make([]bool, cfg.Procs),
 		inflight:  make([]int, cfg.Procs),
 		downSince: time.Now(), // nobody alive yet: the degrade clock starts now
 	}
+	p.ready = sync.NewCond(&p.mu)
+	// Runners waiting on the queue must see the pool's ctx die even when
+	// Close is never called.
+	context.AfterFunc(pctx, p.broadcast)
 	for slot := 0; slot < cfg.Procs; slot++ {
-		w := &worker{
+		socket := filepath.Join(cfg.Dir, fmt.Sprintf("worker%d.sock", slot))
+		p.workers = append(p.workers, &worker{
 			slot:    slot,
 			id:      WorkerID(slot),
-			socket:  filepath.Join(cfg.Dir, fmt.Sprintf("worker%d.sock", slot)),
-			wake:    make(chan struct{}, 1),
+			socket:  socket,
+			client:  server.NewSocketClient(socket, cfg.Meta),
 			killReq: make(chan struct{}, 1),
-		}
-		w.hc = socketClient(w.socket)
-		p.workers = append(p.workers, w)
+		})
 	}
 	for _, w := range p.workers {
 		p.wg.Add(1)
 		go p.supervise(pctx, w)
 		for i := 0; i < cfg.PerWorker; i++ {
 			p.wg.Add(1)
-			go p.runLoop(pctx, w)
+			go p.runLoop(w)
 		}
 	}
 	p.wg.Add(1)
@@ -290,12 +297,8 @@ func (p *Pool) Simulate(ctx context.Context, bench string, cfg config.Machine) (
 // provenance-carrying record.
 func (p *Pool) SimulateRecord(ctx context.Context, bench string, cfg config.Machine) (*experiments.RunRecord, error) {
 	c := &cell{bench: bench, cfg: cfg, ctx: ctx, done: make(chan cellResult, 1)}
-	useFallback, err := p.admit(c)
-	if err != nil {
+	if err := p.enqueue(c, false); err != nil {
 		return nil, err
-	}
-	if useFallback {
-		p.runFallback(c)
 	}
 	select {
 	case <-ctx.Done():
@@ -305,152 +308,60 @@ func (p *Pool) SimulateRecord(ctx context.Context, bench string, cfg config.Mach
 	}
 }
 
-// admit places a fresh cell: least-loaded live worker's queue, the
-// pending list while the fleet is merely down, or (degraded, true) to
-// tell the caller to run the fallback itself.
-func (p *Pool) admit(c *cell) (useFallback bool, err error) {
+// enqueue hands a cell to the pool: onto the queue (its front when the
+// cell is a re-dispatch, so it does not wait behind newer work), or to
+// the fallback when the fleet is degraded. While the fleet is merely
+// down, the cell waits in the queue for a worker or for degradeWatch.
+func (p *Pool) enqueue(c *cell, front bool) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false, ErrPoolClosed
+	switch {
+	case p.closed:
+		p.mu.Unlock()
+		return ErrPoolClosed
+	case p.aliveCount == 0 && p.degraded:
+		p.wg.Add(1) // under mu, so Close cannot already be waiting
+		p.mu.Unlock()
+		go p.runFallback(c)
+		return nil
+	case front:
+		p.queue = append([]*cell{c}, p.queue...)
+	default:
+		p.queue = append(p.queue, c)
 	}
-	if p.aliveCount == 0 {
-		if p.degraded {
-			return true, nil
-		}
-		p.pending = append(p.pending, c)
-		return false, nil
-	}
-	slot := p.leastLoadedLocked()
-	p.queues[slot] = append(p.queues[slot], c)
-	p.wakeAll()
-	return false, nil
+	p.ready.Broadcast()
+	p.mu.Unlock()
+	return nil
 }
 
-// leastLoadedLocked picks the live slot with the smallest backlog +
-// in-flight load. Caller holds p.mu.
-//
-//md:locked mu
-func (p *Pool) leastLoadedLocked() int {
-	best, bestLoad := -1, int(^uint(0)>>1)
-	for slot, ok := range p.alive {
-		if !ok {
-			continue
-		}
-		if load := len(p.queues[slot]) + p.inflight[slot]; load < bestLoad {
-			best, bestLoad = slot, load
-		}
-	}
-	return best
-}
-
-// requeue returns a cell whose delivery failed to the dispatch state;
-// ownership passes back to the pool.
-func (p *Pool) requeue(c *cell) {
+// broadcast wakes every delivery runner to re-check the queue.
+func (p *Pool) broadcast() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		c.finish(nil, ErrPoolClosed)
-		return
-	}
-	if p.aliveCount > 0 {
-		slot := p.leastLoadedLocked()
-		p.queues[slot] = append(p.queues[slot], c)
-		p.wakeAll()
-		p.mu.Unlock()
-		return
-	}
-	if p.degraded {
-		p.mu.Unlock()
-		p.asyncFallback(c)
-		return
-	}
-	p.pending = append(p.pending, c)
+	p.ready.Broadcast()
 	p.mu.Unlock()
 }
 
-// wakeAll nudges every delivery runner; non-blocking sends on cap-1
-// channels make this safe to call under p.mu.
-func (p *Pool) wakeAll() {
-	for _, w := range p.workers {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// next hands one cell to a delivery runner for slot w: its own backlog
-// first, then a steal from the longest other backlog, then the pending
-// list. ok=false means the pool is closed. A nil cell with ok=true
-// means "nothing to do, wait for a wake".
-func (p *Pool) next(w *worker) (c *cell, ok bool) {
+// next blocks until slot w is live and the queue holds a cell, then
+// pops it; nil means the pool is closing.
+func (p *Pool) next(w *worker) *cell {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return nil, false
-	}
-	if !p.alive[w.slot] {
-		return nil, true // our process is down; cells were redistributed
-	}
-	if len(p.queues[w.slot]) > 0 {
-		c = p.popLocked(w.slot)
-	} else if victim := p.longestQueueLocked(w.slot); victim >= 0 {
-		c = p.popLocked(victim)
-		w.steals.Add(1)
-	} else if len(p.pending) > 0 {
-		c = p.pending[0]
-		p.pending = p.pending[1:]
-	}
-	if c != nil {
-		p.inflight[w.slot]++
-	}
-	return c, true
-}
-
-// popLocked pops the front of slot's queue. Caller holds p.mu.
-//
-//md:locked mu
-func (p *Pool) popLocked(slot int) *cell {
-	c := p.queues[slot][0]
-	p.queues[slot] = p.queues[slot][1:]
-	return c
-}
-
-// longestQueueLocked finds the steal victim: the slot (other than
-// thief) with the deepest non-empty backlog. Caller holds p.mu.
-//
-//md:locked mu
-func (p *Pool) longestQueueLocked(thief int) int {
-	best, bestLen := -1, 0
-	for slot, q := range p.queues {
-		if slot == thief {
-			continue
+	for !p.closed && p.ctx.Err() == nil {
+		if p.alive[w.slot] && len(p.queue) > 0 {
+			c := p.queue[0]
+			p.queue = p.queue[1:]
+			p.inflight[w.slot]++
+			return c
 		}
-		if len(q) > bestLen {
-			best, bestLen = slot, len(q)
-		}
+		p.ready.Wait()
 	}
-	return best
+	return nil
 }
 
-// runLoop is one delivery runner for one worker slot: pop (or steal) a
-// cell, deliver it over the control socket, repeat.
-func (p *Pool) runLoop(ctx context.Context, w *worker) {
+// runLoop is one delivery runner for one worker slot: pop a cell,
+// deliver it over the control socket, repeat.
+func (p *Pool) runLoop(w *worker) {
 	defer p.wg.Done()
-	for {
-		c, ok := p.next(w)
-		if !ok {
-			return
-		}
-		if c == nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-w.wake:
-			}
-			continue
-		}
+	for c := p.next(w); c != nil; c = p.next(w) {
 		p.deliver(w, c)
 		p.mu.Lock()
 		p.inflight[w.slot]--
@@ -459,9 +370,9 @@ func (p *Pool) runLoop(ctx context.Context, w *worker) {
 }
 
 // deliver runs one cell on worker w and routes the outcome: success
-// and permanent refusals finish the cell; transport failures and
-// budget kills re-queue it until DispatchAttempts is spent, after
-// which the fallback completes it.
+// and permanent (4xx) refusals finish the cell; transport failures,
+// 5xx answers, and budget kills re-queue it until DispatchAttempts is
+// spent, after which the fallback completes it.
 func (p *Pool) deliver(w *worker, c *cell) {
 	if c.ctx.Err() != nil {
 		c.finish(nil, c.ctx.Err())
@@ -478,15 +389,18 @@ func (p *Pool) deliver(w *worker, c *cell) {
 		dctx, bcancel = context.WithTimeout(dctx, p.cfg.CellBudget)
 		defer bcancel()
 	}
-	rec, _, err := postRun(dctx, w.hc, c.bench, c.cfg, p.cfg.Meta)
+	rec, _, err := w.client.RunRecord(dctx, c.bench, c.cfg)
 	if err == nil {
 		w.cells.Add(1)
+		if c.failedOn != nil && c.failedOn != w {
+			w.steals.Add(1)
+		}
 		c.finish(rec, nil)
 		return
 	}
-	var perm *permanentError
-	if errors.As(err, &perm) {
-		c.finish(nil, perm.err)
+	var se *server.StatusError
+	if errors.As(err, &se) && se.Permanent() {
+		c.finish(nil, err)
 		return
 	}
 	if c.ctx.Err() != nil {
@@ -512,11 +426,13 @@ func (p *Pool) deliver(w *worker, c *cell) {
 		}
 		p.markDead(w)
 	}
+	c.failedOn = w
 	c.attempts++
 	if c.attempts >= p.cfg.DispatchAttempts {
 		p.cfg.Log.Printf("fleet: cell %s/%s out of dispatch attempts (%d), completing in-process: %v",
 			c.bench, c.cfg.Name(), c.attempts, err)
-		p.asyncFallback(c)
+		p.wg.Add(1)
+		go p.runFallback(c)
 		return
 	}
 	// Pace the re-dispatch: a dying worker fails deliveries with
@@ -527,11 +443,13 @@ func (p *Pool) deliver(w *worker, c *cell) {
 		c.finish(nil, c.ctx.Err())
 		return
 	}
-	p.requeue(c)
+	if err := p.enqueue(c, true); err != nil {
+		c.finish(nil, err)
+	}
 }
 
 // pause waits d out; false means the cell's own ctx died. Pool
-// shutdown cuts the wait short so requeue can observe closed.
+// shutdown cuts the wait short so enqueue can observe closed.
 func (p *Pool) pause(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -545,19 +463,11 @@ func (p *Pool) pause(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// asyncFallback completes a cell through the in-process path without
-// tying up the calling delivery runner.
-func (p *Pool) asyncFallback(c *cell) {
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		p.runFallback(c)
-	}()
-}
-
 // runFallback executes one cell via Config.Fallback, bounded by the
-// fallback semaphore.
+// fallback semaphore. It runs on its own goroutine, counted in p.wg by
+// the caller.
 func (p *Pool) runFallback(c *cell) {
+	defer p.wg.Done()
 	if err := p.fbSem.Acquire(c.ctx); err != nil {
 		c.finish(nil, err)
 		return
@@ -582,8 +492,8 @@ func instsOf(fp *experiments.Fingerprint) int64 {
 }
 
 // degradeWatch flips the pool into degraded mode once the whole fleet
-// has been down for DegradeAfter, draining the pending backlog through
-// the fallback. Recovery (markAlive) clears the flag.
+// has been down for DegradeAfter, draining the queue through the
+// fallback. Recovery (markAlive) clears the flag.
 func (p *Pool) degradeWatch(ctx context.Context) {
 	defer p.wg.Done()
 	tick := time.NewTicker(p.cfg.DegradeAfter / 4)
@@ -601,19 +511,20 @@ func (p *Pool) degradeWatch(ctx context.Context) {
 			continue
 		}
 		p.degraded = true
-		drain := p.pending
-		p.pending = nil
+		drain := p.queue
+		p.queue = nil
 		p.mu.Unlock()
-		p.cfg.Log.Printf("fleet: no live workers for %v; degrading to in-process execution (%d pending cells)",
+		p.cfg.Log.Printf("fleet: no live workers for %v; degrading to in-process execution (%d queued cells)",
 			p.cfg.DegradeAfter, len(drain))
+		p.wg.Add(len(drain))
 		for _, c := range drain {
-			p.asyncFallback(c)
+			go p.runFallback(c)
 		}
 	}
 }
 
-// markAlive records a worker as ready: its slot rejoins dispatch, the
-// degraded flag clears, and any pending backlog lands on its queue.
+// markAlive records a worker as ready: its runners start pulling from
+// the queue and the degraded flag clears.
 func (p *Pool) markAlive(w *worker) {
 	p.mu.Lock()
 	wasDegraded := p.degraded
@@ -621,20 +532,16 @@ func (p *Pool) markAlive(w *worker) {
 	p.aliveCount++
 	p.degraded = false
 	p.downSince = time.Time{}
-	if len(p.pending) > 0 {
-		p.queues[w.slot] = append(p.queues[w.slot], p.pending...)
-		p.pending = nil
-	}
-	p.wakeAll()
+	p.ready.Broadcast()
 	p.mu.Unlock()
 	if wasDegraded {
 		p.cfg.Log.Printf("fleet: %s ready; leaving degraded mode", w.id)
 	}
 }
 
-// markDead removes a worker from dispatch and redistributes its
-// backlog. In-flight cells need no action here: their delivery runners
-// observe the transport failure and re-queue them.
+// markDead stops a worker's runners from pulling more cells. Its
+// in-flight cells need no action here: their delivery runners observe
+// the transport failure and re-queue them.
 func (p *Pool) markDead(w *worker) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -646,34 +553,18 @@ func (p *Pool) markDead(w *worker) {
 	if p.aliveCount == 0 {
 		p.downSince = time.Now()
 	}
-	orphans := p.queues[w.slot]
-	p.queues[w.slot] = nil
-	for _, c := range orphans {
-		if p.aliveCount > 0 {
-			slot := p.leastLoadedLocked()
-			p.queues[slot] = append(p.queues[slot], c)
-		} else {
-			p.pending = append(p.pending, c)
-		}
-	}
-	p.wakeAll()
 }
 
 // Close tears the fleet down: workers get SIGTERM then SIGKILL (via
-// supervisor ctx cancellation), queued and pending cells fail with
-// ErrPoolClosed, and Close blocks until every goroutine is gone.
+// supervisor ctx cancellation), queued cells fail with ErrPoolClosed,
+// and Close blocks until every goroutine is gone.
 func (p *Pool) Close() error {
 	p.cancel()
 	p.mu.Lock()
 	p.closed = true
-	var orphans []*cell
-	orphans = append(orphans, p.pending...)
-	p.pending = nil
-	for slot := range p.queues {
-		orphans = append(orphans, p.queues[slot]...)
-		p.queues[slot] = nil
-	}
-	p.wakeAll()
+	orphans := p.queue
+	p.queue = nil
+	p.ready.Broadcast()
 	p.mu.Unlock()
 	for _, c := range orphans {
 		c.finish(nil, ErrPoolClosed)
@@ -682,48 +573,22 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// WorkerStatus is one slot's instantaneous state and lifetime
-// counters, exported through /v1/metrics.
-type WorkerStatus struct {
-	ID              string `json:"id"`
-	PID             int    `json:"pid,omitempty"`
-	Alive           bool   `json:"alive"`
-	QueueDepth      int    `json:"queue_depth"`
-	Inflight        int    `json:"inflight"`
-	Cells           int64  `json:"cells"`
-	Steals          int64  `json:"steals"`
-	Restarts        int64  `json:"restarts"`
-	HeartbeatMisses int64  `json:"heartbeat_misses"`
-}
-
-// Report is the fleet's health snapshot: /v1/healthz keys `degraded`
-// off it and /v1/metrics embeds it whole.
-type Report struct {
-	Procs         int            `json:"procs"`
-	Alive         int            `json:"alive"`
-	Degraded      bool           `json:"degraded"`
-	Pending       int            `json:"pending"`
-	FallbackCells int64          `json:"fallback_cells"`
-	Workers       []WorkerStatus `json:"workers"`
-}
-
-// Report snapshots the fleet.
-func (p *Pool) Report() Report {
+// Report snapshots the fleet for /v1/metrics.
+func (p *Pool) Report() server.FleetReport {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r := Report{
+	r := server.FleetReport{
 		Procs:         p.cfg.Procs,
 		Alive:         p.aliveCount,
 		Degraded:      p.degraded,
-		Pending:       len(p.pending),
+		Pending:       len(p.queue),
 		FallbackCells: p.fallbackCells.Load(),
 	}
 	for _, w := range p.workers {
-		r.Workers = append(r.Workers, WorkerStatus{
+		r.Workers = append(r.Workers, server.WorkerStatus{
 			ID:              w.id,
 			PID:             int(w.pid.Load()),
 			Alive:           p.alive[w.slot],
-			QueueDepth:      len(p.queues[w.slot]),
 			Inflight:        p.inflight[w.slot],
 			Cells:           w.cells.Load(),
 			Steals:          w.steals.Load(),
@@ -859,7 +724,7 @@ func (p *Pool) waitReady(ctx context.Context, w *worker, exited <-chan error) (r
 			return false, false
 		case <-tick.C:
 			pctx, cancel := context.WithTimeout(ctx, time.Second)
-			err := probeHealthz(pctx, w.hc)
+			err := w.client.Healthz(pctx)
 			cancel()
 			if err == nil {
 				return true, false
@@ -916,7 +781,7 @@ func (p *Pool) heartbeat(ctx context.Context, w *worker) error {
 	}
 	pctx, cancel := context.WithTimeout(ctx, p.cfg.HeartbeatEvery)
 	defer cancel()
-	return probeHealthz(pctx, w.hc)
+	return w.client.Healthz(pctx)
 }
 
 // breakLease reclaims a dead worker's journal segment lease so its

@@ -29,6 +29,7 @@ import (
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
 	"mdspec/internal/retry"
+	"mdspec/internal/server"
 	"mdspec/internal/stats"
 )
 
@@ -107,7 +108,7 @@ func runStubWorker(socket string, slot int) {
 				select {} // wedge forever; the supervisor's budget kill frees us
 			}
 		}
-		var req runRequest
+		var req server.RunRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -118,7 +119,7 @@ func runStubWorker(socket string, slot int) {
 		st := fakeStats(req.Bench, req.Config)
 		rec := experiments.NewRunRecord(req.Bench, req.Config, 0, time.Millisecond, st)
 		served.Add(1)
-		json.NewEncoder(w).Encode(runResponse{Record: rec, Source: experiments.SourceSimulated})
+		json.NewEncoder(w).Encode(server.RunResponse{Record: rec, Source: experiments.SourceSimulated})
 	})
 	ln, err := net.Listen("unix", socket)
 	if err != nil {
@@ -202,6 +203,7 @@ func sweep(t *testing.T, p *Pool, n int) {
 // answered by a worker process, and report both workers alive.
 func TestFleetDispatchAndReport(t *testing.T) {
 	p := startPool(t, testConfig(t, 2, nil))
+	waitAlive(t, p, 2)
 	sweep(t, p, 8)
 	r := p.Report()
 	if r.Alive != 2 {
@@ -239,22 +241,21 @@ func TestFleetCrashRestartRequeue(t *testing.T) {
 	}
 }
 
-// With one deliberately slow worker, the fast worker must steal from
-// the slow worker's backlog rather than idle.
-func TestFleetWorkStealing(t *testing.T) {
+// With one deliberately slow worker, the shared queue must balance by
+// speed: the fast worker pulls the next cell whenever it is idle, so it
+// completes more cells than the slow one.
+func TestFleetSlowWorkerBalance(t *testing.T) {
 	t.Setenv("FLEET_STUB_SLOW_SLOT", "0")
 	t.Setenv("FLEET_STUB_SLOW_MS", "150")
 	cfg := testConfig(t, 2, nil)
 	cfg.PerWorker = 1
 	p := startPool(t, cfg)
+	waitAlive(t, p, 2)
 	sweep(t, p, 10)
 	r := p.Report()
-	var steals int64
-	for _, w := range r.Workers {
-		steals += w.Steals
-	}
-	if steals == 0 {
-		t.Error("no steals despite a 150ms-per-cell slow worker")
+	slow, fast := r.Workers[0].Cells, r.Workers[1].Cells
+	if fast <= slow {
+		t.Errorf("fast worker completed %d cells, slow worker %d; want fast > slow", fast, slow)
 	}
 }
 
@@ -364,36 +365,12 @@ func TestFleetClosedPool(t *testing.T) {
 	}
 }
 
-// The wire structs restate internal/server's JSON contract (fleet
-// cannot import server); this pins the field names so a protocol
-// rename cannot silently desynchronize them.
-func TestWireFormatMatchesServerProtocol(t *testing.T) {
-	req := runRequest{Bench: "b", Config: config.Default128()}
-	b, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(b, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"bench", "config"} {
-		if _, ok := m[k]; !ok {
-			t.Errorf("runRequest JSON missing %q (server.RunRequest contract)", k)
-		}
-	}
-	rec := experiments.NewRunRecord("b", config.Default128(), 0, time.Millisecond, fakeStats("b", config.Default128()))
-	rb, err := json.Marshal(runResponse{Record: rec, Source: experiments.SourceSimulated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rb, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"record", "source"} {
-		if _, ok := m[k]; !ok {
-			t.Errorf("runResponse JSON missing %q (server.RunResponse contract)", k)
-		}
+// waitAlive blocks until n workers are alive, so a sweep's dispatch
+// does not depend on how fast the stubs start.
+func waitAlive(t *testing.T, p *Pool, n int) {
+	t.Helper()
+	if !eventually(10*time.Second, func() bool { return p.Report().Alive == n }) {
+		t.Fatalf("%d workers alive after 10s, want %d", p.Report().Alive, n)
 	}
 }
 

@@ -3,7 +3,7 @@
 // deadlock reports). The budget is counted in attempts, not wall-clock
 // time, and the backoff schedule is a pure function of the attempt
 // number — the package never reads a clock or a random source (enforced
-// by mdlint's determinism analyzer), so two runs of the same failing
+// by mdvet's determinism analyzer), so two runs of the same failing
 // sweep make identical retry decisions. Actually sleeping between
 // attempts is the caller's concern; the policy only says for how long.
 package retry

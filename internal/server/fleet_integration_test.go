@@ -8,14 +8,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"net"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
-	"mdspec/internal/fleet"
 	"mdspec/internal/stats"
 )
 
@@ -128,10 +131,10 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 type fakeFleet struct{ degraded bool }
 
 func (f *fakeFleet) Degraded() bool { return f.degraded }
-func (f *fakeFleet) Report() fleet.Report {
-	return fleet.Report{
+func (f *fakeFleet) Report() FleetReport {
+	return FleetReport{
 		Procs: 2, Alive: 1, Degraded: f.degraded, FallbackCells: 3,
-		Workers: []fleet.WorkerStatus{
+		Workers: []WorkerStatus{
 			{ID: "w0", Alive: true, Cells: 5, Steals: 2, Restarts: 1},
 			{ID: "w1", Alive: false, Restarts: 4, HeartbeatMisses: 6},
 		},
@@ -231,5 +234,51 @@ func TestCloseTimeoutCleanDrain(t *testing.T) {
 	})
 	if stuck := s.CloseTimeout(5 * time.Second); len(stuck) != 0 {
 		t.Errorf("clean drain reported stuck cells: %+v", stuck)
+	}
+}
+
+// A socket client reaches a daemon over its unix socket, and a refusal
+// comes back as a typed *StatusError a fleet can route on: a 4xx judges
+// the request, so it is permanent and is not re-dispatched.
+func TestSocketClientHealthzRunAndStatusError(t *testing.T) {
+	opt := experiments.Options{Insts: 5000}
+	s := New(Config{Options: opt})
+	s.Runner().UseBackend(func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		return fakeStats(bench, cfg), nil
+	})
+	sock := filepath.Join(t.TempDir(), "w.sock")
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(s)
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	ctx := context.Background()
+
+	fp := opt.Fingerprint()
+	c := NewSocketClient(sock, &fp)
+	if err := c.Healthz(ctx); err != nil {
+		t.Fatalf("Healthz: %v", err)
+	}
+	cfg := cfgWith(config.Sync)
+	rec, src, err := c.RunRecord(ctx, "126.gcc", cfg)
+	if err != nil {
+		t.Fatalf("RunRecord: %v", err)
+	}
+	if src != experiments.SourceSimulated || rec.Bench != "126.gcc" {
+		t.Errorf("record = %+v from %q, want 126.gcc simulated", rec, src)
+	}
+
+	other := experiments.Options{Insts: 7777}.Fingerprint()
+	_, _, err = NewSocketClient(sock, &other).RunRecord(ctx, "126.gcc", cfg)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict || !se.Permanent() || se.Server == nil {
+		t.Errorf("mismatched cell = %v, want a permanent 409 *StatusError naming the daemon's fingerprint", err)
 	}
 }

@@ -19,7 +19,6 @@ package server
 import (
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
-	"mdspec/internal/fleet"
 )
 
 // RunRequest is the body of POST /v1/runs: one (benchmark, machine
@@ -108,9 +107,35 @@ type MetricsResponse struct {
 	UptimeSeconds float64                    `json:"uptime_seconds"`
 	JournalError  string                     `json:"journal_error,omitempty"`
 	// Fleet is the worker-process pool's health snapshot (per-worker
-	// liveness, steal, restart, and heartbeat-miss counters); absent
+	// liveness, failover, restart, and heartbeat-miss counters); absent
 	// when the daemon runs single-process.
-	Fleet *fleet.Report `json:"fleet,omitempty"`
+	Fleet *FleetReport `json:"fleet,omitempty"`
+}
+
+// FleetReport is a worker-process pool's health snapshot: /v1/healthz
+// keys `degraded` off the pool and /v1/metrics embeds the report whole.
+type FleetReport struct {
+	Procs    int  `json:"procs"`
+	Alive    int  `json:"alive"`
+	Degraded bool `json:"degraded"`
+	// Pending is the depth of the pool's shared dispatch queue.
+	Pending       int            `json:"pending"`
+	FallbackCells int64          `json:"fallback_cells"`
+	Workers       []WorkerStatus `json:"workers"`
+}
+
+// WorkerStatus is one worker slot's instantaneous state and lifetime
+// counters. Steals counts failovers: cells this worker finished after
+// a delivery of the same cell to another worker had failed.
+type WorkerStatus struct {
+	ID              string `json:"id"`
+	PID             int    `json:"pid,omitempty"`
+	Alive           bool   `json:"alive"`
+	Inflight        int    `json:"inflight"`
+	Cells           int64  `json:"cells"`
+	Steals          int64  `json:"steals"`
+	Restarts        int64  `json:"restarts"`
+	HeartbeatMisses int64  `json:"heartbeat_misses"`
 }
 
 // HealthzResponse is GET /v1/healthz. Degraded is present only when a

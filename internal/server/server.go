@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mdspec/internal/experiments"
-	"mdspec/internal/fleet"
 	"mdspec/internal/workload"
 )
 
@@ -56,9 +55,9 @@ type Server struct {
 // Fleet is the health/metrics surface a worker-process pool exposes to
 // the server (satisfied by *fleet.Pool). When attached, /v1/healthz
 // reports the pool's degraded flag and /v1/metrics embeds its
-// per-worker liveness, steal, and restart counters.
+// per-worker liveness, failover, and restart counters.
 type Fleet interface {
-	Report() fleet.Report
+	Report() FleetReport
 	Degraded() bool
 }
 

@@ -17,7 +17,7 @@ import (
 //
 // Every exported counter added here must also reach the flat CSV
 // schema in internal/experiments (the JSON artifact marshals the whole
-// struct and cannot drift): mdlint's statsguard analyzer enforces the
+// struct and cannot drift): mdvet's statsguard analyzer enforces the
 // pairing between this annotation and the //md:statssink functions.
 //
 //md:statsstruct
