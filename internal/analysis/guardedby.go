@@ -517,7 +517,9 @@ func (g *gbFunc) checkSel(sel *ast.SelectorExpr, held lockSet, write bool) {
 	if !ok {
 		return
 	}
-	gi, guarded := g.c.guarded[v]
+	// A field of a generic struct is a distinct object per
+	// instantiation; Origin maps it back to the annotated declaration.
+	gi, guarded := g.c.guarded[v.Origin()]
 	if !guarded {
 		return
 	}

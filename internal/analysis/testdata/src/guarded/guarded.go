@@ -136,3 +136,30 @@ func (c *counter) reset() {
 	c.n = 0 // ok: whole function waived
 	c.shared = nil
 }
+
+// memo is generic: its fields are distinct objects per instantiation,
+// and inside its methods, so guards must follow them to the declaration.
+type memo[K comparable, V any] struct {
+	mu   sync.Mutex
+	done map[K]V //md:guardedby mu
+}
+
+func (m *memo[K, V]) get(k K) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.done[k] // ok: lock held
+	return v, ok
+}
+
+func (m *memo[K, V]) peek(k K) bool {
+	_, ok := m.done[k] // want "access to m.done requires m.mu held"
+	return ok
+}
+
+type owner struct {
+	names memo[string, int]
+}
+
+func (o *owner) size() int {
+	return len(o.names.done) // want "access to o.names.done requires o.names.mu held"
+}

@@ -94,9 +94,12 @@ func (s *Stats) MissRate() float64 {
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg        Config
-	next       Level
-	sets       [][]way
+	cfg  Config
+	next Level
+	// ways holds every set's ways in one flat array: set s occupies
+	// ways[s*Assoc : (s+1)*Assoc]. One allocation per level keeps
+	// construction cheap (Table 2's L2 alone has 16K sets).
+	ways       []way
 	banks      []bank
 	setsPEBank int
 	blockShift uint
@@ -118,19 +121,17 @@ func New(cfg Config, next Level) *Cache {
 	c := &Cache{
 		cfg:        cfg,
 		next:       next,
-		sets:       make([][]way, nSets),
+		ways:       make([]way, nSets*cfg.Assoc),
 		banks:      make([]bank, cfg.Banks),
 		setsPEBank: setsPerBank,
 		blockShift: log2(uint32(cfg.BlockBytes)),
 		bankMask:   uint32(cfg.Banks - 1),
 		setMask:    uint32(setsPerBank - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Assoc)
-	}
-	for i := range c.banks {
-		if cfg.PrimaryMSHRs > 0 {
-			c.banks[i].mshrs = make([]mshr, cfg.PrimaryMSHRs)
+	if n := cfg.PrimaryMSHRs; n > 0 {
+		mshrs := make([]mshr, cfg.Banks*n)
+		for i := range c.banks {
+			c.banks[i].mshrs = mshrs[i*n : (i+1)*n : (i+1)*n]
 		}
 	}
 	return c
@@ -151,12 +152,13 @@ func log2(v uint32) uint {
 func (c *Cache) blockOf(addr uint32) uint32 { return addr >> c.blockShift }
 func (c *Cache) bankOf(block uint32) uint32 { return block & c.bankMask }
 
-// setOf maps a block to its set. Banks are block-interleaved (Table 2),
-// and each bank holds its own sets: the low block bits select the bank,
-// the bits above them select the set within that bank.
-func (c *Cache) setOf(block uint32) uint32 {
+// setOf maps a block to its set's ways. Banks are block-interleaved
+// (Table 2), and each bank holds its own sets: the low block bits select
+// the bank, the bits above them select the set within that bank.
+func (c *Cache) setOf(block uint32) []way {
 	within := (block >> log2(uint32(c.cfg.Banks))) & c.setMask
-	return c.bankOf(block)*uint32(c.setsPEBank) + within
+	base := int(c.bankOf(block)*uint32(c.setsPEBank)+within) * c.cfg.Assoc
+	return c.ways[base : base+c.cfg.Assoc]
 }
 
 // lookup returns the way holding block, or nil.
@@ -203,7 +205,7 @@ func (c *Cache) Access(addr uint32, start int64, write bool) int64 {
 	}
 	bk.free = at + 1
 
-	set := c.sets[c.setOf(block)]
+	set := c.setOf(block)
 	if w := c.lookup(set, block); w != nil {
 		w.used = c.clock
 		if w.ready > at {
@@ -291,7 +293,7 @@ func (c *Cache) Warm(addr uint32, write bool) {
 		return
 	}
 	block := c.blockOf(addr)
-	set := c.sets[c.setOf(block)]
+	set := c.setOf(block)
 	if w := c.lookup(set, block); w != nil {
 		w.used = c.clock
 		return

@@ -34,30 +34,28 @@ const (
 
 // StateLen returns the exact AppendState footprint of this cache.
 func (c *Cache) StateLen() int {
-	return cacheHdrBytes + len(c.sets)*c.cfg.Assoc*wayBytes
+	return cacheHdrBytes + len(c.ways)*wayBytes
 }
 
 // AppendState appends the cache's warm state to b and returns the
 // extended slice.
 func (c *Cache) AppendState(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.sets)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.ways)/c.cfg.Assoc))
 	b = binary.LittleEndian.AppendUint32(b, uint32(c.cfg.Assoc))
 	b = binary.LittleEndian.AppendUint64(b, uint64(c.clock))
 	b = binary.LittleEndian.AppendUint64(b, c.Stats.Accesses)
 	b = binary.LittleEndian.AppendUint64(b, c.Stats.Misses)
 	b = binary.LittleEndian.AppendUint64(b, c.Stats.MSHRStalls)
 	b = binary.LittleEndian.AppendUint64(b, c.Stats.BankStalls)
-	for _, set := range c.sets {
-		for i := range set {
-			w := &set[i]
-			b = binary.LittleEndian.AppendUint32(b, w.tag)
-			if w.valid {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
-			b = binary.LittleEndian.AppendUint64(b, uint64(w.used))
+	for i := range c.ways {
+		w := &c.ways[i]
+		b = binary.LittleEndian.AppendUint32(b, w.tag)
+		if w.valid {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
 		}
+		b = binary.LittleEndian.AppendUint64(b, uint64(w.used))
 	}
 	return b
 }
@@ -75,7 +73,7 @@ func (c *Cache) RestoreState(b []byte) (int, error) {
 	}
 	nSets := binary.LittleEndian.Uint32(b)
 	assoc := binary.LittleEndian.Uint32(b[4:])
-	if int(nSets) != len(c.sets) || int(assoc) != c.cfg.Assoc {
+	if int(nSets) != len(c.ways)/c.cfg.Assoc || int(assoc) != c.cfg.Assoc {
 		return 0, ErrStateGeometry
 	}
 	total := c.StateLen()
@@ -88,15 +86,13 @@ func (c *Cache) RestoreState(b []byte) (int, error) {
 	c.Stats.MSHRStalls = binary.LittleEndian.Uint64(b[32:])
 	c.Stats.BankStalls = binary.LittleEndian.Uint64(b[40:])
 	off := cacheHdrBytes
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{
-				tag:   binary.LittleEndian.Uint32(b[off:]),
-				valid: b[off+4] != 0,
-				used:  int64(binary.LittleEndian.Uint64(b[off+5:])),
-			}
-			off += wayBytes
+	for i := range c.ways {
+		c.ways[i] = way{
+			tag:   binary.LittleEndian.Uint32(b[off:]),
+			valid: b[off+4] != 0,
+			used:  int64(binary.LittleEndian.Uint64(b[off+5:])),
 		}
+		off += wayBytes
 	}
 	for i := range c.banks {
 		c.banks[i].free = 0

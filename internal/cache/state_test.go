@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"hash/fnv"
 	"reflect"
 	"testing"
 )
@@ -37,9 +38,7 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 
 	b := src.AppendState(nil)
 	want := cacheHdrBytes*3 +
-		(len(src.I.sets)*src.I.cfg.Assoc+
-			len(src.D.sets)*src.D.cfg.Assoc+
-			len(src.L2.sets)*src.L2.cfg.Assoc)*wayBytes +
+		(len(src.I.ways)+len(src.D.ways)+len(src.L2.ways))*wayBytes +
 		mainMemABytes
 	if len(b) != want {
 		t.Fatalf("state length = %d, want %d", len(b), want)
@@ -70,6 +69,23 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(src, dst) {
 		t.Fatal("hierarchies diverged after restore")
+	}
+}
+
+// TestAppendStateBytesPinned pins the warm-state byte stream of a
+// warmed Table 2 hierarchy: MDCKPT01 checkpoint files embed these bytes,
+// so any change to the way storage order, the field encoding or the
+// header would strand every .mdckpt file already on disk.
+func TestAppendStateBytesPinned(t *testing.T) {
+	h := Table2()
+	warmStream(h, 20000, 1)
+	b := h.AppendState(nil)
+	f := fnv.New64a()
+	f.Write(b)
+	const wantLen, wantFNV = 466072, 0xedb12b3e9af52282
+	if len(b) != wantLen || f.Sum64() != wantFNV {
+		t.Fatalf("warm state = %d bytes, FNV-1a %#x; want %d bytes, %#x",
+			len(b), f.Sum64(), wantLen, uint64(wantFNV))
 	}
 }
 

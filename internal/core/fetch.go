@@ -14,13 +14,13 @@ const iCacheBlockShift = 5
 // up to 4 non-continuous blocks").
 const maxFetchBlocks = 4
 
-// fetch implements the continuous-window front end: instructions are
-// fetched strictly in program order; a mispredicted branch stalls fetch
-// until the branch executes.
 // wrongPathBlockBudget caps how far down the wrong path the front end
 // streams before it would realistically have filled its fetch buffers.
 const wrongPathBlockBudget = 8
 
+// fetch implements the continuous-window front end: instructions are
+// fetched strictly in program order; a mispredicted branch stalls fetch
+// until the branch executes.
 func (p *Pipeline) fetch() {
 	if p.blockedOnBranch != noSeq && p.cfg.WrongPathFetch && p.wrongPathBlocks > 0 {
 		// Pollute the I-cache along the mispredicted path, one block per

@@ -13,7 +13,8 @@
 //     agree in both directions — every table slot references a live,
 //     matching ROB entry, and every in-flight memory op whose address
 //     the hardware knows is present in its table.
-//  2. Calendar-wheel accounting: the ring's event count matches its
+//  2. Calendar-wheel accounting: the bucket lists and the free list
+//     partition the node pool, the ring's event count matches its
 //     buckets, overflow events never point into the drained past, and
 //     scan mode leaves the wheel untouched.
 //  3. Candidate bitmap: every candidate slot holds a valid entry and
@@ -132,7 +133,9 @@ func (p *Pipeline) sanTables() {
 	}
 }
 
-// sanWheel checks the calendar wheel's accounting.
+// sanWheel checks the calendar wheel's accounting: the bucket lists
+// and the free list partition the node pool, each bucket's tail is its
+// last node, and the ring's event count matches the bucket totals.
 func (p *Pipeline) sanWheel() {
 	ev := &p.events
 	if p.scanMode {
@@ -141,12 +144,31 @@ func (p *Pipeline) sanWheel() {
 		}
 		return
 	}
+	pool := len(ev.nodes)
 	n := 0
-	for i := range ev.buckets {
-		n += len(ev.buckets[i])
+	for b := range ev.head {
+		last := nilSlot
+		for e := ev.head[b]; e != nilSlot; e = ev.nodes[e].link {
+			if n++; n > pool {
+				panic(fmt.Sprintf("mdsan: wheel bucket %d has a link cycle", b))
+			}
+			last = e
+		}
+		if last != nilSlot && ev.tail[b] != last {
+			panic(fmt.Sprintf("mdsan: wheel bucket %d tail %d is not its last node %d", b, ev.tail[b], last))
+		}
 	}
 	if n != ev.n {
 		panic(fmt.Sprintf("mdsan: wheel count %d != bucket total %d", ev.n, n))
+	}
+	free := 0
+	for e := ev.free; e != nilSlot; e = ev.nodes[e].link {
+		if free++; free > pool {
+			panic("mdsan: wheel free list has a link cycle")
+		}
+	}
+	if n+free != pool {
+		panic(fmt.Sprintf("mdsan: wheel pool leaks nodes: %d pending + %d free != %d", n, free, pool))
 	}
 	for _, e := range ev.over {
 		if e.at <= ev.drained {
@@ -222,12 +244,13 @@ func (p *Pipeline) sanParking() {
 	// Timer-parked slots must have a pending wheel event to wake them:
 	// stamp every slot with a pending event, then require the stamp.
 	st := p.san.evStamp
-	for i := range p.events.buckets {
-		for _, s := range p.events.buckets[i] {
-			st[s] = p.cycle
+	ev := &p.events
+	for b := range ev.head {
+		for e := ev.head[b]; e != nilSlot; e = ev.nodes[e].link {
+			st[ev.nodes[e].slot] = p.cycle
 		}
 	}
-	for _, e := range p.events.over {
+	for _, e := range ev.over {
 		st[e.slot] = p.cycle
 	}
 	for s := range p.parkedOn {

@@ -56,6 +56,17 @@ func TestMdsanDetectsWheelMiscount(t *testing.T) {
 	mustPanicMdsan(t, "wheel count", func() { p.step() })
 }
 
+// TestMdsanDetectsWheelPoolLeak drops the event wheel's free list: the
+// orphaned nodes no longer partition the pool with the bucket lists.
+func TestMdsanDetectsWheelPoolLeak(t *testing.T) {
+	p := warmPipeline(t)
+	if p.events.free == nilSlot {
+		t.Fatal("warm pipeline has no free wheel node to leak")
+	}
+	p.events.free = nilSlot
+	mustPanicMdsan(t, "wheel pool leaks nodes", func() { p.sanitize() })
+}
+
 // TestMdsanDetectsStaleCandidate plants a candidate bit on a slot that
 // holds no valid entry.
 func TestMdsanDetectsStaleCandidate(t *testing.T) {
@@ -99,12 +110,13 @@ func TestMdsanDetectsLostWakeup(t *testing.T) {
 	// Collect slots that do have pending events, then pick an unparked,
 	// non-candidate slot outside that set.
 	pending := make(map[int32]bool)
-	for i := range p.events.buckets {
-		for _, s := range p.events.buckets[i] {
-			pending[s] = true
+	ev := &p.events
+	for b := range ev.head {
+		for e := ev.head[b]; e != nilSlot; e = ev.nodes[e].link {
+			pending[ev.nodes[e].slot] = true
 		}
 	}
-	for _, e := range p.events.over {
+	for _, e := range ev.over {
 		pending[e.slot] = true
 	}
 	s := int32(-1)

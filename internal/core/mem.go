@@ -283,7 +283,6 @@ func (p *Pipeline) squashFrom(load, st int32) {
 	loadSeq := r.seq[load]
 	loadPC, storePC := r.pc[load], r.pc[st]
 	p.res.Misspeculations++
-	p.squashes++
 	p.trainPredictors(loadPC, storePC)
 
 	// Invalidate every in-flight instruction at or after the load. Each

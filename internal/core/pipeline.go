@@ -276,12 +276,9 @@ type Pipeline struct {
 	// draining pauses fetch so the window can empty (sampling).
 	draining bool
 
-	// maxSquashDepth guards against pathological livelock (debugging).
-	squashes int64
-
 	// Event-driven scheduler state. scanMode selects the legacy
 	// full-window scan instead (candidate queues, parking, and the event
-	// heap then stay empty).
+	// wheel then stay empty).
 	scanMode bool
 	cand     candSet    // wakeup candidate slots (iterated in rotated seq order)
 	events   eventWheel // pending completions / postings / corrections

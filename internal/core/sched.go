@@ -11,8 +11,8 @@ import "math/bits"
 //     candidate queues.
 //   - addrTable: an intrusive hash table over window slots, replacing
 //     the map[uint32][]int64 address maps used for memory disambiguation.
-//   - eventHeap: the pending-completion min-heap that drives wakeups and
-//     the next-event cycle skip.
+//   - eventWheel: the calendar queue of pending completions that drives
+//     wakeups and the next-event cycle skip.
 //   - the parking machinery: blocked instructions wait on their
 //     producer's slot (or on a timed event) instead of being rescanned
 //     every cycle.
@@ -293,22 +293,46 @@ type schedEvent struct {
 const wheelHorizon = 4096
 
 // eventWheel is a calendar queue over the near future: the bucket at
-// index c&mask holds the slots whose events fire at cycle c. Pushing
-// and draining are O(1) per event (a binary heap's O(log n) sift was a
-// measurable share of the simulation loop), at the cost of walking
-// empty buckets across skipped cycles — a walk no longer than the skip
-// itself.
+// index c&mask lists, in push order, the slots whose events fire at
+// cycle c. Pushing and draining are O(1) per event (a binary heap's
+// O(log n) sift was a measurable share of the simulation loop), at the
+// cost of walking empty buckets across skipped cycles — a walk no
+// longer than the skip itself.
+//
+// Every bucket is a FIFO list threaded through one shared node pool,
+// and drained buckets return their nodes to a free list. The wheel
+// therefore costs a handful of allocations to build, however many
+// buckets it has, and the pool grows only to the peak number of
+// pending events.
 type eventWheel struct {
-	mask    int64
-	buckets [][]int32
-	drained int64 // every bucket for a cycle <= drained is empty
-	n       int   // events in the ring
-	over    []schedEvent
+	mask       int64
+	head, tail []int32 // per-bucket first and last node; head is nilSlot when empty, tail is then stale
+	nodes      []wheelNode
+	free       int32 // first free node, nilSlot when every node is in use
+	drained    int64 // every bucket for a cycle <= drained is empty
+	n          int   // events in the ring
+	over       []schedEvent
 }
+
+// wheelNode is one pending event: the window slot to wake, and the next
+// node in its bucket (or in the free list).
+type wheelNode struct {
+	slot, link int32
+}
+
+// wheelPoolInit is the node pool's initial capacity. The suite's runs
+// peak at about 32 pending events, so the pool rarely grows at all.
+const wheelPoolInit = 64
 
 func (w *eventWheel) init() {
 	w.mask = wheelHorizon - 1
-	w.buckets = make([][]int32, wheelHorizon)
+	w.head = make([]int32, wheelHorizon)
+	w.tail = make([]int32, wheelHorizon)
+	for i := range w.head {
+		w.head[i] = nilSlot
+	}
+	w.nodes = make([]wheelNode, 0, wheelPoolInit)
+	w.free = nilSlot
 	w.drained = -1
 }
 
@@ -318,9 +342,22 @@ func (w *eventWheel) push(at int64, slot int32) {
 		w.over = append(w.over, schedEvent{at, slot})
 		return
 	}
+	e := w.free
+	if e == nilSlot {
+		e = int32(len(w.nodes))
+		//md:allocok amortized: the pool grows to the peak pending-event count and is recycled
+		w.nodes = append(w.nodes, wheelNode{})
+	} else {
+		w.free = w.nodes[e].link
+	}
+	w.nodes[e] = wheelNode{slot: slot, link: nilSlot}
 	b := at & w.mask
-	//md:allocok amortized: buckets grow to their steady per-cycle depth and are reused
-	w.buckets[b] = append(w.buckets[b], slot)
+	if w.head[b] == nilSlot {
+		w.head[b] = e
+	} else {
+		w.nodes[w.tail[b]].link = e
+	}
+	w.tail[b] = e
 	w.n++
 }
 
@@ -332,7 +369,7 @@ func (w *eventWheel) next(from int64) int64 {
 	t := notYet
 	if w.n > 0 {
 		for c := from; c <= w.drained+wheelHorizon; c++ {
-			if len(w.buckets[c&w.mask]) > 0 {
+			if w.head[c&w.mask] != nilSlot {
 				t = c
 				break
 			}
@@ -348,7 +385,7 @@ func (w *eventWheel) next(from int64) int64 {
 
 // schedule records that the uop in slot s reaches a scheduling-relevant
 // state at cycle at. In scan mode no events are consumed, so none are
-// produced (the heap would otherwise grow without bound).
+// produced (the wheel would otherwise fill without bound).
 func (p *Pipeline) schedule(at int64, s int32) {
 	if p.scanMode {
 		return
@@ -429,15 +466,19 @@ func (p *Pipeline) processWakeups() {
 	w := &p.events
 	for c := w.drained + 1; c <= p.cycle; c++ {
 		b := c & w.mask
-		bk := w.buckets[b]
-		if len(bk) == 0 {
+		first := w.head[b]
+		if first == nilSlot {
 			continue
 		}
-		w.n -= len(bk)
-		for _, s := range bk {
-			p.wake(s)
+		for e := first; e != nilSlot; e = w.nodes[e].link {
+			p.wake(w.nodes[e].slot)
+			w.n--
 		}
-		w.buckets[b] = bk[:0]
+		// wake schedules nothing, so the drained list is still intact:
+		// splice it onto the free list whole.
+		w.nodes[w.tail[b]].link = w.free
+		w.free = first
+		w.head[b] = nilSlot
 	}
 	w.drained = p.cycle
 	if len(w.over) > 0 {

@@ -177,7 +177,7 @@ func TestAddrMapsMirrorROBUnderSquashStorms(t *testing.T) {
 }
 
 // TestStepZeroAllocSteadyState holds the event-driven core to zero
-// allocations per cycle once warm: all scheduling state (wheel buckets,
+// allocations per cycle once warm: all scheduling state (wheel nodes,
 // waiter lists, candidate bitmap, address maps) reuses its backing
 // storage, and the shared recording serves reads without copying.
 func TestStepZeroAllocSteadyState(t *testing.T) {
@@ -202,6 +202,38 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 				t.Errorf("steady-state step allocates %.2f times per cycle, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestConstructionAllocsBounded pins the fixed cost a simulation pays
+// before and around its first cycles: a sampled cell builds several
+// fresh Table 2 machines, so construction must not allocate per cache
+// set or per wheel bucket. The Run bound is the same at two budgets, so
+// it also holds the warm loop to amortized-constant allocation.
+func TestConstructionAllocsBounded(t *testing.T) {
+	const maxNew, maxRun = 150, 250
+	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
+	rec.Record(60_000)
+	cfg := config.Default128()
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := New(cfg, rec.NewReplay()); err != nil {
+			t.Fatal(err)
+		}
+	}); n > maxNew {
+		t.Errorf("core.New allocates %.0f times, want <= %d", n, maxNew)
+	}
+	for _, insts := range []int64{20_000, 40_000} {
+		if n := testing.AllocsPerRun(3, func() {
+			pl, err := New(cfg, rec.NewReplay())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pl.Run(insts); err != nil {
+				t.Fatal(err)
+			}
+		}); n > maxRun {
+			t.Errorf("New+Run(%d) allocates %.0f times, want <= %d", insts, n, maxRun)
+		}
 	}
 }
 

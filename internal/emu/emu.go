@@ -124,9 +124,12 @@ func New(p *prog.Program) *Machine {
 		pc:        p.Entry,
 		lastStore: make(map[uint32]int64),
 	}
-	//md:orderindependent each address is written once, so the memory image is the same for every visit order
-	for addr, v := range p.Data {
-		m.mem.Write(addr, v)
+	// Only non-zero words are written, so untouched pages of the data
+	// image are never materialized.
+	for i, v := range p.Data {
+		if v != 0 {
+			m.mem.Write(prog.DataBase+uint32(i*prog.WordBytes), v)
+		}
 	}
 	m.regs[isa.SP] = int64(prog.StackBase)
 	for i := range m.lastWriter {

@@ -205,22 +205,23 @@ type Counters struct {
 type Runner struct {
 	opt Options
 
+	// Per-benchmark set-up, each built once outside mu: programs,
+	// replay sources, warm-state checkpoint sets, and phase plans.
+	progs buildOnce[string, *prog.Program]
+	recs  buildOnce[string, emu.ReplaySource]
+	ckpts buildOnce[ckptKey, *ckpt.Set]
+	plans buildOnce[string, []ckpt.WeightedSegment]
+
 	mu         sync.Mutex
-	progs      map[string]*prog.Program          //md:guardedby mu
-	recs       map[string]emu.ReplaySource       //md:guardedby mu
-	cache      map[runKey]*stats.Run             //md:guardedby mu
-	hashes     map[config.Machine]string         //md:guardedby mu
-	inflight   map[runKey]*call                  //md:guardedby mu
-	ckpts      map[ckptKey]*ckpt.Set             //md:guardedby mu
-	ckptBusy   map[ckptKey]chan struct{}         //md:guardedby mu
-	plans      map[string][]ckpt.WeightedSegment //md:guardedby mu
-	planBusy   map[string]chan struct{}          //md:guardedby mu
-	records    []RunRecord                       //md:guardedby mu
-	recordIdx  map[runKeyID]int                  //md:guardedby mu
-	primed     map[runKeyID]RunRecord            //md:guardedby mu
-	abandoned  []AbandonedCell                   //md:guardedby mu
-	abandonSet map[runKeyID]bool                 //md:guardedby mu
-	journalErr error                             //md:guardedby mu
+	cache      map[runKey]*stats.Run     //md:guardedby mu
+	hashes     map[config.Machine]string //md:guardedby mu
+	inflight   map[runKey]*call          //md:guardedby mu
+	records    []RunRecord               //md:guardedby mu
+	recordIdx  map[runKeyID]int          //md:guardedby mu
+	primed     map[runKeyID]RunRecord    //md:guardedby mu
+	abandoned  []AbandonedCell           //md:guardedby mu
+	abandonSet map[runKeyID]bool         //md:guardedby mu
+	journalErr error                     //md:guardedby mu
 
 	jobsStarted  atomic.Int64
 	jobsFinished atomic.Int64
@@ -284,15 +285,9 @@ func NewRunner(opt Options) *Runner {
 	}
 	r := &Runner{
 		opt:        opt,
-		progs:      make(map[string]*prog.Program),
-		recs:       make(map[string]emu.ReplaySource),
 		cache:      make(map[runKey]*stats.Run),
 		hashes:     make(map[config.Machine]string),
 		inflight:   make(map[runKey]*call),
-		ckpts:      make(map[ckptKey]*ckpt.Set),
-		ckptBusy:   make(map[ckptKey]chan struct{}),
-		plans:      make(map[string][]ckpt.WeightedSegment),
-		planBusy:   make(map[string]chan struct{}),
 		recordIdx:  make(map[runKeyID]int),
 		primed:     make(map[runKeyID]RunRecord),
 		abandonSet: make(map[runKeyID]bool),
@@ -400,18 +395,61 @@ func (r *Runner) Record(bench string, cfg config.Machine) (RunRecord, bool) {
 	return r.records[i], true
 }
 
+// buildOnce memoizes one value per key and builds each at most once,
+// even under concurrent callers, without holding a lock while it
+// builds: the first caller claims the key, callers for the same key
+// wait for that build, and callers for other keys proceed. A failed or
+// panicking build is not memoized; the next caller builds again.
+type buildOnce[K comparable, V any] struct {
+	mu   sync.Mutex
+	done map[K]V             //md:guardedby mu
+	busy map[K]chan struct{} //md:guardedby mu
+}
+
+func (o *buildOnce[K, V]) get(key K, build func() (V, error)) (V, error) {
+	for {
+		o.mu.Lock()
+		if v, ok := o.done[key]; ok {
+			o.mu.Unlock()
+			return v, nil
+		}
+		ch, claimed := o.busy[key]
+		if !claimed {
+			if o.busy == nil {
+				o.done = make(map[K]V)
+				o.busy = make(map[K]chan struct{})
+			}
+			ch = make(chan struct{})
+			o.busy[key] = ch
+		}
+		o.mu.Unlock()
+		if !claimed {
+			return o.build(key, ch, build)
+		}
+		<-ch //md:ctxok bounded CPU and local-disk build; the claimant closes ch even if it panics
+	}
+}
+
+// build runs the claimant's build, publishes a successful result, and
+// releases the waiters.
+func (o *buildOnce[K, V]) build(key K, ch chan struct{}, build func() (V, error)) (v V, err error) {
+	ok := false
+	defer func() {
+		o.mu.Lock()
+		if ok {
+			o.done[key] = v
+		}
+		delete(o.busy, key)
+		o.mu.Unlock()
+		close(ch)
+	}()
+	v, err = build()
+	ok = err == nil
+	return v, err
+}
+
 func (r *Runner) program(bench string) (*prog.Program, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p, ok := r.progs[bench]; ok {
-		return p, nil
-	}
-	p, err := workload.Build(bench)
-	if err != nil {
-		return nil, err
-	}
-	r.progs[bench] = p
-	return p, nil
+	return r.progs.get(bench, func() (*prog.Program, error) { return workload.Build(bench) })
 }
 
 // recording returns the shared dynamic-instruction replay source for
@@ -421,23 +459,16 @@ func (r *Runner) program(bench string) (*prog.Program, error) {
 // over it. With RecordingDir set, the recording additionally persists
 // across processes as an mmapped column file.
 func (r *Runner) recording(bench string) (emu.ReplaySource, error) {
-	p, err := r.program(bench)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec, ok := r.recs[bench]; ok {
-		return rec, nil
-	}
-	var src emu.ReplaySource
-	if r.opt.RecordingDir != "" {
-		src = r.fileRecording(bench, p)
-	} else {
-		src = emu.NewRecording(emu.New(p))
-	}
-	r.recs[bench] = src
-	return src, nil
+	return r.recs.get(bench, func() (emu.ReplaySource, error) {
+		p, err := r.program(bench)
+		if err != nil {
+			return nil, err
+		}
+		if r.opt.RecordingDir != "" {
+			return r.fileRecording(bench, p), nil
+		}
+		return emu.NewRecording(emu.New(p)), nil
+	})
 }
 
 // fileRecording serves bench from the RecordingDir cache: an existing
@@ -510,16 +541,16 @@ func writeRecordingFile(path string, rec *emu.Recording) error {
 // Close releases resources held by the runner's replay sources (mmapped
 // recording files). The runner must be idle.
 func (r *Runner) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.recs.mu.Lock()
+	defer r.recs.mu.Unlock()
 	var firstErr error
-	for bench, src := range r.recs {
+	for bench, src := range r.recs.done {
 		if f, ok := src.(*emu.FileRecording); ok {
 			if err := f.Close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
-		delete(r.recs, bench)
+		delete(r.recs.done, bench)
 	}
 	return firstErr
 }
@@ -531,29 +562,10 @@ func (r *Runner) Close() error {
 // for these options; callers proceed without it — checkpoints are an
 // optimization, never a correctness dependency.
 func (r *Runner) checkpointSet(bench string, cfg config.Machine) *ckpt.Set {
-	key := ckptKey{bench, ckpt.WarmConfigOf(cfg)}
-	for {
-		r.mu.Lock()
-		if s, ok := r.ckpts[key]; ok {
-			r.mu.Unlock()
-			return s
-		}
-		if ch, ok := r.ckptBusy[key]; ok {
-			r.mu.Unlock()
-			<-ch //md:ctxok bounded CPU-only build; the builder always closes ch, no external wait
-			continue
-		}
-		ch := make(chan struct{})
-		r.ckptBusy[key] = ch
-		r.mu.Unlock()
-		s := r.buildCheckpointSet(bench, cfg)
-		r.mu.Lock()
-		r.ckpts[key] = s
-		delete(r.ckptBusy, key)
-		r.mu.Unlock()
-		close(ch)
-		return s
-	}
+	s, _ := r.ckpts.get(ckptKey{bench, ckpt.WarmConfigOf(cfg)}, func() (*ckpt.Set, error) {
+		return r.buildCheckpointSet(bench, cfg), nil
+	})
+	return s
 }
 
 // buildCheckpointSet opens, validates, or re-captures one checkpoint
@@ -628,28 +640,10 @@ func staleSeqs(got, want []int64) bool {
 // computed at most once per benchmark (one streaming BBV pass plus
 // k-means). A nil plan means every segment is simulated unweighted.
 func (r *Runner) phasePlan(bench string) []ckpt.WeightedSegment {
-	for {
-		r.mu.Lock()
-		if plan, ok := r.plans[bench]; ok {
-			r.mu.Unlock()
-			return plan
-		}
-		if ch, ok := r.planBusy[bench]; ok {
-			r.mu.Unlock()
-			<-ch //md:ctxok bounded CPU-only BBV pass; the builder always closes ch, no external wait
-			continue
-		}
-		ch := make(chan struct{})
-		r.planBusy[bench] = ch
-		r.mu.Unlock()
-		plan := r.buildPhasePlan(bench)
-		r.mu.Lock()
-		r.plans[bench] = plan
-		delete(r.planBusy, bench)
-		r.mu.Unlock()
-		close(ch)
-		return plan
-	}
+	plan, _ := r.plans.get(bench, func() ([]ckpt.WeightedSegment, error) {
+		return r.buildPhasePlan(bench), nil
+	})
+	return plan
 }
 
 // buildPhasePlan computes per-segment basic-block vectors over the

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"mdspec/internal/config"
+	"mdspec/internal/prog"
 	"mdspec/internal/stats"
 )
 
@@ -129,9 +131,9 @@ func TestRunnerSharesRecordingAcrossConfigs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.mu.Lock()
-	n := len(r.recs)
-	r.mu.Unlock()
+	r.recs.mu.Lock()
+	n := len(r.recs.done)
+	r.recs.mu.Unlock()
 	if n != 1 {
 		t.Errorf("three configs over one benchmark created %d recordings, want 1", n)
 	}
@@ -145,6 +147,100 @@ func TestRunnerSharesRecordingAcrossConfigs(t *testing.T) {
 	}
 	if a != b {
 		t.Error("recording() returned distinct recordings for the same benchmark")
+	}
+}
+
+// TestRunnerFirstUseBuildsOnce starts several configurations of one
+// benchmark at once on a fresh runner: the program and the recording are
+// built outside the runner lock, yet still exactly once.
+func TestRunnerFirstUseBuildsOnce(t *testing.T) {
+	r := NewRunner(Options{Insts: 2000, RecordingDir: t.TempDir()})
+	defer r.Close()
+	cfgs := []config.Machine{nas(config.NoSpec), nas(config.Naive), nas(config.Sync), nas(config.Oracle)}
+	progs := make([]*prog.Program, len(cfgs))
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func(i int, cfg config.Machine) {
+			defer wg.Done()
+			<-start
+			if _, err := r.Run(bg, "129.compress", cfg); err != nil {
+				t.Error(err)
+			}
+			p, err := r.program("129.compress")
+			if err != nil {
+				t.Error(err)
+			}
+			progs[i] = p
+		}(i, cfg)
+	}
+	close(start)
+	wg.Wait()
+	for i := range progs {
+		if progs[i] != progs[0] {
+			t.Errorf("caller %d saw a different program than caller 0", i)
+		}
+	}
+	if c := r.Counters(); c.RecordingMisses != 1 || c.RecordingHits != 0 {
+		t.Errorf("recording_misses = %d, recording_hits = %d; want one capture", c.RecordingMisses, c.RecordingHits)
+	}
+}
+
+// TestBuildOnceClaims: a key is built once while its callers wait; other
+// keys do not wait for it; a panicking build releases its waiters, and
+// the next caller builds again.
+func TestBuildOnceClaims(t *testing.T) {
+	var o buildOnce[string, int]
+	var builds atomic.Int64
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([]int, 4)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := o.get("slow", func() (int, error) {
+				builds.Add(1)
+				<-release
+				return 7, nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = v
+		}(i)
+	}
+	// Another key completes while "slow" is still building.
+	for builds.Load() == 0 {
+		runtime.Gosched()
+	}
+	if v, err := o.get("fast", func() (int, error) { return 1, nil }); v != 1 || err != nil {
+		t.Fatalf("fast = %d, %v", v, err)
+	}
+	close(release)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Errorf("slow key built %d times, want 1", n)
+	}
+	for i, v := range got {
+		if v != 7 {
+			t.Errorf("caller %d got %d, want 7", i, v)
+		}
+	}
+
+	func() {
+		defer func() { recover() }()
+		o.get("boom", func() (int, error) { panic("build failed") })
+	}()
+	if v, err := o.get("boom", func() (int, error) { return 3, nil }); v != 3 || err != nil {
+		t.Errorf("after a panicking build: %d, %v; want a fresh build", v, err)
+	}
+	if _, err := o.get("err", func() (int, error) { return 0, errors.New("transient") }); err == nil {
+		t.Error("build error was not returned")
+	}
+	if v, _ := o.get("err", func() (int, error) { return 4, nil }); v != 4 {
+		t.Errorf("failed build was memoized: got %d, want 4", v)
 	}
 }
 

@@ -28,8 +28,9 @@ const WordBytes = 8
 type Program struct {
 	Code  []isa.Inst
 	Entry uint32
-	// Data maps byte addresses to initial 64-bit word values.
-	Data map[uint32]int64
+	// Data is the initial data image: Data[i] is the 64-bit word at byte
+	// address DataBase + i*WordBytes. Words past its end start at zero.
+	Data []int64
 	// Labels maps label names to resolved byte PCs (for diagnostics).
 	Labels map[string]uint32
 }
@@ -72,8 +73,8 @@ type Builder struct {
 	code    []isa.Inst
 	labels  map[string]uint32
 	fixups  []fixup
-	data    map[uint32]int64
-	nextVar uint32 // next free data byte address
+	data    []int64 // the Program.Data image, grown to the last non-zero word
+	nextVar uint32  // next free data byte address
 	err     error
 }
 
@@ -81,13 +82,13 @@ type Builder struct {
 func NewBuilder() *Builder {
 	return &Builder{
 		labels:  make(map[string]uint32),
-		data:    make(map[uint32]int64),
 		nextVar: DataBase,
 	}
 }
 
 // Err returns the first error recorded during assembly (duplicate or
-// unresolved labels), if any.
+// unresolved labels, data that does not fit, misplaced data words), if
+// any.
 func (b *Builder) Err() error { return b.err }
 
 func (b *Builder) setErr(err error) {
@@ -113,22 +114,30 @@ func (b *Builder) Label(name string) {
 
 // Alloc reserves n words of data and returns the byte address of the
 // first. Words are zero-initialized.
-func (b *Builder) Alloc(nWords int) uint32 {
-	addr := b.nextVar
-	b.nextVar += uint32(nWords * WordBytes)
-	return addr
-}
+func (b *Builder) Alloc(nWords int) uint32 { return b.allocAt(uint64(b.nextVar), nWords) }
 
 // AllocAligned reserves n words starting at a multiple of align bytes
 // (align must be a power of two). Power-of-two-aligned arenas allow
 // cheap pointer wrapping with AND/OR masks.
 func (b *Builder) AllocAligned(nWords int, align uint32) uint32 {
-	if align&(align-1) != 0 {
+	if align == 0 || align&(align-1) != 0 {
 		b.setErr(fmt.Errorf("prog: alignment %d is not a power of two", align))
 		align = 1
 	}
-	b.nextVar = (b.nextVar + align - 1) &^ (align - 1)
-	return b.Alloc(nWords)
+	a := uint64(align)
+	return b.allocAt((uint64(b.nextVar)+a-1)&^(a-1), nWords)
+}
+
+// allocAt reserves nWords words from byte address at. Data that would
+// reach StackBase records an error and reserves nothing.
+func (b *Builder) allocAt(at uint64, nWords int) uint32 {
+	if nWords < 0 || at > uint64(StackBase) || uint64(nWords) > (uint64(StackBase)-at)/WordBytes {
+		b.setErr(fmt.Errorf("prog: %d data words at %#x do not fit below the stack at %#x",
+			nWords, at, StackBase))
+		return b.nextVar
+	}
+	b.nextVar = uint32(at + uint64(nWords)*WordBytes)
+	return uint32(at)
 }
 
 // AllocInit reserves words initialized from vals and returns the base
@@ -136,20 +145,35 @@ func (b *Builder) AllocAligned(nWords int, align uint32) uint32 {
 func (b *Builder) AllocInit(vals ...int64) uint32 {
 	addr := b.Alloc(len(vals))
 	for i, v := range vals {
-		if v != 0 {
-			b.data[addr+uint32(i*WordBytes)] = v
-		}
+		b.SetData(addr+uint32(i*WordBytes), v)
 	}
 	return addr
 }
 
-// SetData sets the initial value of the word at byte address addr.
+// SetData sets the initial value of the word at byte address addr, which
+// must be word-aligned and inside the data allocated so far.
 func (b *Builder) SetData(addr uint32, v int64) {
-	if v == 0 {
-		delete(b.data, addr)
+	if addr < DataBase || addr >= b.nextVar || addr%WordBytes != 0 {
+		b.setErr(fmt.Errorf("prog: data address %#x is not a word of the allocated data [%#x, %#x)",
+			addr, DataBase, b.nextVar))
 		return
 	}
-	b.data[addr] = v
+	i := int(addr-DataBase) / WordBytes
+	if i >= len(b.data) {
+		if v == 0 {
+			return
+		}
+		if i >= cap(b.data) {
+			// Reserve all the data allocated so far in one step: arenas
+			// are filled word by word, and growing per word would copy
+			// the image over and over.
+			grown := make([]int64, len(b.data), int(b.nextVar-DataBase)/WordBytes)
+			copy(grown, b.data)
+			b.data = grown
+		}
+		b.data = b.data[:i+1]
+	}
+	b.data[i] = v
 }
 
 // Emit appends a raw instruction.

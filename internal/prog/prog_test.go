@@ -1,6 +1,7 @@
 package prog
 
 import (
+	"slices"
 	"testing"
 
 	"mdspec/internal/isa"
@@ -66,14 +67,68 @@ func TestAllocInit(t *testing.T) {
 	base := b.AllocInit(10, 0, 30)
 	b.Halt()
 	p := b.MustProgram()
-	if p.Data[base] != 10 {
-		t.Errorf("word 0 = %d, want 10", p.Data[base])
+	if base != DataBase {
+		t.Fatalf("base = %#x, want %#x", base, DataBase)
 	}
-	if _, present := p.Data[base+WordBytes]; present {
-		t.Error("zero word should not be materialized")
+	if want := []int64{10, 0, 30}; !slices.Equal(p.Data, want) {
+		t.Errorf("data image = %v, want %v", p.Data, want)
 	}
-	if p.Data[base+2*WordBytes] != 30 {
-		t.Errorf("word 2 = %d, want 30", p.Data[base+2*WordBytes])
+}
+
+// TestAllocRejectsDataPastStack: data that would run into the stack is
+// an assembly error, not a wrapped address.
+func TestAllocRejectsDataPastStack(t *testing.T) {
+	room := int(StackBase-DataBase) / WordBytes
+	b := NewBuilder()
+	if a := b.Alloc(room); a != DataBase || b.Err() != nil {
+		t.Fatalf("Alloc(%d) = %#x, %v; the whole data section should fit", room, a, b.Err())
+	}
+	b.Alloc(1)
+	if b.Err() == nil {
+		t.Error("a word past the stack base was accepted")
+	}
+
+	b = NewBuilder()
+	b.AllocAligned(1, 1<<31) // aligned start is already past StackBase
+	if b.Err() == nil {
+		t.Error("an arena aligned past the stack base was accepted")
+	}
+	b = NewBuilder()
+	b.Alloc(-1)
+	if b.Err() == nil {
+		t.Error("a negative word count was accepted")
+	}
+}
+
+func TestAllocAlignedRejectsZeroAlignment(t *testing.T) {
+	b := NewBuilder()
+	b.AllocAligned(4, 0)
+	if b.Err() == nil {
+		t.Fatal("alignment 0 was accepted as a power of two")
+	}
+	if _, err := b.Program(); err == nil {
+		t.Fatal("Program succeeded after a rejected alignment")
+	}
+}
+
+// TestSetDataRejectsMisplacedWords: the data image is dense from
+// DataBase, so a word below it, between words, or outside the allocated
+// data has no index in it.
+func TestSetDataRejectsMisplacedWords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		addr uint32
+	}{
+		{"below DataBase", DataBase - WordBytes},
+		{"not word-aligned", DataBase + 4},
+		{"past the allocated data", DataBase + 4*WordBytes},
+	} {
+		b := NewBuilder()
+		b.Alloc(4)
+		b.SetData(tc.addr, 1)
+		if b.Err() == nil {
+			t.Errorf("%s: SetData(%#x) was accepted", tc.name, tc.addr)
+		}
 	}
 }
 

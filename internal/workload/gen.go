@@ -97,11 +97,16 @@ func Generate(pr Profile) (*prog.Program, error) {
 	if pr.FootprintWords <= 0 || pr.FootprintWords&(pr.FootprintWords-1) != 0 {
 		return nil, fmt.Errorf("workload %s: footprint must be a positive power of two", pr.Name)
 	}
+	if pr.FootprintWords > int(prog.StackBase-prog.DataBase)/prog.WordBytes {
+		return nil, fmt.Errorf("workload %s: footprint of %d words exceeds the data section", pr.Name, pr.FootprintWords)
+	}
 	if pr.BranchEvery < 3 {
 		return nil, fmt.Errorf("workload %s: BranchEvery too small", pr.Name)
 	}
 	g := &generator{pr: pr, rng: newRng(pr.Seed*0x9e3779b9 + 1), b: prog.NewBuilder(), lastLoadInt: isa.NoReg, lastLoadFP: isa.NoReg, lastProduced: isa.NoReg}
-	g.layout()
+	if err := g.layout(); err != nil {
+		return nil, fmt.Errorf("workload %s: footprint of %d words: %w", pr.Name, pr.FootprintWords, err)
+	}
 	g.plan()
 	g.emit()
 	return g.b.Program()
@@ -134,8 +139,10 @@ type generator struct {
 	ivNext, fvNext int
 }
 
-// layout allocates and initializes the data arenas.
-func (g *generator) layout() {
+// layout allocates and initializes the data arenas. It fails, before
+// initializing anything, when the arenas do not fit between DataBase
+// and StackBase.
+func (g *generator) layout() error {
 	b, pr := g.b, g.pr
 	readBytes := uint32(pr.FootprintWords * prog.WordBytes)
 	g.readBase = b.AllocAligned(pr.FootprintWords+streamWindow/prog.WordBytes, readBytes)
@@ -148,6 +155,9 @@ func (g *generator) layout() {
 	writeBytes := uint32(writeWords * prog.WordBytes)
 	g.writeBase = b.AllocAligned(writeWords+streamWindow/prog.WordBytes, writeBytes)
 	g.writeMask = int64(writeBytes - 1)
+	if err := b.Err(); err != nil {
+		return err
+	}
 
 	// Fill the read arena with pseudo-random data: loaded values feed
 	// data-dependent branches, so they must actually vary.
@@ -181,6 +191,7 @@ func (g *generator) layout() {
 		to := g.listBase + uint32(perm[(i+1)%g.nodes]*2*prog.WordBytes)
 		b.SetData(from, int64(to))
 	}
+	return nil
 }
 
 // plan decides the body's slot sequence from the profile's fractions.

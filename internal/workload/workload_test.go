@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -142,6 +144,29 @@ func TestGenerateRejectsBadProfiles(t *testing.T) {
 	bad.BranchEvery = 1
 	if _, err := Generate(bad); err == nil {
 		t.Error("tiny BranchEvery should be rejected")
+	}
+}
+
+// TestGenerateRejectsOversizedFootprint feeds Generate footprints whose
+// arenas cannot fit between DataBase and StackBase, the way a hostile
+// JSON profile would. Each must fail fast with an error instead of
+// wrapping the arena size or filling billions of words.
+func TestGenerateRejectsOversizedFootprint(t *testing.T) {
+	for _, words := range []int{1 << 27, 1 << 28, 1 << 29} {
+		p, err := ParseProfile([]byte(fmt.Sprintf(`{"name":"huge","footprintWords":%d}`, words)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Generate(p)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("footprint of %d words was accepted", words)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("footprint of %d words allocated %d bytes before failing", words, grew)
+		}
 	}
 }
 
