@@ -234,19 +234,49 @@ func (m Machine) WithSplitWindow(units int) Machine {
 	return m
 }
 
-// Validate reports configuration errors.
+// Caps on what one configuration may ask for. Each sits far above every
+// experiment and every cell the benchmark serves (window 256, 16,384
+// predictor entries, scheduler latency 2); they exist so that a
+// request cannot size an allocation, or stall the machine, without
+// bound.
+const (
+	MaxWindow           = 4096
+	MaxPredictorEntries = 1 << 18
+	MaxSchedulerLatency = 64
+)
+
+// Validate reports configuration errors: every configuration it
+// accepts simulates (FuzzValidatedConfigRuns in internal/core holds it
+// to that).
 func (m Machine) Validate() error {
+	t := m.PredictorTable
 	switch {
 	case m.Window <= 0:
 		return fmt.Errorf("config: window must be positive")
+	case m.Window > MaxWindow:
+		return fmt.Errorf("config: window %d exceeds the cap of %d", m.Window, MaxWindow)
 	case m.FetchWidth <= 0 || m.IssueWidth <= 0 || m.CommitWidth <= 0:
 		return fmt.Errorf("config: widths must be positive")
+	case m.BranchesPerCycle <= 0:
+		return fmt.Errorf("config: fetch must accept at least one branch per cycle")
 	case m.MemPorts <= 0:
 		return fmt.Errorf("config: need at least one memory port")
 	case m.IntALUs <= 0 || m.FPUnits <= 0 || m.IntMulDivs <= 0:
 		return fmt.Errorf("config: need at least one of each functional unit")
 	case m.SchedulerLatency < 0:
 		return fmt.Errorf("config: scheduler latency cannot be negative")
+	case m.SchedulerLatency > MaxSchedulerLatency:
+		return fmt.Errorf("config: scheduler latency %d exceeds the cap of %d", m.SchedulerLatency, MaxSchedulerLatency)
+	case policyNames[m.Policy] == "":
+		return fmt.Errorf("config: unknown policy %d", int(m.Policy))
+	case t.Assoc < 1:
+		return fmt.Errorf("config: predictor table needs at least one way")
+	case t.Entries < t.Assoc || t.Entries%t.Assoc != 0:
+		return fmt.Errorf("config: predictor table entries (%d) must be a positive multiple of its ways (%d)", t.Entries, t.Assoc)
+	case t.Entries > MaxPredictorEntries:
+		return fmt.Errorf("config: predictor table of %d entries exceeds the cap of %d", t.Entries, MaxPredictorEntries)
+	case (t.Entries/t.Assoc)&(t.Entries/t.Assoc-1) != 0:
+		return fmt.Errorf("config: predictor table set count %d/%d must be a power of two", t.Entries, t.Assoc)
 	case m.LSQSize < 0:
 		return fmt.Errorf("config: LSQ size cannot be negative")
 	case m.SplitWindow && (m.SplitUnits < 2 || m.Window%m.SplitUnits != 0):

@@ -1,6 +1,10 @@
 package config
 
-import "testing"
+import (
+	"testing"
+
+	"mdspec/internal/mdp"
+)
 
 func TestPolicyNamesRoundTrip(t *testing.T) {
 	for _, p := range []Policy{NoSpec, Naive, Selective, StoreBarrier, Sync, Oracle, StoreSets} {
@@ -96,11 +100,28 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		Default128().WithSplitWindow(1),
 		Default128().WithSplitWindow(3), // does not divide 128
 		Default128().WithPolicy(Sync).WithAddressScheduler(0),
+		bad(func(m *Machine) { m.Window = MaxWindow + 1 }),
+		bad(func(m *Machine) { m.BranchesPerCycle = 0 }),
+		Default128().WithPolicy(Naive).WithAddressScheduler(1 << 20),
+		Default128().WithPolicy(Naive).WithAddressScheduler(MaxSchedulerLatency + 1),
+		Default128().WithPolicy(Policy(99)),
+		bad(func(m *Machine) { m.Policy, m.PredictorTable.Assoc = Sync, 0 }),
+		bad(func(m *Machine) { m.PredictorTable.Entries, m.PredictorTable.Assoc = 1, 2 }),
+		bad(func(m *Machine) { m.PredictorTable.Entries, m.PredictorTable.Assoc = 4096, 3 }),
+		bad(func(m *Machine) { m.PredictorTable.Entries = 12 }), // 6 sets
+		bad(func(m *Machine) { m.PredictorTable.Entries = 2 * MaxPredictorEntries }),
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d should fail validation: %+v", i, m)
 		}
+	}
+	// The caps themselves are valid.
+	atCaps := Default128().WithPolicy(Naive).WithAddressScheduler(MaxSchedulerLatency)
+	atCaps.Window = MaxWindow
+	atCaps.PredictorTable = mdp.TableConfig{Entries: MaxPredictorEntries, Assoc: 4}
+	if err := atCaps.Validate(); err != nil {
+		t.Errorf("config at the caps should validate: %v", err)
 	}
 }
 

@@ -58,8 +58,11 @@ func goldenRun(t *testing.T, cfg config.Machine, bench string, scan bool, insts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl.SetScanScheduler(scan)
-	res, err := pl.Run(insts)
+	run := pl.Run
+	if scan {
+		run = pl.runScan
+	}
+	res, err := run(insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +71,10 @@ func goldenRun(t *testing.T, cfg config.Machine, bench string, scan bool, insts 
 
 // TestEventSchedulerGoldenEquivalence runs every configuration of the
 // policy x shape x recovery matrix under both the event-driven scheduler
-// and the reference per-cycle scan, and requires the complete statistics
-// records to be bit-identical. This is the correctness contract of the
-// event-driven core: it changes when window entries are examined, never
-// what the machine does.
+// and the reference per-cycle scan (scan_test.go), and requires the
+// complete statistics records to be bit-identical. This is the
+// correctness contract of the event-driven core: it changes when window
+// entries are examined, never what the machine does.
 func TestEventSchedulerGoldenEquivalence(t *testing.T) {
 	const insts = 20_000
 	const bench = "126.gcc"

@@ -96,37 +96,35 @@ func (p *Pipeline) checkInvariants() error {
 	// Scheduling state: candidates are never parked; a slot parked on a
 	// producer appears exactly once on that producer's waiter list, and
 	// waiter lists are consistent with the parkedOn map.
-	if !p.scanMode {
-		for s := int32(0); s < int32(p.cfg.Window); s++ {
-			if p.cand.has(s) && p.parkedOn[s] != parkNone {
-				return fmt.Errorf("candidate slot %d is parked on %d", s, p.parkedOn[s])
+	for s := int32(0); s < int32(p.cfg.Window); s++ {
+		if p.cand.has(s) && p.parkedOn[s] != parkNone {
+			return fmt.Errorf("candidate slot %d is parked on %d", s, p.parkedOn[s])
+		}
+	}
+	for q := range p.wHead {
+		for w := p.wHead[q]; w != nilSlot; w = p.wNext[w] {
+			if p.parkedOn[w] != int32(q) {
+				return fmt.Errorf("waiter %d on list %d but parked on %d", w, q, p.parkedOn[w])
+			}
+			if nw := p.wNext[w]; nw != nilSlot && p.wPrev[nw] != w {
+				return fmt.Errorf("waiter list %d back-link broken at %d", q, w)
 			}
 		}
-		for q := range p.wHead {
-			for w := p.wHead[q]; w != nilSlot; w = p.wNext[w] {
-				if p.parkedOn[w] != int32(q) {
-					return fmt.Errorf("waiter %d on list %d but parked on %d", w, q, p.parkedOn[w])
-				}
-				if nw := p.wNext[w]; nw != nilSlot && p.wPrev[nw] != w {
-					return fmt.Errorf("waiter list %d back-link broken at %d", q, w)
-				}
+	}
+	for s := range p.parkedOn {
+		q := p.parkedOn[s]
+		if q < 0 {
+			continue // not parked, or waiting on a timed event
+		}
+		found := false
+		for w := p.wHead[q]; w != nilSlot; w = p.wNext[w] {
+			if w == int32(s) {
+				found = true
+				break
 			}
 		}
-		for s := range p.parkedOn {
-			q := p.parkedOn[s]
-			if q < 0 {
-				continue // not parked, or waiting on a timed event
-			}
-			found := false
-			for w := p.wHead[q]; w != nilSlot; w = p.wNext[w] {
-				if w == int32(s) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("slot %d parked on %d but not on its waiter list", s, q)
-			}
+		if !found {
+			return fmt.Errorf("slot %d parked on %d but not on its waiter list", s, q)
 		}
 	}
 	// Commit pointer sanity.
@@ -172,9 +170,12 @@ func TestInvariantsUnderAllPolicies(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl.SetScanScheduler(scan)
+				step := pl.step
+				if scan {
+					step = pl.stepScan
+				}
 				for i := 0; i < 4000; i++ {
-					pl.step()
+					step()
 					if i%7 == 0 { // checking every cycle is slow; sample densely
 						if err := pl.checkInvariants(); err != nil {
 							t.Fatalf("cycle %d: %v", i, err)

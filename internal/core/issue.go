@@ -19,32 +19,15 @@ func max64(a, b int64) int64 {
 // issue is the out-of-order issue stage. The continuous window examines
 // entries strictly oldest-first (program order priority, §2.2); the
 // split window rotates across units, giving no global program-order
-// priority. The event-driven walks visit only wakeup candidates; the
-// scan walks (scan mode) visit the whole in-flight range. Both reach
-// issuable entries in the same order with the same issue-width cutoff,
-// so they issue identically cycle for cycle.
+// priority. Either walk visits only wakeup candidates. The reference
+// walks in scan_test.go scan the whole in-flight range every cycle
+// instead; they reach issuable entries in the same order with the same
+// issue-width cutoff, so the two issue identically cycle for cycle.
 func (p *Pipeline) issue() {
-	switch {
-	case p.scanMode && p.cfg.SplitWindow:
-		p.issueSplitScan()
-	case p.scanMode:
-		p.issueScan()
-	case p.cfg.SplitWindow:
+	if p.cfg.SplitWindow {
 		p.issueSplitEvent()
-	default:
+	} else {
 		p.issueEvent()
-	}
-}
-
-// issueScan is the legacy continuous-window issue stage: a full
-// headSeq→dispatchSeq scan every cycle.
-func (p *Pipeline) issueScan() {
-	for seq := p.headSeq; seq < p.dispatchSeq && p.issueLeft > 0; seq++ {
-		s := p.slotIndex(seq)
-		if p.rob.seq[s] != seq {
-			continue
-		}
-		p.tryIssue(s)
 	}
 }
 
@@ -79,55 +62,16 @@ func (p *Pipeline) issueEvent() {
 	}
 }
 
-// issueSplitScan is the legacy split-window issue stage: round-robin
-// across units, each pass offering one issue opportunity per unit,
-// starting from a rotating unit, until the issue width is exhausted or
-// nothing can issue.
-func (p *Pipeline) issueSplitScan() {
-	units := p.cfg.SplitUnits
-	taskSize := int64(p.cfg.Window / units)
-	// Per-unit cursors over the in-flight range (the buffer is allocated
-	// once in New and reused every cycle).
-	cursors := p.scanCursors
-	for u := range cursors {
-		cursors[u] = p.headSeq
-	}
-	for p.issueLeft > 0 {
-		progress := false
-		for off := 0; off < units && p.issueLeft > 0; off++ {
-			u := (p.issueRotate + off) % units
-			// Advance this unit's cursor to its next issuable uop.
-			for seq := cursors[u]; seq < p.headSeq+int64(p.cfg.Window); seq++ {
-				if int((seq/taskSize)%int64(units)) != u {
-					continue
-				}
-				s := p.slotIndex(seq)
-				if p.rob.seq[s] != seq {
-					continue
-				}
-				if p.tryIssue(s) {
-					cursors[u] = seq // revisit: entry may have a second uop
-					progress = true
-					break
-				}
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	p.issueRotate++
-}
-
 // issueSplitEvent is the event-driven split-window issue stage: the
-// same rotating per-unit passes as issueSplitScan, walking each unit's
-// candidates instead of its whole sub-window. Each unit's task occupies
-// the contiguous slot range [u*task, (u+1)*task), so its candidates are
-// a sub-range of the shared bitmap, iterated in the rotated order that
-// matches ascending sequence numbers. Per-unit cursors persist across
-// passes; nothing unblocks within a cycle (all completion conditions
-// are of the form "cycle >= t" with t strictly in the future at issue),
-// so an exhausted unit stays exhausted for the rest of the cycle.
+// same rotating per-unit passes as the reference split scan, walking
+// each unit's candidates instead of its whole sub-window. Each unit's
+// task occupies the contiguous slot range [u*task, (u+1)*task), so its
+// candidates are a sub-range of the shared bitmap, iterated in the
+// rotated order that matches ascending sequence numbers. Per-unit
+// cursors persist across passes; nothing unblocks within a cycle (all
+// completion conditions are of the form "cycle >= t" with t strictly in
+// the future at issue), so an exhausted unit stays exhausted for the
+// rest of the cycle.
 func (p *Pipeline) issueSplitEvent() {
 	units := p.cfg.SplitUnits
 	w := int32(p.cfg.Window)
@@ -342,7 +286,7 @@ func (p *Pipeline) tryIssueSimple(s int32) bool {
 	p.issueLeft--
 	r.set(s, fIssued)
 	r.doneCycle[s] = p.cycle + int64(r.class[s].Latency())
-	p.schedule(r.doneCycle[s], s)
+	p.events.push(r.doneCycle[s], s)
 	p.markPropagated(r.dep1[s], r.dep2[s])
 	if r.flags[s]&fBranch != 0 {
 		p.resolveBranch(s)
@@ -409,8 +353,8 @@ func (p *Pipeline) tryIssueStore(s int32) bool {
 			r.addrPosted[s] = r.addrReady[s] + int64(p.cfg.SchedulerLatency)
 			//md:allocok amortized: postQ is drained each cycle, capacity is retained
 			p.postQ = append(p.postQ, seq)
-			p.schedule(r.addrReady[s], s)  // wake the data-merge phase
-			p.schedule(r.addrPosted[s], s) // fire the posting in postQ
+			p.events.push(r.addrReady[s], s)  // wake the data-merge phase
+			p.events.push(r.addrPosted[s], s) // fire the posting in postQ
 			p.parkReq = parkTimer
 			p.markPropagated(r.dep1[s])
 			return true
@@ -433,7 +377,7 @@ func (p *Pipeline) tryIssueStore(s int32) bool {
 		r.doneCycle[s] = r.memDone[s]
 		//md:allocok amortized: compQ is drained each cycle, capacity is retained
 		p.compQ = append(p.compQ, seq)
-		p.schedule(r.memDone[s], s)
+		p.events.push(r.memDone[s], s)
 		p.markPropagated(r.dep2[s])
 		return true
 	}
@@ -457,7 +401,7 @@ func (p *Pipeline) tryIssueStore(s int32) bool {
 	r.addrReady[s] = r.memDone[s]
 	//md:allocok amortized: compQ is drained each cycle, capacity is retained
 	p.compQ = append(p.compQ, seq)
-	p.schedule(r.memDone[s], s)
+	p.events.push(r.memDone[s], s)
 	p.markPropagated(r.dep1[s], r.dep2[s])
 	return true
 }
@@ -478,7 +422,7 @@ func (p *Pipeline) tryIssueLoad(s int32) bool {
 		p.issueLeft--
 		r.set(s, fAgen)
 		r.addrReady[s] = p.cycle + agenLatency
-		p.schedule(r.addrReady[s], s)
+		p.events.push(r.addrReady[s], s)
 		p.parkReq = parkTimer
 		p.markPropagated(r.dep1[s])
 		return true
@@ -714,7 +658,7 @@ func (p *Pipeline) issueLoadMem(s int32) {
 	r.memIssue[s] = p.cycle
 	r.memDone[s] = done
 	r.doneCycle[s] = done
-	p.schedule(done, s)
+	p.events.push(done, s)
 	// Loads issue out of order; the table keeps per-address chains
 	// sequence-sorted for the violation scan.
 	p.loads.insert(s, r.addr[s], seq)

@@ -5,7 +5,10 @@
 // disambiguation bookkeeping against the architectural window state,
 // panicking at the first corrupted cycle instead of letting the damage
 // surface thousands of cycles later as a statistics mismatch. Normal
-// builds compile sanitize to an empty function (mdsan_off.go).
+// builds compile sanitize to an empty function (mdsan_off.go). The
+// reference scan stepper in scan_test.go ends its cycles the same way
+// and keeps the scheduler bookkeeping current, so every check below
+// runs under both issue walks.
 //
 // The checks, in order:
 //
@@ -15,8 +18,7 @@
 //     the hardware knows is present in its table.
 //  2. Calendar-wheel accounting: the bucket lists and the free list
 //     partition the node pool, the ring's event count matches its
-//     buckets, overflow events never point into the drained past, and
-//     scan mode leaves the wheel untouched.
+//     buckets, and overflow events never point into the drained past.
 //  3. Candidate bitmap: every candidate slot holds a valid entry and
 //     is not simultaneously parked.
 //  4. Parking: waiter lists and parkedOn agree exactly; a parked slot
@@ -58,10 +60,8 @@ func (p *Pipeline) sanitize() {
 
 	p.sanTables()
 	p.sanWheel()
-	if !p.scanMode {
-		p.sanCandidates()
-		p.sanParking()
-	}
+	p.sanCandidates()
+	p.sanParking()
 }
 
 // sanTables checks the address tables and store lists against the ROB,
@@ -138,12 +138,6 @@ func (p *Pipeline) sanTables() {
 // last node, and the ring's event count matches the bucket totals.
 func (p *Pipeline) sanWheel() {
 	ev := &p.events
-	if p.scanMode {
-		if ev.n != 0 || len(ev.over) != 0 {
-			panic("mdsan: scan mode produced calendar events")
-		}
-		return
-	}
 	pool := len(ev.nodes)
 	n := 0
 	for b := range ev.head {

@@ -114,7 +114,7 @@ func (p *Pipeline) checkViolations(st int32) {
 			if r.flags[le]&fPropagated == 0 {
 				nd := max64(r.memDone[le], p.cycle+1)
 				r.memDone[le], r.doneCycle[le] = nd, nd
-				p.schedule(nd, le)
+				p.events.push(nd, le)
 			}
 			continue
 		}
@@ -151,7 +151,7 @@ func (p *Pipeline) selectiveInvalidate(load, st int32) {
 	r.clear(load, fPropagated)
 	nd := max64(p.cycle+1+int64(p.cfg.SquashOverhead), r.memDone[st]+1)
 	r.memDone[load], r.doneCycle[load] = nd, nd
-	p.schedule(nd, load)
+	p.events.push(nd, load)
 	p.res.SquashedInsts++ // work redone
 
 	// Transitively reset consumers of invalidated values. The invalid
@@ -312,10 +312,8 @@ func (p *Pipeline) squashFrom(load, st int32) {
 				p.loads.removeSeq(s, r.addr[s], seq)
 			}
 		}
-		if !p.scanMode {
-			p.unpark(s)
-			p.cand.clear(s)
-		}
+		p.unpark(s)
+		p.cand.clear(s)
 		r.seq[s] = noSeq
 	}
 

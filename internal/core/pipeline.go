@@ -20,9 +20,10 @@
 // consumers parked on them, timed phases (address generation, memory
 // access, store posting) push events onto a per-cycle calendar wheel,
 // and cycles in which provably nothing can happen are skipped in one
-// jump to the next event. A legacy full-window scan scheduler is kept
-// behind SetScanScheduler as the executable specification; the golden
-// equivalence test holds the two to bit-identical statistics.
+// jump to the next event. Its executable specification, a full-window
+// scan that examines every in-flight entry every cycle, lives in
+// scan_test.go; the golden equivalence test holds the two to
+// bit-identical statistics.
 package core
 
 import (
@@ -276,10 +277,7 @@ type Pipeline struct {
 	// draining pauses fetch so the window can empty (sampling).
 	draining bool
 
-	// Event-driven scheduler state. scanMode selects the legacy
-	// full-window scan instead (candidate queues, parking, and the event
-	// wheel then stay empty).
-	scanMode bool
+	// Event-driven scheduler state.
 	cand     candSet    // wakeup candidate slots (iterated in rotated seq order)
 	events   eventWheel // pending completions / postings / corrections
 	activity bool       // anything happened this cycle (guards the cycle skip)
@@ -300,12 +298,9 @@ type Pipeline struct {
 
 	// splitCursors is the reusable per-unit cursor buffer of the
 	// split-window issue walk: each holds the unit's position in its
-	// rotated candidate sub-range. scanCursors is its counterpart for
-	// the legacy scan walk (per-unit sequence cursors); both live for
-	// the pipeline's lifetime so the per-cycle issue stage allocates
-	// nothing.
+	// rotated candidate sub-range. It lives for the pipeline's lifetime
+	// so the per-cycle issue stage allocates nothing.
 	splitCursors []int32
-	scanCursors  []int64
 
 	// Generation-stamped invalidation marks (selectiveInvalidate's
 	// transitive-consumer set; replaces a per-call map).
@@ -359,7 +354,6 @@ func New(cfg config.Machine, trace emu.Stream) (*Pipeline, error) {
 	}
 	p.cand.init(w)
 	p.splitCursors = make([]int32, units)
-	p.scanCursors = make([]int64, units)
 	p.parkedOn = make([]int32, w)
 	p.wHead = make([]int32, w)
 	p.wNext = make([]int32, w)
@@ -402,13 +396,6 @@ func New(cfg config.Machine, trace emu.Stream) (*Pipeline, error) {
 
 // Hierarchy exposes the memory system (for inspection in tests/examples).
 func (p *Pipeline) Hierarchy() *cache.Hierarchy { return p.hier }
-
-// SetScanScheduler selects the legacy full-window scan issue stage
-// instead of the event-driven scheduler. The two produce bit-identical
-// statistics (enforced by the golden equivalence test); the scan
-// version is kept as the executable specification the event-driven core
-// is validated against. Must be called before the first cycle runs.
-func (p *Pipeline) SetScanScheduler(on bool) { p.scanMode = on }
 
 // windowHas reports whether seq is currently dispatched and in-flight.
 func (p *Pipeline) windowHas(seq int64) bool {
@@ -461,8 +448,8 @@ func (p *Pipeline) captureMemStats() {
 func (p *Pipeline) deadlockSnapshot() string {
 	r := &p.rob
 	var b strings.Builder
-	fmt.Fprintf(&b, "  cycle=%d scanMode=%v window: head=%d dispatch=%d occupancy=%d/%d\n",
-		p.cycle, p.scanMode, p.headSeq, p.dispatchSeq, p.dispatchSeq-p.headSeq, p.cfg.Window)
+	fmt.Fprintf(&b, "  cycle=%d window: head=%d dispatch=%d occupancy=%d/%d\n",
+		p.cycle, p.headSeq, p.dispatchSeq, p.dispatchSeq-p.headSeq, p.cfg.Window)
 	if hs := p.slotIndex(p.headSeq); r.seq[hs] == p.headSeq {
 		f := r.flags[hs]
 		fmt.Fprintf(&b, "  head seq=%d load=%v store=%v branch=%v agen=%v memIssued=%v completed=%v addrReady=%d memDone=%d dep1=%d dep2=%d parkedOn=%d\n",
@@ -517,9 +504,7 @@ func (p *Pipeline) step() {
 	p.portLeft = p.cfg.MemPorts
 	p.activity = false
 
-	if !p.scanMode {
-		p.processWakeups()
-	}
+	p.processWakeups()
 	// Stages are processed commit-first so that results produced this
 	// cycle are consumed no earlier than the next cycle.
 	p.processStoreEvents()
@@ -532,7 +517,7 @@ func (p *Pipeline) step() {
 		p.fetch()
 	}
 	p.cycle++
-	if !p.scanMode && !p.activity {
+	if !p.activity {
 		p.trySkip()
 	}
 	// No-op unless built with -tags mdsan; see mdsan_on.go.

@@ -286,7 +286,7 @@ type schedEvent struct {
 }
 
 // wheelHorizon bounds how far ahead the event wheel addresses cycles
-// directly. Every schedule() delta is at most an op latency or a full
+// directly. Every scheduled delta is at most an op latency or a full
 // memory-hierarchy miss chain (far below this), so ring aliasing never
 // happens in practice; anything further out falls back to a linearly
 // scanned overflow slice. Must be a power of two.
@@ -336,6 +336,8 @@ func (w *eventWheel) init() {
 	w.drained = -1
 }
 
+// push records that the uop in slot reaches a scheduling-relevant state
+// at cycle at.
 func (w *eventWheel) push(at int64, slot int32) {
 	if at > w.drained+wheelHorizon {
 		//md:allocok amortized: the overflow list is rare and retains capacity
@@ -383,16 +385,6 @@ func (w *eventWheel) next(from int64) int64 {
 	return t
 }
 
-// schedule records that the uop in slot s reaches a scheduling-relevant
-// state at cycle at. In scan mode no events are consumed, so none are
-// produced (the wheel would otherwise fill without bound).
-func (p *Pipeline) schedule(at int64, s int32) {
-	if p.scanMode {
-		return
-	}
-	p.events.push(at, s)
-}
-
 func (p *Pipeline) slotIndex(seq int64) int32 {
 	if p.slotMask != 0 {
 		return int32(seq & p.slotMask)
@@ -405,9 +397,6 @@ func (p *Pipeline) slotIndex(seq int64) int32 {
 // units need no separate queues: each unit's task occupies a contiguous
 // slot range, so the per-unit walk is a sub-range of the same bitmap.
 func (p *Pipeline) candInsert(seq int64) {
-	if p.scanMode {
-		return
-	}
 	s := p.slotIndex(seq)
 	p.unpark(s)
 	p.cand.set(s)
@@ -543,11 +532,11 @@ func (p *Pipeline) nextEventCycle() int64 {
 // trySkip advances the clock directly to the next event after a cycle
 // in which nothing happened (no issue, commit, dispatch, fetch, or
 // store event). Every mechanism that could act earlier is event-covered,
-// so the skipped cycles are exactly the cycles the scan-based core
-// would burn discovering that nothing can proceed. The zero-commit
-// stall taxonomy (whose classification cannot change while the head is
-// frozen) and the split-window rotation are batch-updated so statistics
-// stay bit-identical to the scan core's.
+// so the skipped cycles are exactly the cycles the reference scan
+// (scan_test.go) burns discovering that nothing can proceed. The
+// zero-commit stall taxonomy (whose classification cannot change while
+// the head is frozen) and the split-window rotation are batch-updated
+// so statistics stay bit-identical to the scan's.
 func (p *Pipeline) trySkip() {
 	target := p.nextEventCycle()
 	if target <= p.cycle || target >= notYet {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"mdspec/internal/config"
 	"mdspec/internal/stats"
@@ -407,5 +406,3 @@ func workloadClass(bench string) string {
 	}
 	return "int"
 }
-
-var _ = fmt.Sprintf // keep fmt imported for renderers in this package

@@ -501,11 +501,8 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 		case entry.Meta != nil:
 			if *entry.Meta != want {
 				return nil, 0, fmt.Errorf(
-					"journal: %s was written by %s with insts=%d sampled=%v windows=%d:%d/%d; this sweep runs %s insts=%d sampled=%v windows=%d:%d/%d — use a fresh -resume directory",
-					path, entry.Meta.Runner, entry.Meta.Insts, entry.Meta.Sampled,
-					entry.Meta.TimingWindow, entry.Meta.FunctionalWindow, entry.Meta.SegmentPeriods,
-					want.Runner, want.Insts, want.Sampled,
-					want.TimingWindow, want.FunctionalWindow, want.SegmentPeriods)
+					"journal: %s was written with %+v; this sweep runs %+v — use a fresh -resume directory",
+					path, *entry.Meta, want)
 			}
 			sawMeta = true
 		case entry.Run != nil && entry.Run.Stats != nil:

@@ -179,6 +179,24 @@ func TestJournalMetaMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("journal with mismatched sampling accepted")
 	}
+
+	// Only the phase count differs: the message must show both counts,
+	// or the two sides read the same.
+	phased := Options{Insts: 1000, Sampled: true, Phases: 4}
+	pdir := t.TempDir()
+	j, _, err = OpenJournal(pdir, phased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	phased.Phases = 8
+	_, _, err = OpenJournal(pdir, phased)
+	if err == nil {
+		t.Fatal("journal with mismatched phases accepted")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "Phases:4") || !strings.Contains(msg, "Phases:8") {
+		t.Errorf("mismatch error should show both phase counts: %v", err)
+	}
 }
 
 // TestJournalDedup: if the same cell was journaled twice (e.g. two

@@ -11,7 +11,7 @@ package mdp
 
 // TableConfig sizes a predictor table.
 type TableConfig struct {
-	Entries int // total entries (must be a multiple of Assoc)
+	Entries int // total entries: Assoc times a power-of-two set count (checked by config.Machine.Validate)
 	Assoc   int
 	// FlushInterval clears the table every so many cycles; 0 disables.
 	FlushInterval int64

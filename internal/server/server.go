@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -254,18 +255,38 @@ func checkBench(bench string) error {
 	return err
 }
 
+// maxRequestBytes bounds a request body. A machine config is about
+// 420 bytes of JSON, so a sweep of 2,000 configurations still fits.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes the JSON body of r into v, reading at most
+// maxRequestBytes. On failure it answers 413 (body too large) or 400
+// itself and reports false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding request: %w", err))
+	return false
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if err := checkBench(req.Bench); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Config.Window <= 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("config.Window must be positive (did you send an empty config?)"))
+	if err := req.Config.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if !s.checkMeta(w, req.Meta) {
@@ -315,8 +336,7 @@ const statusClientClosedRequest = 499
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if len(req.Benches) == 0 || len(req.Configs) == 0 {
@@ -330,8 +350,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	for i, c := range req.Configs {
-		if c.Window <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("configs[%d].Window must be positive", i))
+		if err := c.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("configs[%d]: %w", i, err))
 			return
 		}
 	}

@@ -189,14 +189,42 @@ func TestRunMetaMismatch(t *testing.T) {
 
 func TestRunRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}}, nil)
+	zeroIssue := cfgWith(config.Naive)
+	zeroIssue.IssueWidth = 0
+	zeroWays := cfgWith(config.Sync)
+	zeroWays.PredictorTable.Assoc = 0
 	for name, req := range map[string]RunRequest{
-		"unknown bench": {Bench: "127.notabench", Config: cfgWith(config.Sync)},
-		"empty config":  {Bench: "126.gcc"},
+		"unknown bench":   {Bench: "127.notabench", Config: cfgWith(config.Sync)},
+		"empty config":    {Bench: "126.gcc"},
+		"zero issue":      {Bench: "126.gcc", Config: zeroIssue},
+		"zero table ways": {Bench: "126.gcc", Config: zeroWays},
 	} {
 		resp, body := postRun(t, ts.URL, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400; body: %s", name, resp.StatusCode, body)
 		}
+	}
+	// Sweeps validate every configuration before queueing any cell.
+	sweep, _ := json.Marshal(SweepRequest{
+		Benches: []string{"126.gcc"}, Configs: []config.Machine{cfgWith(config.Naive), zeroWays},
+	})
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("sweep with an invalid config: status = %d, want 400", resp.StatusCode)
+	}
+	// A body past the size cap is refused before it is decoded.
+	huge := `{"bench":"126.gcc","pad":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	resp, err = http.Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status = %d, want 413", resp.StatusCode)
 	}
 }
 
