@@ -14,7 +14,9 @@
 // hash, benchmark, instruction budget, sampling windows, runner
 // version. Identical cells requested by any number of concurrent
 // clients cost one simulation; a bounded work queue refuses overload
-// with 503 instead of queueing without limit.
+// with 503 instead of queueing without limit. Only cells that need a
+// new simulation take a queue slot: cached, journal-primed and
+// in-flight cells are answered without one.
 //
 // With -workers N the daemon becomes a fleet supervisor: it forks N
 // copies of itself in -worker mode (each a full server on a private
@@ -69,7 +71,7 @@ func main() {
 	par := flag.Int("par", 0, "max concurrent simulations (default: GOMAXPROCS)")
 	procs := flag.Int("workers", 0, "worker processes to fork and supervise (0 = single-process)")
 	sched := flag.Int("sched", 0, "scheduler worker pool size (default: -par)")
-	queue := flag.Int("queue", server.DefaultQueueDepth, "bounded work-queue depth; beyond it requests get 503")
+	queue := flag.Int("queue", server.DefaultQueueDepth, "bounded work-queue depth; beyond it, cells that need a simulation get 503")
 	journalDir := flag.String("journal", "", "checkpoint directory: journal finished cells and re-prime the cache from it on restart")
 	recDir := flag.String("recdir", "", "recording and warm-state cache directory: mmap per-benchmark columnar recordings and share warmed checkpoint sets across server processes")
 	phases := flag.Int("phases", 0, "with -sampled, simulate only this many phase-representative segments per benchmark (BBV k-means), weighted by cluster size; 0 = all segments")

@@ -236,13 +236,15 @@ func (m Machine) WithSplitWindow(units int) Machine {
 
 // Caps on what one configuration may ask for. Each sits far above every
 // experiment and every cell the benchmark serves (window 256, 16,384
-// predictor entries, scheduler latency 2); they exist so that a
-// request cannot size an allocation, or stall the machine, without
-// bound.
+// predictor entries, scheduler latency 2, front-end depth 4, squash
+// overhead 6); they exist so that a request cannot size an allocation,
+// or stall the machine, without bound. LSQSize is capped at MaxWindow.
 const (
 	MaxWindow           = 4096
 	MaxPredictorEntries = 1 << 18
 	MaxSchedulerLatency = 64
+	MaxFrontEndDepth    = 64
+	MaxSquashOverhead   = 64
 )
 
 // Validate reports configuration errors: every configuration it
@@ -277,10 +279,20 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: predictor table of %d entries exceeds the cap of %d", t.Entries, MaxPredictorEntries)
 	case (t.Entries/t.Assoc)&(t.Entries/t.Assoc-1) != 0:
 		return fmt.Errorf("config: predictor table set count %d/%d must be a power of two", t.Entries, t.Assoc)
+	case m.FrontEndDepth < 0 || m.FrontEndDepth > MaxFrontEndDepth:
+		return fmt.Errorf("config: front-end depth %d outside [0, %d]", m.FrontEndDepth, MaxFrontEndDepth)
+	case m.SquashOverhead < 0 || m.SquashOverhead > MaxSquashOverhead:
+		return fmt.Errorf("config: squash overhead %d outside [0, %d]", m.SquashOverhead, MaxSquashOverhead)
 	case m.LSQSize < 0:
 		return fmt.Errorf("config: LSQ size cannot be negative")
+	case m.LSQSize > MaxWindow:
+		return fmt.Errorf("config: LSQ size %d exceeds the cap of %d", m.LSQSize, MaxWindow)
 	case m.SplitWindow && (m.SplitUnits < 2 || m.Window%m.SplitUnits != 0):
 		return fmt.Errorf("config: split window needs >= 2 units evenly dividing the window")
+	case m.SplitWindow && m.LSQSize != 0 && m.LSQSize < m.Window:
+		// Younger tasks dispatch first and can fill a smaller LSQ while
+		// the oldest task waits for a slot: the machine deadlocks.
+		return fmt.Errorf("config: a split window needs an LSQ of 0 or at least the window (%d), not %d", m.Window, m.LSQSize)
 	case m.UseAddressScheduler && m.Policy != NoSpec && m.Policy != Naive:
 		return fmt.Errorf("config: AS configurations support only NO and NAV policies (paper §3.4)")
 	case m.Recovery == RecoverySelective && m.UseAddressScheduler:

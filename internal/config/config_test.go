@@ -110,6 +110,14 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		bad(func(m *Machine) { m.PredictorTable.Entries, m.PredictorTable.Assoc = 4096, 3 }),
 		bad(func(m *Machine) { m.PredictorTable.Entries = 12 }), // 6 sets
 		bad(func(m *Machine) { m.PredictorTable.Entries = 2 * MaxPredictorEntries }),
+		bad(func(m *Machine) { m.FrontEndDepth = -1 }),
+		bad(func(m *Machine) { m.FrontEndDepth = MaxFrontEndDepth + 1 }),
+		bad(func(m *Machine) { m.FrontEndDepth = 1 << 40 }), // ends in the deadlock watchdog
+		bad(func(m *Machine) { m.SquashOverhead = -1 }),
+		bad(func(m *Machine) { m.SquashOverhead = MaxSquashOverhead + 1 }),
+		bad(func(m *Machine) { m.Policy, m.SquashOverhead = Naive, 1<<40 }), // ends in the deadlock watchdog
+		bad(func(m *Machine) { m.LSQSize = MaxWindow + 1 }),
+		bad(func(m *Machine) { *m = m.WithSplitWindow(2); m.LSQSize = 16 }), // younger tasks fill the LSQ
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {
@@ -120,6 +128,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	atCaps := Default128().WithPolicy(Naive).WithAddressScheduler(MaxSchedulerLatency)
 	atCaps.Window = MaxWindow
 	atCaps.PredictorTable = mdp.TableConfig{Entries: MaxPredictorEntries, Assoc: 4}
+	atCaps.FrontEndDepth, atCaps.SquashOverhead, atCaps.LSQSize = MaxFrontEndDepth, MaxSquashOverhead, MaxWindow
 	if err := atCaps.Validate(); err != nil {
 		t.Errorf("config at the caps should validate: %v", err)
 	}

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"mdspec/internal/config"
-)
+import "testing"
 
 // paperNavMisspec is Table 4's NAV column (misspeculations per committed
 // load under NAS/NAV, 128-entry window).
@@ -115,5 +111,4 @@ func TestSummaryShapeRegression(t *testing.T) {
 	if asnav.IntMeasured < 0.0 || asnav.IntMeasured > 0.15 {
 		t.Errorf("AS/NAV over AS/NO out of the paper's low-single-digit regime: %+v", asnav)
 	}
-	_ = config.Default128 // keep the import for future extensions
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mdspec/internal/config"
 	"mdspec/internal/emu"
+	"mdspec/internal/stats"
 )
 
 // TestRecordingDirCachesAndReplays pins the on-disk recording cache:
@@ -76,4 +78,82 @@ func TestRecordingDirCachesAndReplays(t *testing.T) {
 		t.Errorf("recapture after corruption diverged: %s vs %s", got3, got)
 	}
 	defer r3.Close()
+}
+
+// TestRecordingDirServesMixedBudgets runs a small and a large budget
+// over one recording directory, in both orders, with full timing and
+// with (phase-)sampling. A file captured for the smaller budget is
+// sealed short of the larger budget's horizon, so the larger budget must
+// re-capture it once instead of replaying past its end; a larger file
+// serves the smaller budget as is. Every run's statistics must equal a
+// runner's without a cache, and no cell may be abandoned.
+func TestRecordingDirServesMixedBudgets(t *testing.T) {
+	benches := []string{"129.compress", "102.swim"}
+	cfgs := []config.Machine{config.Default128(), config.Default128().WithPolicy(config.Naive)}
+	run := func(t *testing.T, opt Options) (map[string]*stats.Run, Counters) {
+		t.Helper()
+		r := NewRunner(opt)
+		defer r.Close()
+		out := make(map[string]*stats.Run)
+		for _, b := range benches {
+			for _, c := range cfgs {
+				res, err := r.Run(context.Background(), b, c)
+				if err != nil {
+					t.Fatalf("insts %d: %v", opt.Insts, err)
+				}
+				out[b+" "+c.Name()] = res
+			}
+		}
+		if ab := r.Abandoned(); len(ab) != 0 {
+			t.Fatalf("insts %d: abandoned %+v", opt.Insts, ab)
+		}
+		return out, r.Counters()
+	}
+	sampled := func(insts int64) Options {
+		return Options{Insts: insts, Sampled: true, TimingWindow: 1_000, FunctionalWindow: 2_000, SegmentPeriods: 4, Phases: 2}
+	}
+	for _, mode := range []struct {
+		name         string
+		small, large Options
+	}{
+		{"full", Options{Insts: 10_000}, Options{Insts: 150_000}},
+		{"sampled", sampled(5_000), sampled(60_000)},
+	} {
+		for _, grow := range []bool{true, false} {
+			first, second := mode.small, mode.large
+			name := mode.name + "/small-then-large"
+			if !grow {
+				first, second = second, first
+				name = mode.name + "/large-then-small"
+			}
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				path := filepath.Join(dir, benches[0]+".mdrec")
+				var size int64
+				for i, opt := range []Options{first, second} {
+					want, _ := run(t, opt)
+					opt.RecordingDir = dir
+					got, c := run(t, opt)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("insts %d: stats over the recording directory differ from an uncached run", opt.Insts)
+					}
+					fi, err := os.Stat(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case i == 0 && c.RecordingMisses != int64(len(benches)):
+						t.Errorf("first sweep captured %d recordings, want %d", c.RecordingMisses, len(benches))
+					case i == 1 && grow && c.RecordingMisses > int64(len(benches)):
+						t.Errorf("larger budget re-captured %d recordings, want at most one per benchmark", c.RecordingMisses)
+					case i == 1 && !grow && c.RecordingMisses != 0:
+						t.Errorf("smaller budget re-captured %d recordings a larger file covers", c.RecordingMisses)
+					case fi.Size() < size:
+						t.Errorf("%s shrank from %d to %d bytes", path, size, fi.Size())
+					}
+					size = fi.Size()
+				}
+			})
+		}
+	}
 }

@@ -212,12 +212,12 @@ type Runner struct {
 	ckpts buildOnce[ckptKey, *ckpt.Set]
 	plans buildOnce[string, []ckpt.WeightedSegment]
 
-	mu         sync.Mutex
-	cache      map[runKey]*stats.Run     //md:guardedby mu
+	mu sync.Mutex
+	// memo maps each finished cell to the index of its record.
+	memo       map[runKey]int            //md:guardedby mu
 	hashes     map[config.Machine]string //md:guardedby mu
 	inflight   map[runKey]*call          //md:guardedby mu
 	records    []RunRecord               //md:guardedby mu
-	recordIdx  map[runKeyID]int          //md:guardedby mu
 	primed     map[runKeyID]RunRecord    //md:guardedby mu
 	abandoned  []AbandonedCell           //md:guardedby mu
 	abandonSet map[runKeyID]bool         //md:guardedby mu
@@ -274,7 +274,7 @@ type ckptKey struct {
 // call is an in-flight simulation that duplicate requests wait on.
 type call struct {
 	done chan struct{}
-	res  *stats.Run
+	rec  RunRecord
 	err  error
 }
 
@@ -285,10 +285,9 @@ func NewRunner(opt Options) *Runner {
 	}
 	r := &Runner{
 		opt:        opt,
-		cache:      make(map[runKey]*stats.Run),
+		memo:       make(map[runKey]int),
 		hashes:     make(map[config.Machine]string),
 		inflight:   make(map[runKey]*call),
-		recordIdx:  make(map[runKeyID]int),
 		primed:     make(map[runKeyID]RunRecord),
 		abandonSet: make(map[runKeyID]bool),
 		sem:        parsim.NewSem(opt.parallel()),
@@ -388,7 +387,7 @@ func (r *Runner) Records() []RunRecord {
 func (r *Runner) Record(bench string, cfg config.Machine) (RunRecord, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, ok := r.recordIdx[runKeyID{bench, r.cfgHashLocked(cfg)}]
+	i, ok := r.memo[runKey{bench, cfg}]
 	if !ok {
 		return RunRecord{}, false
 	}
@@ -472,17 +471,23 @@ func (r *Runner) recording(bench string) (emu.ReplaySource, error) {
 }
 
 // fileRecording serves bench from the RecordingDir cache: an existing
-// valid file is mmapped; otherwise the program is captured once, the
-// file written atomically (temp + rename, safe against concurrent
-// writers and crashes), and reopened mapped. Every failure path falls
-// back to a live in-memory recording — the disk cache is an
+// valid file that covers these options' capture horizon is mmapped;
+// otherwise the program is captured once, the file written atomically
+// (temp + rename, safe against concurrent writers and crashes), and
+// reopened mapped. A file sealed short of the horizon (captured for a
+// smaller budget) is replaced by the longer capture, so files only
+// grow and a larger file serves every smaller budget. Every failure
+// path falls back to a live in-memory recording — the disk cache is an
 // optimization, never a correctness dependency.
 func (r *Runner) fileRecording(bench string, p *prog.Program) emu.ReplaySource {
 	path := filepath.Join(r.opt.RecordingDir, bench+".mdrec")
 	if f, err := emu.OpenRecordingFile(path, p); err == nil {
-		r.recHits.Add(1)
-		r.recBytes.Add(f.SizeBytes())
-		return f
+		if !f.Prefix() || f.Len() >= r.opt.captureHorizon() {
+			r.recHits.Add(1)
+			r.recBytes.Add(f.SizeBytes())
+			return f
+		}
+		f.Close() //md:errok a read-only mapping of the file about to be replaced
 	}
 	r.recMisses.Add(1)
 	rec := emu.NewRecording(emu.New(p))
@@ -875,62 +880,14 @@ func (r *Runner) Run(ctx context.Context, bench string, cfg config.Machine) (*st
 // responses carry the source so clients can tell a cache hit from a
 // paid simulation.
 func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, RunSource, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, "", err
-	}
 	key := runKey{bench, cfg}
+	rec, src, c, err := r.lookup(ctx, key, true)
+	if c == nil {
+		return rec.Stats, src, err
+	}
 	// Name() rebuilds the paper-style string on every call; the hook and
 	// error paths below use it up to three times, so build it once.
 	cfgName := cfg.Name()
-
-	r.mu.Lock()
-	if res, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		r.cacheHits.Add(1)
-		if r.opt.Hooks.CacheHit != nil {
-			r.opt.Hooks.CacheHit(bench, cfgName)
-		}
-		return res, SourceCache, nil
-	}
-	if len(r.primed) > 0 {
-		// A cell replayed from a resumed journal: promote it into the
-		// memo cache and the provenance records, skipping the simulation
-		// entirely (its stats are bit-identical to re-running by the
-		// determinism contract).
-		id := runKeyID{bench, r.cfgHashLocked(cfg)}
-		if rec, ok := r.primed[id]; ok {
-			delete(r.primed, id)
-			res := rec.Stats
-			r.cache[key] = res
-			r.records = append(r.records, rec)
-			r.recordIdx[id] = len(r.records) - 1
-			r.mu.Unlock()
-			r.replayed.Add(1)
-			if r.opt.Hooks.CacheHit != nil {
-				r.opt.Hooks.CacheHit(bench, cfgName)
-			}
-			return res, SourceJournal, nil
-		}
-	}
-	if c, ok := r.inflight[key]; ok {
-		r.mu.Unlock()
-		select {
-		case <-c.done:
-			if c.err != nil {
-				return nil, "", c.err
-			}
-			r.cacheHits.Add(1)
-			if r.opt.Hooks.CacheHit != nil {
-				r.opt.Hooks.CacheHit(bench, cfgName)
-			}
-			return c.res, SourceDedup, nil
-		case <-ctx.Done():
-			return nil, "", ctx.Err()
-		}
-	}
-	c := &call{done: make(chan struct{})}
-	r.inflight[key] = c
-	r.mu.Unlock()
 
 	r.cacheMisses.Add(1)
 	r.jobsStarted.Add(1)
@@ -952,17 +909,13 @@ func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Mac
 		r.opt.Hooks.JobFinished(bench, cfgName, wall, err)
 	}
 
-	var rec RunRecord
 	r.mu.Lock()
 	delete(r.inflight, key)
 	if err == nil {
-		cfgHash := r.cfgHashLocked(cfg)
-		rec = newRunRecord(bench, cfgName, cfgHash, r.opt.Insts, wall, res)
+		rec = newRunRecord(bench, cfgName, r.cfgHashLocked(cfg), r.opt.Insts, wall, res)
 		rec.Attempts = attempts
 		rec.Fallback = fallback
-		r.cache[key] = res
-		r.records = append(r.records, rec)
-		r.recordIdx[runKeyID{bench, cfgHash}] = len(r.records) - 1
+		r.rememberLocked(key, rec)
 	} else if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		// The cell is abandoned (retries and any fallback exhausted, or
 		// a permanent failure): name it so the partial-results envelope
@@ -992,9 +945,94 @@ func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Mac
 		}
 	}
 
-	c.res, c.err = res, err
+	c.rec, c.err = rec, err
 	close(c.done)
 	return res, SourceSimulated, err
+}
+
+// Lookup answers (bench, cfg) when that needs no new simulation: a memo
+// hit (SourceCache), a cell primed from a journal, which this call
+// promotes into the memo (SourceJournal), or an in-flight duplicate,
+// which it joins and waits for (SourceDedup). It counts and fires hooks
+// exactly as RunWithSource would for the same cell. ok is false, and
+// nothing is counted, when the cell needs a simulation; the caller then
+// runs it through RunWithSource or RunGuarded. mdserve answers settled
+// cells this way without queueing them.
+func (r *Runner) Lookup(ctx context.Context, bench string, cfg config.Machine) (rec RunRecord, src RunSource, ok bool, err error) {
+	rec, src, _, err = r.lookup(ctx, runKey{bench, cfg}, false)
+	return rec, src, src != "" || err != nil, err
+}
+
+// lookup is the part of RunWithSource that needs no simulation, decided
+// under one hold of mu. A cell it cannot settle is claimed when claim
+// is set: it goes in flight under the returned call, which the caller
+// owes a simulation. Otherwise an unsettled cell returns an empty
+// source, a nil call and a nil error.
+func (r *Runner) lookup(ctx context.Context, key runKey, claim bool) (RunRecord, RunSource, *call, error) {
+	if err := ctx.Err(); err != nil {
+		return RunRecord{}, "", nil, err
+	}
+	r.mu.Lock()
+	if i, ok := r.memo[key]; ok {
+		rec := r.records[i]
+		r.mu.Unlock()
+		r.cacheHits.Add(1)
+		r.cacheHit(key)
+		return rec, SourceCache, nil, nil
+	}
+	if len(r.primed) > 0 {
+		// A cell replayed from a resumed journal: promote it into the
+		// memo cache and the provenance records, skipping the simulation
+		// entirely (its stats are bit-identical to re-running by the
+		// determinism contract).
+		id := runKeyID{key.bench, r.cfgHashLocked(key.cfg)}
+		if rec, ok := r.primed[id]; ok {
+			delete(r.primed, id)
+			r.rememberLocked(key, rec)
+			r.mu.Unlock()
+			r.replayed.Add(1)
+			r.cacheHit(key)
+			return rec, SourceJournal, nil, nil
+		}
+	}
+	if c, ok := r.inflight[key]; ok {
+		r.mu.Unlock()
+		select {
+		case <-c.done:
+			if c.err != nil {
+				return RunRecord{}, "", nil, c.err
+			}
+			r.cacheHits.Add(1)
+			r.cacheHit(key)
+			return c.rec, SourceDedup, nil, nil
+		case <-ctx.Done():
+			return RunRecord{}, "", nil, ctx.Err()
+		}
+	}
+	var own *call
+	if claim {
+		own = &call{done: make(chan struct{})}
+		r.inflight[key] = own
+	}
+	r.mu.Unlock()
+	return RunRecord{}, "", own, nil
+}
+
+// rememberLocked memoizes rec as key's result and adds it to the
+// provenance records.
+//
+//md:locked mu
+func (r *Runner) rememberLocked(key runKey, rec RunRecord) {
+	r.records = append(r.records, rec)
+	r.memo[key] = len(r.records) - 1
+}
+
+// cacheHit fires the CacheHit hook for a cell answered without a new
+// simulation.
+func (r *Runner) cacheHit(key runKey) {
+	if r.opt.Hooks.CacheHit != nil {
+		r.opt.Hooks.CacheHit(key.bench, key.cfg.Name())
+	}
 }
 
 // SimulateFunc is the signature of a simulation backend: it turns one
@@ -1023,31 +1061,20 @@ func (r *Runner) LocalSimulate(ctx context.Context, bench string, cfg config.Mac
 }
 
 // RunGuarded is Run behind the runner's parallelism budget: a call
-// that will be answered without simulating — memo cache, primed
-// journal, or joining an in-flight duplicate — proceeds immediately,
-// anything else first acquires one token of Options.Parallel. It is
-// the per-job step of the bounded sweep pool (runAll) and of the
-// mdserve scheduler's workers, which must never let one queued request
-// oversubscribe the shared simulation budget.
+// that Lookup settles — memo cache, primed journal, or joining an
+// in-flight duplicate — proceeds immediately, anything else first
+// acquires one token of Options.Parallel. It is the per-job step of the
+// bounded sweep pool (runAll) and of the mdserve scheduler's workers,
+// which must never let one queued request oversubscribe the shared
+// simulation budget.
 func (r *Runner) RunGuarded(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, RunSource, error) {
-	key := runKey{bench, cfg}
-	r.mu.Lock()
-	_, settled := r.cache[key]
-	if !settled && len(r.primed) > 0 {
-		_, settled = r.primed[runKeyID{bench, r.cfgHashLocked(cfg)}]
+	if rec, src, ok, err := r.Lookup(ctx, bench, cfg); ok {
+		return rec.Stats, src, err
 	}
-	if !settled {
-		// Joining an in-flight duplicate blocks but performs no work;
-		// holding a token for the wait would starve real simulations.
-		_, settled = r.inflight[key]
+	if err := r.sem.Acquire(ctx); err != nil {
+		return nil, "", err
 	}
-	r.mu.Unlock()
-	if !settled {
-		if err := r.sem.Acquire(ctx); err != nil {
-			return nil, "", err
-		}
-		defer r.sem.Release()
-	}
+	defer r.sem.Release()
 	return r.RunWithSource(ctx, bench, cfg)
 }
 

@@ -14,6 +14,10 @@
 // semaphore, so an arbitrary request storm can never oversubscribe the
 // simulation budget or spawn unbounded goroutines — requests beyond
 // the queue's capacity are refused with 503 and a Retry-After hint.
+// Only cells that need a new simulation take a slot: a cell request
+// the cache settles (memo hit, journal-primed, or joining an in-flight
+// duplicate) is answered on its own goroutine, a memo hit from
+// response bytes encoded once. Every response is compact JSON.
 package server
 
 import (

@@ -8,7 +8,6 @@ import (
 
 	"mdspec/internal/config"
 	"mdspec/internal/experiments"
-	"mdspec/internal/stats"
 )
 
 // ErrQueueFull reports a request refused because the bounded work
@@ -32,20 +31,22 @@ type task struct {
 	done    chan<- taskResult
 }
 
-// taskResult is one completed (or refused) task.
+// taskResult is one completed (or refused) task; the runner holds the
+// record of a completed one.
 type taskResult struct {
 	t   *task
-	res *stats.Run
 	src experiments.RunSource
 	err error
 }
 
 // scheduler is the bounded work queue between the HTTP handlers and
-// the Runner: a fixed pool of workers drains the queue through
-// Runner.RunGuarded, whose semaphore is the same budget the
-// interval-parallel segment engine borrows from — so queue depth
-// bounds memory, the pool bounds goroutines, and the semaphore bounds
-// actual simulation parallelism, no matter how many clients connect.
+// the Runner for cells that need a simulation (POST /v1/runs answers
+// the others without it; a sweep queues every cell): a fixed pool of
+// workers drains the queue through Runner.RunGuarded, whose semaphore
+// is the same budget the interval-parallel segment engine borrows from
+// — so queue depth bounds memory, the pool bounds goroutines, and the
+// semaphore bounds actual simulation parallelism, no matter how many
+// clients connect.
 type scheduler struct {
 	runner *experiments.Runner
 	tasks  chan *task
@@ -88,11 +89,11 @@ func (s *scheduler) worker() {
 		s.infMu.Lock()
 		s.inflight[t] = time.Now()
 		s.infMu.Unlock()
-		res, src, err := s.runner.RunGuarded(t.ctx, t.bench, t.cfg)
+		_, src, err := s.runner.RunGuarded(t.ctx, t.bench, t.cfg)
 		s.infMu.Lock()
 		delete(s.inflight, t)
 		s.infMu.Unlock()
-		t.done <- taskResult{t: t, res: res, src: src, err: err} //md:ctxok task.done is buffered by the submitter with room for every result (task contract above)
+		t.done <- taskResult{t: t, src: src, err: err} //md:ctxok task.done is buffered by the submitter with room for every result (task contract above)
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,7 +34,9 @@ type Config struct {
 	// parallelism is still bounded by the runner's semaphore.
 	Workers int
 	// QueueDepth bounds queued-but-unstarted cells (default
-	// DefaultQueueDepth). Beyond it, POST /v1/runs answers 503.
+	// DefaultQueueDepth). Beyond it, POST /v1/runs answers 503 for a
+	// cell that needs a simulation; cached, journal-primed and
+	// in-flight cells take no slot.
 	QueueDepth int
 	// Log, when non-nil, receives one line per simulation lifecycle
 	// event (started / finished / refused).
@@ -51,6 +55,17 @@ type Server struct {
 	start  time.Time
 	eps    map[string]*endpointStats
 	fleet  Fleet // nil when running single-process
+
+	// bodies holds the encoded response of every cell answered from the
+	// memo, written again on each later hit. Memo entries are never
+	// evicted, so neither are these.
+	bodyMu sync.Mutex
+	bodies map[cellKey][]byte //md:guardedby bodyMu
+}
+
+// cellKey identifies a cell by benchmark and configuration hash.
+type cellKey struct {
+	bench, configHash string
 }
 
 // Fleet is the health/metrics surface a worker-process pool exposes to
@@ -90,6 +105,7 @@ func New(cfg Config) *Server {
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
 		eps:    make(map[string]*endpointStats),
+		bodies: make(map[cellKey][]byte),
 	}
 	s.sched = newScheduler(s.runner, cfg.Workers, cfg.QueueDepth)
 	s.route("GET /v1/healthz", s.handleHealthz)
@@ -171,12 +187,35 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
+// encodeJSON renders v as compact JSON ending in a newline, the way
+// json.Encoder writes it, in a slice of exactly that length.
+func encodeJSON(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, len(b)+1)
+	copy(body, b)
+	body[len(b)] = '\n'
+	return body, nil
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := encodeJSON(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = encodeJSON(ErrorResponse{Error: fmt.Sprintf("encoding response: %v", err)})
+	}
+	writeBody(w, status, body)
+}
+
+// writeBody writes an encoded JSON response.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -245,14 +284,25 @@ func (s *Server) checkMeta(w http.ResponseWriter, meta *experiments.Fingerprint)
 	return false
 }
 
-// checkBench validates a benchmark name against the suite before it
-// can occupy queue space.
-func checkBench(bench string) error {
-	if strings.TrimSpace(bench) == "" {
-		return fmt.Errorf("empty bench")
+// benchNames is the suite's benchmark names, for checkBench.
+var benchNames = func() map[string]bool {
+	m := make(map[string]bool)
+	for _, n := range workload.Names() {
+		m[n] = true
 	}
-	_, err := workload.ParseNames(bench)
-	return err
+	return m
+}()
+
+// checkBench requires bench to be exactly one of the suite's names
+// before it can occupy queue space or a cache entry.
+func checkBench(bench string) error {
+	if benchNames[bench] {
+		return nil
+	}
+	if _, err := workload.ParseNames(bench); err != nil {
+		return err
+	}
+	return fmt.Errorf("bench %q is not exactly one benchmark name", bench)
 }
 
 // maxRequestBytes bounds a request body. A machine config is about
@@ -293,40 +343,89 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A cell the runner settles without a new simulation (memo hit,
+	// journal-primed, or in flight for another request) is answered on
+	// this goroutine; only the rest take a queue slot and a worker.
+	rec, src, settled, err := s.runner.Lookup(r.Context(), req.Bench, req.Config)
+	if !settled {
+		res, ok := s.enqueue(w, r, &req)
+		if !ok {
+			return
+		}
+		src, err = res.src, res.err
+		if err == nil {
+			if rec, ok = s.runner.Record(req.Bench, req.Config); !ok {
+				// Every successful RunGuarded leaves a record; missing one
+				// is a server bug, not a client error.
+				writeError(w, http.StatusInternalServerError, fmt.Errorf("no record for completed cell"))
+				return
+			}
+		}
+	}
+	if err != nil {
+		status := http.StatusInternalServerError
+		if r.Context().Err() != nil {
+			status = statusClientClosedRequest
+		}
+		writeError(w, status, err)
+		s.logf("run %s %s: %v", req.Bench, req.Config.Name(), err)
+		return
+	}
+	s.logf("run %s %s: %s in %.3fs", req.Bench, rec.Config, src, rec.WallSeconds)
+	s.writeRun(w, rec, src)
+}
+
+// enqueue hands a cell that needs a simulation to the scheduler and
+// waits for it. It reports false when it has answered the request
+// itself: the queue refused the cell (503) or the client left.
+func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, req *RunRequest) (taskResult, bool) {
 	done := make(chan taskResult, 1)
 	t := &task{bench: req.Bench, cfg: req.Config, ctx: r.Context(), done: done}
 	if err := s.sched.trySubmit(t); err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, err)
 		s.logf("run %s %s: refused: %v", req.Bench, req.Config.Name(), err)
-		return
+		return taskResult{}, false
 	}
 	select {
 	case res := <-done:
-		if res.err != nil {
-			status := http.StatusInternalServerError
-			if r.Context().Err() != nil {
-				status = statusClientClosedRequest
-			}
-			writeError(w, status, res.err)
-			s.logf("run %s %s: %v", req.Bench, req.Config.Name(), res.err)
-			return
-		}
-		rec, ok := s.runner.Record(req.Bench, req.Config)
-		if !ok {
-			// Every successful RunGuarded leaves a record; missing one is
-			// a server bug, not a client error.
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("no record for completed cell"))
-			return
-		}
-		s.logf("run %s %s: %s in %.3fs", req.Bench, rec.Config, res.src, rec.WallSeconds)
-		writeJSON(w, http.StatusOK, RunResponse{Record: rec, Source: res.src})
+		return res, true
 	case <-r.Context().Done():
 		// Client gone: the worker will observe the dead context (or
 		// finish and populate the cache for the next caller); nothing
 		// useful can be written.
 		writeError(w, statusClientClosedRequest, r.Context().Err())
+		return taskResult{}, false
 	}
+}
+
+// writeRun answers a finished cell. A memo hit's response depends only
+// on the cell, so it is encoded once and its bytes are written on every
+// later hit; the other sources answer a cell once per request.
+func (s *Server) writeRun(w http.ResponseWriter, rec experiments.RunRecord, src experiments.RunSource) {
+	if src != experiments.SourceCache {
+		writeJSON(w, http.StatusOK, RunResponse{Record: rec, Source: src})
+		return
+	}
+	key := cellKey{rec.Bench, rec.ConfigHash}
+	s.bodyMu.Lock()
+	body, ok := s.bodies[key]
+	s.bodyMu.Unlock()
+	if !ok {
+		var err error
+		if body, err = encodeJSON(RunResponse{Record: rec, Source: src}); err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+			return
+		}
+		s.bodyMu.Lock()
+		if prev, ok := s.bodies[key]; ok {
+			body = prev // a concurrent hit stored it first: keep one copy
+		} else {
+			s.bodies[key] = body
+		}
+		s.bodyMu.Unlock()
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // statusClientClosedRequest is nginx's conventional status for a

@@ -195,6 +195,8 @@ func TestRunRejectsBadRequests(t *testing.T) {
 	zeroWays.PredictorTable.Assoc = 0
 	for name, req := range map[string]RunRequest{
 		"unknown bench":   {Bench: "127.notabench", Config: cfgWith(config.Sync)},
+		"padded bench":    {Bench: " 126.gcc", Config: cfgWith(config.Sync)},
+		"bench list":      {Bench: "126.gcc,102.swim", Config: cfgWith(config.Sync)},
 		"empty config":    {Bench: "126.gcc"},
 		"zero issue":      {Bench: "126.gcc", Config: zeroIssue},
 		"zero table ways": {Bench: "126.gcc", Config: zeroWays},
@@ -229,7 +231,8 @@ func TestRunRejectsBadRequests(t *testing.T) {
 }
 
 // The bounded queue refuses overload with 503 instead of queueing
-// without limit.
+// without limit, but only for cells that need a simulation: a cached
+// cell is answered while the queue is full.
 func TestRunQueueFull(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 8)
@@ -249,6 +252,13 @@ func TestRunQueueFull(t *testing.T) {
 			ch <- resp.StatusCode
 		}()
 	}
+	memoized := make(chan int, 1)
+	fire(config.StoreSets, memoized)
+	<-entered
+	release <- struct{}{}
+	if st := <-memoized; st != http.StatusOK {
+		t.Fatalf("memoizing request status = %d", st)
+	}
 	first, second := make(chan int, 1), make(chan int, 1)
 	fire(config.Sync, first)
 	<-entered // the only worker is now occupied
@@ -267,6 +277,10 @@ func TestRunQueueFull(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 must carry Retry-After")
+	}
+	resp, body = postRun(t, ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(config.StoreSets)})
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"source":"cache"`)) {
+		t.Errorf("cached cell under a full queue: status %d, body %s; want 200 from the cache", resp.StatusCode, body)
 	}
 	release <- struct{}{}
 	release <- struct{}{}
@@ -421,10 +435,79 @@ func TestJournalRestartReprimesCache(t *testing.T) {
 		t.Errorf("replayed stats differ from simulated:\nfirst:  %+v\nsecond: %+v",
 			first.Record.Stats, second.Record.Stats)
 	}
+	// The promoted cell is a memo hit from now on; both answers carry
+	// the runner's record of it.
+	resp3, body3 := postRun(t, ts2.URL, req)
+	var third RunResponse
+	if err := json.Unmarshal(body3, &third); err != nil || resp3.StatusCode != http.StatusOK {
+		t.Fatalf("repeat after restart: status %d, %v: %s", resp3.StatusCode, err, body3)
+	}
+	if third.Source != experiments.SourceCache {
+		t.Errorf("repeat after restart: source = %q, want cache", third.Source)
+	}
+	want, ok := s2.Runner().Record(req.Bench, req.Config)
+	if !ok {
+		t.Fatal("no record for the replayed cell")
+	}
+	for _, got := range []RunResponse{second, third} {
+		if !reflect.DeepEqual(got.Record, want) {
+			t.Errorf("%s answer's record differs from Runner.Record:\ngot:  %+v\nwant: %+v", got.Source, got.Record, want)
+		}
+	}
 	m := getMetrics(t, ts2.URL)
-	if m.Counters.JobsStarted != 0 || m.Counters.Replayed != 1 {
-		t.Errorf("restart metrics: jobs_started=%d replayed=%d, want 0 and 1",
-			m.Counters.JobsStarted, m.Counters.Replayed)
+	if c := m.Counters; c.JobsStarted != 0 || c.Replayed != 1 || c.CacheHits != 1 {
+		t.Errorf("restart metrics: jobs_started=%d replayed=%d cache_hits=%d, want 0, 1 and 1",
+			c.JobsStarted, c.Replayed, c.CacheHits)
+	}
+}
+
+// Concurrent hits on one memoized cell all get the same bytes, and the
+// server keeps one encoding of them. Run it under -race.
+func TestConcurrentCacheHitsShareOneEncoding(t *testing.T) {
+	sim := func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		return fakeStats(bench, cfg), nil
+	}
+	s, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 2}, sim)
+	req := RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
+	if resp, body := postRun(t, ts.URL, req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first run: status %d: %s", resp.StatusCode, body)
+	}
+
+	const hits = 16
+	bodies := make([][]byte, hits)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postRun(t, ts.URL, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("hit %d: status %d: %s", i, resp.StatusCode, body)
+			}
+			bodies[i] = body
+		}()
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if !bytes.Equal(b, bodies[0]) {
+			t.Fatalf("hit %d body differs:\n%s\nvs\n%s", i, b, bodies[0])
+		}
+	}
+	var rr RunResponse
+	if err := json.Unmarshal(bodies[0], &rr); err != nil || rr.Source != experiments.SourceCache {
+		t.Fatalf("hit body: source %q, %v", rr.Source, err)
+	}
+	if n := bytes.Count(bodies[0], []byte("\n")); n != 1 || bodies[0][len(bodies[0])-1] != '\n' {
+		t.Errorf("response is not one line of compact JSON: %s", bodies[0])
+	}
+	s.bodyMu.Lock()
+	n := len(s.bodies)
+	s.bodyMu.Unlock()
+	if n != 1 {
+		t.Errorf("byte cache holds %d encodings, want 1", n)
+	}
+	if c := getMetrics(t, ts.URL).Counters; c.JobsStarted != 1 || c.CacheHits != hits {
+		t.Errorf("metrics: jobs_started=%d cache_hits=%d, want 1 and %d", c.JobsStarted, c.CacheHits, hits)
 	}
 }
 
