@@ -27,15 +27,18 @@
 // instead. See README.md for the artifact schema.
 //
 // With -resume <dir>, every finished (benchmark, config) cell is
-// journaled to <dir>/runs.journal as it completes, and a restarted
-// sweep pointed at the same directory replays the journal instead of
-// re-simulating — resume after a crash or SIGKILL is bit-identical to
-// an uninterrupted run. Transient cell failures (worker panics,
-// watchdog deadlock reports) are retried up to -retries attempts with
-// capped exponential backoff; a sampled cell that keeps failing falls
-// back to one serial sampled pass, and a cell that cannot be completed
-// at all is listed in the artifact's partial-results envelope instead
-// of aborting the sweep. See README.md ("Robustness & operations").
+// journaled to <dir>/runs.0.journal as it completes, and a restarted
+// sweep pointed at the same directory replays every journal segment
+// there instead of re-simulating — resume after a crash or SIGKILL is
+// bit-identical to an uninterrupted run. The segment stays locked while
+// the sweep runs, so a second writer on it (another mdexp -resume, or
+// mdserve -journal on the same directory) is refused. Transient cell
+// failures (worker panics, watchdog deadlock reports) are retried up to
+// -retries attempts with capped exponential backoff; a sampled cell
+// that keeps failing falls back to one serial sampled pass, and a cell
+// that cannot be completed at all is listed in the artifact's
+// partial-results envelope instead of aborting the sweep. See README.md
+// ("Robustness & operations").
 //
 // With -server <addr>, simulations are requested from a running
 // mdserve daemon instead of executing locally: the daemon's

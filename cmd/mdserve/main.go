@@ -25,16 +25,18 @@
 // capped backoff, and degrades to in-process execution if the whole
 // fleet is down (reported as degraded in /v1/healthz; per-worker
 // liveness, failover, and restart counters in /v1/metrics). Each
-// worker owns a lease-protected journal segment runs.<id>.journal; the
-// supervisor merges every segment on restart.
+// worker holds its own journal segment runs.<id>.journal under a
+// kernel file lock; the supervisor merges every segment on restart.
 //
-// With -journal (single-process mode), every finished cell is
-// checkpointed to <dir>/runs.journal and a restarted daemon re-primes
-// its cache from it, so previously-computed cells are served without
-// re-simulating across restarts. GET /v1/metrics exposes the runner's
-// lifetime counters, per-endpoint request/latency accounting, and
-// queue occupancy; GET /v1/options the provenance tuple (clients
-// check it before sweeping — see mdexp -server).
+// With -journal, every finished cell is checkpointed to
+// <dir>/runs.0.journal (a worker's to its own segment) and a restarted
+// daemon re-primes its cache from every segment in the directory, so
+// previously-computed cells are served without re-simulating across
+// restarts. A second writer on the same segment, such as an
+// mdexp -resume on the directory, is refused. GET /v1/metrics exposes
+// the runner's lifetime counters, per-endpoint request/latency
+// accounting, and queue occupancy; GET /v1/options the provenance
+// tuple (clients check it before sweeping — see mdexp -server).
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: the listener closes,
 // in-flight requests drain (bounded by -drain), queued cells finish
@@ -82,7 +84,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-request lifecycle logging")
 	workerMode := flag.Bool("worker", false, "run as a supervised fleet worker (internal; forked by -workers)")
 	socket := flag.String("socket", "", "with -worker, the unix control socket to listen on")
-	workerID := flag.String("worker-id", "", "with -worker, the journal segment id (lease owner)")
+	workerID := flag.String("worker-id", "", "with -worker, the journal segment id this worker locks")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "mdserve: unexpected arguments: %v\n", flag.Args())
@@ -119,22 +121,18 @@ func main() {
 	// fingerprint, so a dir journaled under different options is
 	// detected and refused rather than silently serving foreign cells.
 	//
-	// Journal layout depends on the role: a single-process daemon owns
-	// the legacy runs.journal; fleet processes (workers and the
-	// supervisor alike) each own one lease-protected runs.<id>.journal
-	// segment and re-prime from the merge of every segment in the dir.
+	// A worker locks its own segment; the single-process daemon and the
+	// fleet supervisor lock segment "0". Every process re-primes from
+	// the merge of every segment in the dir.
 	var journal *experiments.Journal
 	var replayed []experiments.RunRecord
 	if *journalDir != "" {
-		var err error
-		switch {
-		case *workerMode:
-			journal, replayed, err = experiments.OpenJournalSegment(*journalDir, *workerID, opt, experiments.DefaultLeaseTTL)
-		case *procs > 0:
-			journal, replayed, err = experiments.OpenJournalSegment(*journalDir, "sup", opt, experiments.DefaultLeaseTTL)
-		default:
-			journal, replayed, err = experiments.OpenJournal(*journalDir, opt)
+		id := "0"
+		if *workerMode {
+			id = *workerID
 		}
+		var err error
+		journal, replayed, err = experiments.OpenJournalSegment(*journalDir, id, opt, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -172,7 +170,6 @@ func main() {
 			Exec:       exe,
 			Args:       workerArgs(flag.CommandLine, *drain),
 			Dir:        sockDir,
-			JournalDir: *journalDir,
 			Meta:       fingerprintPtr(opt),
 			CellBudget: *cellBudget,
 			Fallback:   srv.Runner().LocalSimulate,
@@ -184,12 +181,6 @@ func main() {
 		srv.Runner().UseBackend(pool.Simulate)
 		srv.AttachFleet(pool)
 		logger.Printf("supervising %d worker process(es) in %s", *procs, sockDir)
-	}
-
-	// A worker heartbeats its journal lease so the supervisor (and any
-	// segment reader) can tell a live owner from a dead one's remains.
-	if journal != nil && (*workerMode || *procs > 0) {
-		go heartbeatLease(ctx, journal, logger)
 	}
 
 	var ln net.Listener
@@ -270,23 +261,6 @@ func workerArgs(fs *flag.FlagSet, drain time.Duration) func(slot int, socket str
 	base = append(base, "-drain="+drain.String())
 	return func(slot int, socket string) []string {
 		return append([]string{"-worker", "-socket", socket, "-worker-id", fleet.WorkerID(slot)}, base...)
-	}
-}
-
-// heartbeatLease stamps the journal lease on a fraction of the TTL so
-// a live owner is never mistaken for a dead one.
-func heartbeatLease(ctx context.Context, j *experiments.Journal, logger *log.Logger) {
-	t := time.NewTicker(experiments.DefaultLeaseTTL / 3)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := j.Heartbeat(); err != nil {
-				logger.Printf("lease heartbeat: %v", err)
-			}
-		}
 	}
 }
 

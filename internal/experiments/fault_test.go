@@ -105,6 +105,32 @@ func TestInjectedJournalAppendError(t *testing.T) {
 	}
 }
 
+// TestInjectedLeaseAcquireError: a seeded error at the lease.acquire
+// site must fail the segment open with that error and leave nothing
+// behind — the next open of the same id takes the segment at once, so
+// no descriptor or lock leaked.
+func TestInjectedLeaseAcquireError(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{Insts: 1000}
+	faultinject.Arm(faultinject.Plan{
+		Site: faultinject.SiteLeaseAcquire, N: 1, Kind: faultinject.KindError,
+	})
+	defer faultinject.Disarm()
+
+	_, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	var inj *faultinject.InjectedError
+	if !errors.As(err, &inj) {
+		t.Fatalf("open with an armed lease.acquire fault: err = %v, want the injected error", err)
+	}
+	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	if err != nil {
+		t.Fatalf("open after the injected failure: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // faultCkptOpt mirrors ckptOpt from ckpt_test.go with a RecordingDir,
 // at a geometry small enough for tagged CI runs.
 func faultCkptOpt(dir string) Options {

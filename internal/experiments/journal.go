@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,15 +18,16 @@ import (
 )
 
 // The journal is the sweep's write-ahead checkpoint store: every
-// completed (benchmark, configuration) simulation is appended to
-// <dir>/runs.journal as one length-prefixed, checksummed JSON entry the
-// moment it finishes, and `mdexp -resume <dir>` replays the file so
-// already-finished cells of a killed sweep are primed into the runner's
-// memo cache instead of re-simulated. Because each segment's statistics
-// depend only on (recording, config, options) — the determinism
-// contract the rest of the repository enforces — a replayed cell is
-// bit-identical to re-running it, which makes resume-after-SIGKILL
-// equivalent to an uninterrupted sweep.
+// completed (benchmark, configuration) simulation is appended to the
+// writer's segment <dir>/runs.<id>.journal as one length-prefixed,
+// checksummed JSON entry the moment it finishes, and `mdexp -resume
+// <dir>` replays every segment in the directory so already-finished
+// cells of a killed sweep are primed into the runner's memo cache
+// instead of re-simulated. Because each segment's statistics depend
+// only on (recording, config, options) — the determinism contract the
+// rest of the repository enforces — a replayed cell is bit-identical
+// to re-running it, which makes resume-after-SIGKILL equivalent to an
+// uninterrupted sweep.
 //
 // On-disk format: a magic line, then frames of
 //
@@ -43,28 +43,24 @@ import (
 // written — and a torn tail (truncated frame or checksum mismatch) is
 // detected on the next open and truncated away, never parsed into the
 // cache.
-
-// journalName is the WAL's filename inside a -resume directory.
-const journalName = "runs.journal"
+//
+// Each segment has one writer at a time: the open file holds an
+// exclusive kernel lock (lockFile) from OpenJournalSegment to Close.
+// The kernel drops that lock when its owner's file closes, also when
+// the owner dies, so a killed writer's successor takes the segment
+// over at once.
 
 // journalMagic identifies (and versions) the file format.
 const journalMagic = "mdspec-journal/1\n"
 
-// Segment naming: a multi-process journal directory holds one
-// `runs.<id>.journal` per writer, each owned through a sibling
-// `runs.<id>.lease` file, alongside (optionally) the legacy
-// single-writer runs.journal, which is merged read-only.
+// Segment naming: a journal directory holds one runs.<id>.journal per
+// writer. Every file matching the pattern is merged on replay, which
+// includes the pre-segment runs.journal: no id yields that name, so it
+// is read but never written.
 const (
 	segmentPrefix = "runs."
 	segmentSuffix = ".journal"
-	leaseSuffix   = ".lease"
 )
-
-// DefaultLeaseTTL is how long a segment lease stays valid without a
-// heartbeat refresh. A writer that has not heartbeated for a full TTL
-// is presumed dead and its lease may be reclaimed; live writers should
-// heartbeat several times per TTL (see Journal.Heartbeat).
-const DefaultLeaseTTL = 10 * time.Second
 
 // Fingerprint identifies the provenance tuple a result cache or
 // checkpoint journal is keyed under, beyond the per-cell (benchmark,
@@ -105,53 +101,32 @@ type journalEntry struct {
 	Run  *RunRecord   `json:"run,omitempty"`
 }
 
-// Journal is an append-only, checksummed WAL of completed runs.
-// Appends are serialized and fsynced; it is safe for concurrent use by
-// a Runner's sweep workers. A Journal opened as a segment
-// (OpenJournalSegment) additionally holds its segment's lease, which
-// Heartbeat refreshes and Close releases.
+// Journal is an append-only, checksummed WAL of completed runs: one
+// segment, held under its exclusive lock until Close. Appends are
+// serialized and fsynced; it is safe for concurrent use by a Runner's
+// sweep workers.
 type Journal struct {
-	mu    sync.Mutex
-	f     *os.File   //md:guardedby mu
-	lease *leaseInfo //md:guardedby mu — nil for the legacy single-writer journal
-	path  string     // immutable after OpenJournal
-	// leasePath is the lease file's location; immutable, "" when unleased.
-	leasePath string
+	mu   sync.Mutex
+	f    *os.File //md:guardedby mu
+	path string   // immutable after OpenJournalSegment
 }
 
-// leaseInfo is the JSON body of a runs.<id>.lease file: who owns the
-// segment and when they last proved they were alive.
-type leaseInfo struct {
-	Owner         string `json:"owner"`
-	PID           int    `json:"pid"`
-	AcquiredUnix  int64  `json:"acquired_unix"`
-	HeartbeatUnix int64  `json:"heartbeat_unix"`
-}
-
-// ErrLeaseHeld reports that a journal segment is owned by another
-// writer whose lease is still fresh (heartbeat within the TTL).
+// ErrLeaseHeld reports that a journal segment is locked by another
+// open journal, in this process or another one. The lock cannot name
+// its holder.
 type ErrLeaseHeld struct {
-	Path string        // the lease file
-	PID  int           // the owner's pid, as recorded in the lease
-	Age  time.Duration // time since the owner's last heartbeat
+	Path string // the segment file
 }
 
 func (e *ErrLeaseHeld) Error() string {
-	return fmt.Sprintf("journal: segment lease %s held by pid %d (heartbeat %.1fs ago)", e.Path, e.PID, e.Age.Seconds())
+	return fmt.Sprintf("journal: segment %s is held by another writer", e.Path)
 }
 
-// OpenJournal opens (or creates) the journal in dir for a sweep running
-// with opt, and returns the run records replayed from it (deduplicated,
-// last entry per (bench, config hash) wins — in practice cells are
-// journaled once). A torn tail left by a crash is truncated before the
-// journal is reopened for appending. A journal written under different
-// options (budget, sampling windows, runner version) is rejected: its
-// cells belong to a different sweep.
+// OpenJournal opens segment "0" in dir, the segment of single-process
+// writers: `mdexp -resume`, a single-process mdserve and the fleet
+// supervisor. See OpenJournalSegment.
 func OpenJournal(dir string, opt Options) (*Journal, []RunRecord, error) {
-	if err := atomicio.ProbeDir(dir); err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	return openJournalFile(filepath.Join(dir, journalName), opt.Fingerprint())
+	return OpenJournalSegment(dir, "0", opt, 0)
 }
 
 // SegmentPath returns the journal segment file a writer with the given
@@ -160,13 +135,9 @@ func SegmentPath(dir, id string) string {
 	return filepath.Join(dir, segmentPrefix+id+segmentSuffix)
 }
 
-func leasePath(dir, id string) string {
-	return filepath.Join(dir, segmentPrefix+id+leaseSuffix)
-}
-
 // validSegmentID restricts segment ids to filename-safe tokens so a
 // crafted id cannot escape the journal directory or collide with the
-// legacy runs.journal.
+// pre-segment runs.journal.
 func validSegmentID(id string) error {
 	if id == "" {
 		return fmt.Errorf("journal: empty segment id")
@@ -181,58 +152,49 @@ func validSegmentID(id string) error {
 	return nil
 }
 
-// OpenJournalSegment opens this writer's own journal segment
-// (runs.<id>.journal) in dir under an exclusive lease, truncating the
-// segment's torn tail exactly as OpenJournal does for the legacy file,
-// and returns the run records merged from *every* segment in dir —
-// the legacy runs.journal, other writers' live segments, and this one.
-// A fresh lease carries a heartbeat timestamp the owner must refresh
-// (Heartbeat) several times per ttl; a lease whose heartbeat is older
-// than a full ttl is presumed abandoned by a dead writer and is
-// reclaimed. ttl <= 0 selects DefaultLeaseTTL.
+// OpenJournalSegment opens (or creates) this writer's own journal
+// segment, runs.<id>.journal in dir, for a sweep running with opt, and
+// returns the run records merged from every segment in dir
+// (ReplayJournalDir). The segment stays locked until Close; while
+// another open journal holds it, OpenJournalSegment fails with
+// *ErrLeaseHeld. Under the lock, a torn tail left by a crash is
+// truncated, and a segment with no intact meta entry (fresh, or torn
+// before its header was durable) is reset and initialized. A segment
+// written under different options (budget, sampling windows, runner
+// version) is rejected: its cells belong to a different sweep. The
+// time.Duration argument is unused.
 //
 // Torn tails of *other* writers' segments are skipped, never
 // truncated: a tear there is either a live append in progress or a
-// crash their next OpenJournalSegment will repair under its own lease.
-func OpenJournalSegment(dir, id string, opt Options, ttl time.Duration) (*Journal, []RunRecord, error) {
+// crash their next OpenJournalSegment will repair under its own lock.
+func OpenJournalSegment(dir, id string, opt Options, _ time.Duration) (*Journal, []RunRecord, error) {
 	if err := atomicio.ProbeDir(dir); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	if err := validSegmentID(id); err != nil {
 		return nil, nil, err
 	}
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	lease, err := acquireLease(dir, id, ttl)
+	path := SegmentPath(dir, id)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o666)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j, _, err := openJournalFile(SegmentPath(dir, id), opt.Fingerprint())
+	j := &Journal{f: f, path: path}
+	recs, err := j.lockAndRepair(dir, opt)
 	if err != nil {
-		os.Remove(leasePath(dir, id)) //md:errok releasing a just-acquired lease on a failing open; the open error is the one reported
-		return nil, nil, err
-	}
-	//md:nolock single-owner: OpenJournalSegment sets the lease before the Journal is published to any other goroutine
-	j.lease = lease
-	j.leasePath = leasePath(dir, id)
-	recs, err := ReplayJournalDir(dir, opt)
-	if err != nil {
-		jerr := j.Close()
-		_ = jerr //md:errok cleanup on an already-failing open; the replay error is the one reported
+		f.Close() //md:errok cleanup on an already-failing open; closing also drops the lock
 		return nil, nil, err
 	}
 	return j, recs, nil
 }
 
-// ReplayJournalDir replays every journal segment in dir read-only —
-// the legacy runs.journal plus all runs.<id>.journal segments, in
-// lexical filename order — and returns the merged, deduplicated run
-// records (last entry per (bench, config hash) wins, as within a
-// single file; cells are deterministic, so any copy is the cell). Torn
-// tails end each file's scan without failing the merge. A segment
-// written under a different provenance fingerprint is an error, just
-// as for a single-file journal.
+// ReplayJournalDir replays every journal segment in dir read-only — all
+// runs.*.journal files, in lexical filename order — and returns the
+// merged, deduplicated run records (last entry per (bench, config hash)
+// wins, as within a single file; cells are deterministic, so any copy
+// is the cell). Torn tails end each file's scan without failing the
+// merge. A segment written under a different provenance fingerprint is
+// an error, just as for a single segment.
 func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
 	want := opt.Fingerprint()
 	entries, err := os.ReadDir(dir)
@@ -242,8 +204,7 @@ func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
 	var files []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.Type().IsRegular() && (name == journalName ||
-			(strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix))) {
+		if e.Type().IsRegular() && strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix) {
 			files = append(files, name)
 		}
 	}
@@ -270,151 +231,43 @@ func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
 	return merged, nil
 }
 
-// acquireLease claims segment id's lease in dir via O_EXCL creation.
-// A held lease whose heartbeat is older than ttl is reclaimed with a
-// rename-to-claim step so two racing reclaimers cannot both win: the
-// rename succeeds for exactly one of them, the other loops and finds
-// the winner's fresh lease.
-func acquireLease(dir, id string, ttl time.Duration) (*leaseInfo, error) {
-	if err := faultinject.PointErr(faultinject.SiteLeaseAcquire); err != nil {
-		return nil, fmt.Errorf("journal: acquiring lease for segment %s: %w", id, err)
-	}
-	path := leasePath(dir, id)
-	for tries := 0; tries < 4; tries++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666)
-		if err == nil {
-			now := time.Now().Unix()
-			info := &leaseInfo{Owner: id, PID: os.Getpid(), AcquiredUnix: now, HeartbeatUnix: now}
-			data, merr := json.Marshal(info)
-			if merr == nil {
-				_, merr = f.Write(data)
-			}
-			if serr := f.Sync(); merr == nil {
-				merr = serr
-			}
-			if cerr := f.Close(); merr == nil {
-				merr = cerr
-			}
-			if merr != nil {
-				os.Remove(path) //md:errok releasing a half-written lease; the write error is the one reported
-				return nil, fmt.Errorf("journal: writing lease %s: %w", path, merr)
-			}
-			return info, nil
-		}
-		if !os.IsExist(err) {
-			return nil, fmt.Errorf("journal: lease %s: %w", path, err)
-		}
-		// Lease exists: fresh means held, stale (or unparsable — a torn
-		// lease write is itself evidence of a dead writer) means reclaim.
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			if os.IsNotExist(rerr) {
-				continue // released between our create and read; retry
-			}
-			return nil, fmt.Errorf("journal: lease %s: %w", path, rerr)
-		}
-		var held leaseInfo
-		var hb time.Time
-		if json.Unmarshal(data, &held) == nil && held.HeartbeatUnix > 0 {
-			hb = time.Unix(held.HeartbeatUnix, 0)
-		}
-		if age := time.Since(hb); age <= ttl {
-			return nil, &ErrLeaseHeld{Path: path, PID: held.PID, Age: age}
-		}
-		claim := fmt.Sprintf("%s.reclaim.%d", path, os.Getpid())
-		if rerr := os.Rename(path, claim); rerr != nil {
-			if os.IsNotExist(rerr) {
-				continue // another reclaimer won the rename; retry sees their lease
-			}
-			return nil, fmt.Errorf("journal: reclaiming stale lease %s: %w", path, rerr)
-		}
-		if rerr := os.Remove(claim); rerr != nil && !os.IsNotExist(rerr) {
-			return nil, fmt.Errorf("journal: removing reclaimed lease %s: %w", claim, rerr)
-		}
-	}
-	return nil, fmt.Errorf("journal: lease %s: could not acquire after repeated reclaim races", path)
-}
-
-// BreakLease force-releases segment id's lease in dir. Only a caller
-// that has independently confirmed the owner is dead may use it — the
-// fleet supervisor calls it after waitpid on a crashed worker, so the
-// restarted incarnation reacquires its segment immediately instead of
-// waiting out the heartbeat TTL.
-func BreakLease(dir, id string) error {
-	if err := validSegmentID(id); err != nil {
-		return err
-	}
-	if err := os.Remove(leasePath(dir, id)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("journal: breaking lease for segment %s: %w", id, err)
-	}
-	return nil
-}
-
-// Heartbeat refreshes the segment lease's liveness timestamp. Owners
-// of a leased segment must call it several times per lease TTL (the
-// fleet worker runs it on a ticker); on the legacy unleased journal it
-// is a no-op.
-func (j *Journal) Heartbeat() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.lease == nil {
-		return nil
-	}
-	j.lease.HeartbeatUnix = time.Now().Unix()
-	data, err := json.Marshal(j.lease)
-	if err != nil {
-		return fmt.Errorf("journal: lease heartbeat: %w", err)
-	}
-	if err := atomicio.WriteFile(j.leasePath, func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	}); err != nil {
-		return fmt.Errorf("journal: lease heartbeat: %w", err)
-	}
-	return nil
-}
-
-// openJournalFile opens (or creates) one journal file for appending:
-// replay, torn-tail truncation, and fresh-file initialization.
-func openJournalFile(path string, want Fingerprint) (*Journal, []RunRecord, error) {
-	recs, validLen, err := replayJournal(path, want)
-	if err != nil {
-		return nil, nil, err
-	}
-	if validLen >= 0 {
-		// Existing journal: drop a torn tail so the append cursor starts
-		// on a frame boundary.
-		if err := os.Truncate(path, validLen); err != nil {
-			return nil, nil, fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o666)
-	if err != nil {
-		return nil, nil, fmt.Errorf("journal: %w", err)
-	}
-	j := &Journal{f: f, path: path}
-	if validLen < 0 {
-		// Fresh journal: write the magic and the meta fingerprint first,
-		// so even an immediately-killed sweep leaves a parsable file.
-		if err := j.init(want); err != nil {
-			f.Close() //md:errok cleanup on an already-failing open; the init error is the one reported
-			return nil, nil, err
-		}
-	}
-	return j, recs, nil
-}
-
-// Path returns the journal file's location.
-func (j *Journal) Path() string { return j.path }
-
-// init writes the magic line and the meta entry of a fresh journal.
+// lockAndRepair takes the segment's lock and replays dir, then leaves
+// the segment ready for appending: a torn tail is truncated so the
+// append cursor starts on a frame boundary, and a segment with no
+// intact meta entry gets the magic and the meta fingerprint first, so
+// even an immediately-killed sweep leaves a parsable file. Nothing is
+// written before every segment in dir has replayed, so a directory of
+// another sweep is refused untouched.
 //
-//md:nolock single-owner: OpenJournal calls init before the Journal is published to any other goroutine
-func (j *Journal) init(meta Fingerprint) error {
-	if _, err := j.f.WriteString(journalMagic); err != nil {
-		return fmt.Errorf("journal: %w", err)
+//md:nolock single-owner: OpenJournalSegment calls lockAndRepair before the Journal is published to any other goroutine
+func (j *Journal) lockAndRepair(dir string, opt Options) ([]RunRecord, error) {
+	if err := lockFile(j.f); err != nil {
+		return nil, err
 	}
-	return j.append(journalEntry{Meta: &meta})
+	if err := faultinject.PointErr(faultinject.SiteLeaseAcquire); err != nil {
+		return nil, err
+	}
+	want := opt.Fingerprint()
+	_, validLen, err := replayJournal(j.path, want)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := ReplayJournalDir(dir, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := j.f.Truncate(validLen); err != nil {
+		return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", j.path, err)
+	}
+	if validLen == 0 {
+		if _, err := j.f.WriteString(journalMagic); err != nil {
+			return nil, fmt.Errorf("journal: %w", err)
+		}
+		if err := j.append(journalEntry{Meta: &want}); err != nil {
+			return nil, err
+		}
+	}
+	return recs, nil
 }
 
 // Append journals one completed run and fsyncs it, making the cell
@@ -452,20 +305,11 @@ func (j *Journal) append(e journalEntry) error {
 	return nil
 }
 
-// Close closes the journal file and, for a leased segment, releases
-// the lease so a successor can take the segment over without waiting
-// out the TTL.
+// Close closes the segment file, which releases its lock.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	err := j.f.Close()
-	if j.lease != nil {
-		j.lease = nil
-		if rerr := os.Remove(j.leasePath); rerr != nil && !os.IsNotExist(rerr) && err == nil {
-			err = fmt.Errorf("journal: releasing lease %s: %w", j.leasePath, rerr)
-		}
-	}
-	return err
+	return j.f.Close()
 }
 
 // maxJournalEntry bounds one entry's payload; a length prefix beyond it
@@ -473,20 +317,24 @@ func (j *Journal) Close() error {
 const maxJournalEntry = 64 << 20
 
 // replayJournal scans path and returns the deduplicated run records and
-// the byte length of the valid prefix. A missing file returns
-// validLen = -1 (nothing to truncate, journal needs initialization). A
-// torn or corrupt tail ends the scan at the last intact frame — every
-// entry before it is replayed, nothing after it is trusted.
+// the byte length of the valid prefix. A torn or corrupt tail ends the
+// scan at the last intact frame — every entry before it is replayed,
+// nothing after it is trusted. The length is 0 when the file holds no
+// intact meta entry: it is missing, empty, or was torn before its
+// header became durable, and its owner re-initializes it.
 func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil, 0, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, -1, nil
-		}
 		return nil, 0, fmt.Errorf("journal: %w", err)
 	}
+	if len(data) < len(journalMagic) && strings.HasPrefix(journalMagic, string(data)) {
+		return nil, 0, nil // created, but torn before its magic line was whole
+	}
 	if !bytes.HasPrefix(data, []byte(journalMagic)) {
-		return nil, 0, fmt.Errorf("journal: %s is not a runs.journal (bad magic)", path)
+		return nil, 0, fmt.Errorf("journal: %s is not a journal segment (bad magic)", path)
 	}
 	off := int64(len(journalMagic))
 	sawMeta := false
@@ -518,9 +366,7 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 		if len(byKey) > 0 {
 			return nil, 0, fmt.Errorf("journal: %s has run entries but no meta header", path)
 		}
-		// Magic written but the meta entry itself was torn off: treat as
-		// empty and re-initialize from the magic onward.
-		return nil, -1, nil
+		return nil, 0, nil
 	}
 	recs := make([]RunRecord, 0, len(order))
 	for _, k := range order {

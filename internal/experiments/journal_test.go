@@ -1,10 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
-	"errors"
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -85,7 +86,7 @@ func TestJournalTornTail(t *testing.T) {
 	j.Close()
 
 	// Tear the tail: chop half of the last frame off.
-	path := filepath.Join(dir, journalName)
+	path := SegmentPath(dir, "0")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestJournalChecksumCorruption(t *testing.T) {
 	}
 	j.Close()
 
-	path := filepath.Join(dir, journalName)
+	path := SegmentPath(dir, "0")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +198,23 @@ func TestJournalMetaMismatch(t *testing.T) {
 	if msg := err.Error(); !strings.Contains(msg, "Phases:4") || !strings.Contains(msg, "Phases:8") {
 		t.Errorf("mismatch error should show both phase counts: %v", err)
 	}
+
+	// A refused open writes nothing, even where its own segment is new:
+	// the directory still opens under the options that wrote it.
+	sdir := t.TempDir()
+	w0, _, err := OpenJournalSegment(sdir, "w0", Options{Insts: 1000}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w0.Close()
+	if _, _, err := OpenJournal(sdir, Options{Insts: 2000}); err == nil {
+		t.Fatal("directory with a mismatched segment accepted")
+	}
+	j, _, err = OpenJournal(sdir, Options{Insts: 1000})
+	if err != nil {
+		t.Fatalf("refused open left a foreign segment behind: %v", err)
+	}
+	j.Close()
 }
 
 // TestJournalDedup: if the same cell was journaled twice (e.g. two
@@ -234,10 +252,10 @@ func TestJournalDedup(t *testing.T) {
 }
 
 // TestJournalRejectsForeignFile: pointing -resume at a directory whose
-// runs.journal is not a journal must fail loudly.
+// journal segment is not a journal must fail loudly.
 func TestJournalRejectsForeignFile(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, journalName)
+	path := SegmentPath(dir, "0")
 	if err := os.WriteFile(path, []byte(`{"not":"a journal"}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -247,177 +265,9 @@ func TestJournalRejectsForeignFile(t *testing.T) {
 	}
 }
 
-// writeLease plants a lease file for segment id with the given
-// heartbeat age, as a crashed (or live) foreign owner would leave it.
-func writeLease(t *testing.T, dir, id string, pid int, hbAge time.Duration) {
-	t.Helper()
-	now := time.Now().Add(-hbAge).Unix()
-	data, err := json.Marshal(leaseInfo{Owner: id, PID: pid, AcquiredUnix: now, HeartbeatUnix: now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(leasePath(dir, id), data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// readLease parses segment id's lease file.
-func readLease(t *testing.T, dir, id string) leaseInfo {
-	t.Helper()
-	data, err := os.ReadFile(leasePath(dir, id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var info leaseInfo
-	if err := json.Unmarshal(data, &info); err != nil {
-		t.Fatalf("lease %s unparsable: %v", leasePath(dir, id), err)
-	}
-	return info
-}
-
-// TestJournalSegmentLeaseExclusive: a segment is single-writer — a
-// second open of the same id while the lease is fresh must be refused
-// with ErrLeaseHeld, a different id must coexist, and Close must
-// release the lease so a successor takes over without waiting.
-func TestJournalSegmentLeaseExclusive(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{Insts: 1000}
-
-	j0, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh segment replayed %d records", len(recs))
-	}
-	if got := readLease(t, dir, "w0"); got.Owner != "w0" || got.PID != os.Getpid() {
-		t.Errorf("lease = %+v, want owner w0 pid %d", got, os.Getpid())
-	}
-
-	_, _, err = OpenJournalSegment(dir, "w0", opt, 0)
-	var held *ErrLeaseHeld
-	if !errors.As(err, &held) {
-		t.Fatalf("double-open of a leased segment: err = %v, want ErrLeaseHeld", err)
-	}
-	if held.PID != os.Getpid() {
-		t.Errorf("ErrLeaseHeld.PID = %d, want %d", held.PID, os.Getpid())
-	}
-
-	j1, _, err := OpenJournalSegment(dir, "w1", opt, 0)
-	if err != nil {
-		t.Fatalf("sibling segment refused: %v", err)
-	}
-	j1.Close()
-
-	if err := j0.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(leasePath(dir, "w0")); !os.IsNotExist(err) {
-		t.Fatalf("Close left the lease behind: %v", err)
-	}
-	j0b, _, err := OpenJournalSegment(dir, "w0", opt, 0)
-	if err != nil {
-		t.Fatalf("reopen after clean release: %v", err)
-	}
-	j0b.Close()
-}
-
-// TestJournalSegmentStaleLeaseReclaim: a lease whose heartbeat is older
-// than the TTL belongs to a dead writer and must be reclaimed; an
-// unparsable (torn) lease is equally evidence of death.
-func TestJournalSegmentStaleLeaseReclaim(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{Insts: 1000}
-
-	writeLease(t, dir, "w0", 99999, time.Hour)
-	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
-	if err != nil {
-		t.Fatalf("stale lease not reclaimed: %v", err)
-	}
-	if got := readLease(t, dir, "w0"); got.PID != os.Getpid() {
-		t.Errorf("reclaimed lease pid = %d, want %d", got.PID, os.Getpid())
-	}
-	j.Close()
-
-	if err := os.WriteFile(leasePath(dir, "w1"), []byte("torn{"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	j1, _, err := OpenJournalSegment(dir, "w1", opt, 0)
-	if err != nil {
-		t.Fatalf("torn lease not reclaimed: %v", err)
-	}
-	j1.Close()
-
-	// A fresh heartbeat, however stale the acquire time, means alive.
-	writeLease(t, dir, "w2", 99999, 0)
-	if _, _, err := OpenJournalSegment(dir, "w2", opt, 0); err == nil {
-		t.Fatal("fresh foreign lease was stolen")
-	}
-}
-
-// TestJournalHeartbeat: Heartbeat must rewrite the lease with a fresh
-// liveness timestamp; on the legacy unleased journal it is a no-op.
-func TestJournalHeartbeat(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{Insts: 1000}
-
-	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	// Age the on-disk lease, then heartbeat: the timestamp must recover.
-	writeLease(t, dir, "w0", os.Getpid(), time.Hour)
-	if err := j.Heartbeat(); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLease(t, dir, "w0"); time.Since(time.Unix(got.HeartbeatUnix, 0)) > time.Minute {
-		t.Errorf("heartbeat did not refresh the lease: %+v", got)
-	}
-
-	legacy, _, err := OpenJournal(t.TempDir(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	if err := legacy.Heartbeat(); err != nil {
-		t.Errorf("Heartbeat on unleased journal: %v", err)
-	}
-}
-
-// TestBreakLease: the supervisor's force-release (used only after
-// waitpid proves the owner dead) must let a successor reacquire
-// immediately, without waiting out the TTL.
-func TestBreakLease(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{Insts: 1000}
-
-	writeLease(t, dir, "w0", 99999, 0) // fresh: unreclaimable by TTL
-	if _, _, err := OpenJournalSegment(dir, "w0", opt, 0); err == nil {
-		t.Fatal("fresh lease acquired without BreakLease")
-	}
-	if err := BreakLease(dir, "w0"); err != nil {
-		t.Fatal(err)
-	}
-	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
-	if err != nil {
-		t.Fatalf("reacquire after BreakLease: %v", err)
-	}
-	j.Close()
-
-	// Breaking a lease that is not there is not an error (the worker
-	// may have released it on a clean exit).
-	if err := BreakLease(dir, "w0"); err != nil {
-		t.Errorf("BreakLease on released lease: %v", err)
-	}
-	if err := BreakLease(dir, "../evil"); err == nil {
-		t.Error("BreakLease accepted a path-escaping id")
-	}
-}
-
 // TestJournalSegmentIDValidation: ids are filename tokens; anything
-// that could escape the directory or collide with runs.journal is
-// rejected.
+// that could escape the directory or collide with the pre-segment
+// runs.journal is rejected.
 func TestJournalSegmentIDValidation(t *testing.T) {
 	dir := t.TempDir()
 	for _, id := range []string{"", "a/b", "..", "w 0", "w.0"} {
@@ -427,9 +277,9 @@ func TestJournalSegmentIDValidation(t *testing.T) {
 	}
 }
 
-// TestReplayJournalDirMerges: the merged replay spans the legacy
+// TestReplayJournalDirMerges: the merged replay spans a pre-segment
 // runs.journal and every segment, deduplicating per cell with the
-// lexically-last copy winning.
+// lexically-last copy winning; the old file is read, never written.
 func TestReplayJournalDirMerges(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
@@ -444,6 +294,15 @@ func TestReplayJournalDirMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	legacy.Close()
+	// The same bytes under the name single-writer journals used to have.
+	legacyPath := filepath.Join(dir, "runs.journal")
+	if err := os.Rename(SegmentPath(dir, "0"), legacyPath); err != nil {
+		t.Fatal(err)
+	}
+	legacyBytes, err := os.ReadFile(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	w0, _, err := OpenJournalSegment(dir, "w0", opt, 0)
 	if err != nil {
@@ -480,13 +339,27 @@ func TestReplayJournalDirMerges(t *testing.T) {
 	if recs[0].Bench != "126.gcc" || recs[0].WallSeconds != 2.0 {
 		t.Errorf("shared cell = %+v, want the lexically-last (segment) copy", recs[0])
 	}
+	j0, recs, err := OpenJournal(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j0.Close()
+	if len(recs) != 3 {
+		t.Errorf("segment 0 open replayed %d records, want the 3 merged cells", len(recs))
+	}
+	if got, err := os.ReadFile(legacyPath); err != nil || !bytes.Equal(got, legacyBytes) {
+		t.Errorf("runs.journal changed by the opens around it (err %v)", err)
+	}
 
 	// A segment under a different fingerprint poisons the whole merge.
-	foreign, _, err := openJournalFile(SegmentPath(dir, "w2"), Options{Insts: 2000}.Fingerprint())
+	foreign, _, err := OpenJournalSegment(t.TempDir(), "w2", Options{Insts: 2000}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	foreign.Close()
+	if err := os.Rename(foreign.path, SegmentPath(dir, "w2")); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ReplayJournalDir(dir, opt); err == nil {
 		t.Error("merge accepted a segment with a foreign fingerprint")
 	}
@@ -550,4 +423,147 @@ func TestReplayJournalDirSkipsForeignTornTail(t *testing.T) {
 	if fi.Size() >= torn {
 		t.Errorf("owner reopen did not truncate the torn tail: size %d", fi.Size())
 	}
+}
+
+// segmentBytes returns the bytes of a closed segment written under opt
+// holding recs.
+func segmentBytes(tb testing.TB, opt Options, recs ...RunRecord) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(SegmentPath(dir, "w0"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestJournalSegmentTornHeaderReinitialized: a crash before a fresh
+// segment's meta entry is durable leaves an empty file, part of the
+// magic line, or the magic and a torn meta frame. The next open must
+// reset such a segment and initialize it once, so the cells appended
+// after it replay on every later open.
+func TestJournalSegmentTornHeaderReinitialized(t *testing.T) {
+	opt := Options{Insts: 1000}
+	header := segmentBytes(t, opt)
+	magic := len(journalMagic)
+	rec := journalRecord("126.gcc", nas(config.Sync), 1000)
+	for name, torn := range map[string][]byte{
+		"empty":            {},
+		"part of magic":    header[:magic-5],
+		"magic only":       header[:magic],
+		"torn meta":        header[:magic+12],
+		"meta less a byte": header[:len(header)-1],
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := SegmentPath(dir, "w0")
+			if err := os.WriteFile(path, torn, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			j, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != 0 {
+				t.Fatalf("torn header replayed %d records", len(recs))
+			}
+			if err := j.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			j2, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j2.Close()
+			if len(recs) != 1 || recs[0].Provenance != rec.Provenance {
+				t.Fatalf("reopen replayed %+v, want the cell appended after the torn header", recs)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(data, header) || bytes.Count(data, []byte(journalMagic)) != 1 {
+				t.Errorf("segment does not start with one fresh header: %q", data[:min(len(data), 2*magic)])
+			}
+		})
+	}
+}
+
+// FuzzJournalSegment: whatever bytes a segment file holds, opening it
+// either fails or yields a journal whose appended cell replays after a
+// reopen. It never panics, and it allocates in proportion to the file,
+// never to a length prefix read from it.
+func FuzzJournalSegment(f *testing.F) {
+	opt := Options{Insts: 1000}
+	header := segmentBytes(f, opt)
+	withRun := segmentBytes(f, opt, journalRecord("126.gcc", nas(config.Naive), 1000))
+	magic := len(journalMagic)
+	flipped := bytes.Clone(withRun)
+	flipped[len(header)+5] ^= 0xFF // the run frame's CRC
+	huge := binary.BigEndian.AppendUint32(bytes.Clone(header), maxJournalEntry+1)
+	huge = append(huge, 0, 0, 0, 0, '{', '}')
+	for _, seed := range [][]byte{
+		{},
+		header[:magic],
+		header[:magic+12],
+		header,
+		withRun,
+		withRun[:len(withRun)-10],
+		flipped,
+		huge,
+		[]byte("mdspec-journal/9\n{}"),
+		segmentBytes(f, Options{Insts: 2000}),
+	} {
+		f.Add(seed)
+	}
+	want := journalRecord("102.swim", nas(config.Oracle), 1000)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(SegmentPath(dir, "w0"), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20+256*uint64(len(data)) {
+			t.Fatalf("opening a %d-byte segment allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		if err := j.Append(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
+		if err != nil {
+			t.Fatalf("reopen after an append: %v", err)
+		}
+		defer j2.Close()
+		for _, rec := range recs {
+			if rec.Bench == want.Bench && rec.ConfigHash == want.ConfigHash {
+				if rec.Provenance != want.Provenance || *rec.Stats != *want.Stats {
+					t.Fatalf("appended cell replayed as %+v, want %+v", rec, want)
+				}
+				return
+			}
+		}
+		t.Fatalf("appended cell missing from the %d replayed records", len(recs))
+	})
 }

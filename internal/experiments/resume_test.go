@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"os"
 	"testing"
-	"time"
 
 	"mdspec/internal/config"
 	"mdspec/internal/stats"
@@ -113,12 +111,12 @@ func TestResumeBitIdentical(t *testing.T) {
 
 // TestConcurrentSegmentsCrashRecovery is the multi-writer analogue of
 // TestResumeBitIdentical: two writers journal disjoint halves of a
-// sweep into their own leased segments concurrently; one is "SIGKILLed"
-// mid-append (its segment gets a torn tail, its lease is left behind
-// with a dead heartbeat). Recovery must reclaim the stale lease,
-// truncate exactly the torn tail of the dead writer's own segment —
-// not a byte of anyone else's — and replay every other cell from both
-// segments bit-identically, re-simulating only the torn one.
+// sweep into their own locked segments concurrently; one is "SIGKILLed"
+// mid-append (its file closes without Close, its segment gets a torn
+// tail). Recovery must take the segment over at once, truncate exactly
+// the torn tail of the dead writer's own segment — not a byte of
+// anyone else's — and replay every other cell from both segments
+// bit-identically, re-simulating only the torn one.
 func TestConcurrentSegmentsCrashRecovery(t *testing.T) {
 	opt := Options{Insts: 6_000, Sampled: true, TimingWindow: 1_000, FunctionalWindow: 2_000}
 	jobs := sweepJobs()
@@ -174,18 +172,10 @@ func TestConcurrentSegmentsCrashRecovery(t *testing.T) {
 	}
 	j0.Close()
 
-	// "SIGKILL" w1 mid-append: drop the file handle without releasing
-	// the lease, tear its last frame, and age the lease past any TTL.
+	// "SIGKILL" w1 mid-append: its file closes the way a dying
+	// process's does, which drops the lock, and its last frame is torn.
 	j1.f.Close()
 	if err := os.Truncate(seg1, sizes[1]-11); err != nil {
-		t.Fatal(err)
-	}
-	stale := time.Now().Add(-time.Hour).Unix()
-	data, err := json.Marshal(leaseInfo{Owner: "w1", PID: os.Getpid(), AcquiredUnix: stale, HeartbeatUnix: stale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(leasePath(dir, "w1"), data, 0o666); err != nil {
 		t.Fatal(err)
 	}
 	w0size, err := os.Stat(SegmentPath(dir, "w0"))
@@ -193,8 +183,8 @@ func TestConcurrentSegmentsCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recovery: w1's successor reclaims the stale lease and repairs its
-	// own segment — truncated to exactly the last intact frame.
+	// Recovery: w1's successor takes the segment over and repairs it —
+	// truncated to exactly the last intact frame.
 	j1b, recs, err := OpenJournalSegment(dir, "w1", opt, 0)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)

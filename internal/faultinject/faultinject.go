@@ -53,9 +53,9 @@ const (
 	// probe (an injected error counts as a missed heartbeat; enough
 	// consecutive misses must get the worker killed and restarted).
 	SiteWorkerHeartbeat = "worker.heartbeat"
-	// SiteLeaseAcquire fires as a journal segment lease is acquired (an
+	// SiteLeaseAcquire fires as a journal segment's lock is taken (an
 	// injected error must fail the segment open cleanly — the caller
-	// restarts or degrades, and no lease file is left behind).
+	// restarts or degrades, and the segment stays unlocked).
 	SiteLeaseAcquire = "lease.acquire"
 )
 

@@ -9,12 +9,13 @@
 // (§4.2): pay only for the misspeculated slice — here, the one dead
 // worker's in-flight cells — never the whole window.
 //
-// Journal ownership is lease-based: each worker appends to its own
-// runs.<id>.journal segment under a heartbeat-stamped lease file
-// (experiments.OpenJournalSegment); the supervisor breaks a lease only
-// after waitpid confirms the owner is dead, and a restarted process
-// merges every segment via experiments.ReplayJournalDir, so nothing a
-// worker journaled before dying is ever re-simulated.
+// Journal ownership is a kernel file lock: each worker appends to its
+// own runs.<id>.journal segment, which it holds locked for its lifetime
+// (experiments.OpenJournalSegment). The kernel drops the lock the
+// moment the worker dies, so its respawn takes the segment over at
+// once, and a restarted process merges every segment via
+// experiments.ReplayJournalDir, so nothing a worker journaled before
+// dying is ever re-simulated.
 //
 // The control channel is the daemon's own API: each worker is a full
 // mdserve server on a private unix socket, driven through a
@@ -76,11 +77,6 @@ type Config struct {
 	Args func(slot int, socket string) []string
 	// Dir is where per-worker control sockets are created.
 	Dir string
-	// JournalDir, when set, is the shared journal directory: after
-	// waitpid confirms a worker dead, the supervisor breaks the stale
-	// lease on its runs.<id>.journal segment so the respawned process
-	// can reclaim it immediately instead of waiting out the TTL.
-	JournalDir string
 	// Meta is the provenance fingerprint stamped on every dispatched
 	// cell; a worker whose tuple diverged refuses it with 409.
 	Meta *experiments.Fingerprint
@@ -156,8 +152,8 @@ func (c Config) withDefaults() Config {
 }
 
 // WorkerID is the journal segment id for a worker slot ("w0", "w1",
-// ...); cmd/mdserve passes it to the child as -worker-id so the
-// supervisor knows which lease to break after the child dies.
+// ...); cmd/mdserve passes it to the child as -worker-id, and the child
+// holds that segment locked for its lifetime.
 func WorkerID(slot int) string { return fmt.Sprintf("w%d", slot) }
 
 // worker is one supervised slot. Everything here is immutable after
@@ -609,10 +605,10 @@ func (p *Pool) Degraded() bool {
 // ---- worker process supervision ----
 
 // supervise owns one slot's process lifecycle: spawn, wait for
-// readiness, monitor heartbeats until death, break the dead worker's
-// journal lease, back off, respawn. It never abandons the slot — the
-// backoff saturates at Restart.MaxDelay — so a long outage degrades
-// the pool (degradeWatch) instead of silently shrinking it.
+// readiness, monitor heartbeats until death, back off, respawn. It
+// never abandons the slot — the backoff saturates at Restart.MaxDelay
+// — so a long outage degrades the pool (degradeWatch) instead of
+// silently shrinking it.
 func (p *Pool) supervise(ctx context.Context, w *worker) {
 	defer p.wg.Done()
 	attempt := 0
@@ -640,7 +636,6 @@ func (p *Pool) supervise(ctx context.Context, w *worker) {
 				_ = cmd.Process.Kill()
 				<-exited //md:ctxok child was just SIGKILLed; Wait returns promptly
 			}
-			p.breakLease(w)
 			if ctx.Err() != nil {
 				return
 			}
@@ -658,9 +653,6 @@ func (p *Pool) supervise(ctx context.Context, w *worker) {
 		p.markAlive(w)
 		p.monitor(ctx, w, cmd, exited)
 		p.markDead(w)
-		// Only now — after waitpid — is breaking the lease safe: the dead
-		// process cannot race us for its journal segment.
-		p.breakLease(w)
 		if ctx.Err() != nil {
 			return
 		}
@@ -782,15 +774,4 @@ func (p *Pool) heartbeat(ctx context.Context, w *worker) error {
 	pctx, cancel := context.WithTimeout(ctx, p.cfg.HeartbeatEvery)
 	defer cancel()
 	return w.client.Healthz(pctx)
-}
-
-// breakLease reclaims a dead worker's journal segment lease so its
-// respawn (or a supervisor restart's merge) does not wait out the TTL.
-func (p *Pool) breakLease(w *worker) {
-	if p.cfg.JournalDir == "" {
-		return
-	}
-	if err := experiments.BreakLease(p.cfg.JournalDir, w.id); err != nil {
-		p.cfg.Log.Printf("fleet: breaking lease for %s: %v", w.id, err)
-	}
 }
