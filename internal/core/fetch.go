@@ -39,7 +39,9 @@ func (p *Pipeline) fetch() {
 	fetched, branches, blocks := 0, 0, 0
 	for fetched < p.cfg.FetchWidth {
 		// Respect the window: never run further than Window ahead of
-		// commit (the front-end queue is part of that budget).
+		// commit (the front-end queue is part of that budget). This is
+		// what frees the slot that stage writes: its previous occupant
+		// has committed or was squashed.
 		if p.fetchSeq >= p.headSeq+int64(p.cfg.Window) {
 			break
 		}
@@ -64,53 +66,67 @@ func (p *Pipeline) fetch() {
 				break
 			}
 		}
-		rec := fetchRec{di: *d, seq: p.fetchSeq, ready: p.cycle + int64(p.cfg.FrontEndDepth), isMem: d.Inst.Op.IsMem()}
-		if d.IsBranch() {
+		isBranch := d.IsBranch()
+		if isBranch {
 			if branches == p.cfg.BranchesPerCycle {
 				break
 			}
 			branches++
-			p.predictBranch(d, &rec)
+		}
+		seq := p.fetchSeq
+		s := p.slotIndex(seq)
+		p.stage(s, d)
+		wrong, wrongPC := false, uint32(0)
+		if isBranch {
+			wrong, wrongPC = p.predictBranch(s, d)
 		}
 		//md:allocok amortized: fetchQ reaches its steady capacity and is reused
-		p.fetchQ = append(p.fetchQ, rec)
+		p.fetchQ = append(p.fetchQ, fetchRec{seq: seq, ready: p.cycle + int64(p.cfg.FrontEndDepth)})
 		p.fetchSeq++
 		fetched++
 		p.activity = true
-		if rec.bpWrong {
+		if wrong {
 			// Stall until the branch resolves; optionally stream
 			// wrong-path fetches meanwhile.
-			p.blockedOnBranch = rec.seq
-			p.wrongPathPC = rec.wrongPC
+			p.blockedOnBranch = seq
+			p.wrongPathPC = wrongPC
 			p.wrongPathBlocks = wrongPathBlockBudget
 			break
 		}
 	}
 }
 
-// predictBranch runs the branch predictor for the fetched branch d and
-// records the prediction in rec. rec.bpWrong is set when the predicted
-// next PC differs from the architectural one.
-func (p *Pipeline) predictBranch(d *emu.DynInst, rec *fetchRec) {
+// predictBranch runs the branch predictor for the fetched branch d,
+// records the prediction in d's window slot s, and reports whether the
+// predicted next PC differs from the architectural one, along with the
+// predicted (wrong-path) next PC.
+func (p *Pipeline) predictBranch(s int32, d *emu.DynInst) (wrong bool, wrongPC uint32) {
+	r := &p.rob
 	in := d.Inst
 	fallthrough_ := d.PC + isa.InstBytes
 	if in.Op.IsCondBranch() {
-		rec.bpIsCond = true
-		rec.bpHist = p.bp.History()
+		r.bpHist[s] = p.bp.History()
 		pred := p.bp.PredictDirection(d.PC)
-		rec.bpPred = pred
 		p.bp.SpeculateHistory(pred)
-		rec.bpWrong = pred != d.Taken
+		wrong = pred != d.Taken
+		f := fBpIsCond
+		wrongPC = fallthrough_
 		if pred {
-			rec.wrongPC = in.Target
-		} else {
-			rec.wrongPC = fallthrough_
+			f |= fBpPred
+			wrongPC = in.Target
 		}
-		return
+		if wrong {
+			f |= fBpWrong
+		}
+		r.set(s, f)
+		return wrong, wrongPC
 	}
 	_, tgt := p.bp.Predict(d.PC, in, fallthrough_)
-	rec.bpWrong = tgt != d.NextPC
-	rec.wrongPC = tgt
+	if tgt != d.NextPC {
+		r.set(s, fBpWrong)
+		return true, tgt
+	}
+	return false, tgt
 }
 
 // fetchSplit implements the distributed, split-window front end of §3.7:
@@ -138,7 +154,8 @@ func (p *Pipeline) fetchSplit() {
 			if p.traceEnded && seq >= p.traceLen {
 				break // this unit has run off the end of the program
 			}
-			// The slot must be free (previous occupant committed).
+			// The slot must be free (previous occupant committed):
+			// fetch stages the instruction into it.
 			if seq >= p.headSeq+int64(p.cfg.Window) {
 				break
 			}
@@ -161,21 +178,26 @@ func (p *Pipeline) fetchSplit() {
 					break
 				}
 			}
-			rec := fetchRec{di: *d, seq: seq, ready: p.cycle + int64(p.cfg.FrontEndDepth), isMem: d.Inst.Op.IsMem(), unit: u}
-			if d.IsBranch() {
+			isBranch := d.IsBranch()
+			if isBranch {
 				if branches == p.cfg.BranchesPerCycle {
 					break
 				}
 				branches++
-				p.predictBranch(d, &rec)
+			}
+			s := p.slotIndex(seq)
+			p.stage(s, d)
+			wrong := false
+			if isBranch {
+				wrong, _ = p.predictBranch(s, d)
 			}
 			//md:allocok amortized: fetchQ reaches its steady capacity and is reused
-			p.fetchQ = append(p.fetchQ, rec)
+			p.fetchQ = append(p.fetchQ, fetchRec{seq: seq, ready: p.cycle + int64(p.cfg.FrontEndDepth)})
 			p.advanceUnitFetch(u, taskSize)
 			fetched++
 			p.activity = true
-			if rec.bpWrong {
-				p.unitBlockedOn[u] = rec.seq
+			if wrong {
+				p.unitBlockedOn[u] = seq
 				break
 			}
 		}
@@ -193,9 +215,10 @@ func (p *Pipeline) advanceUnitFetch(u int, taskSize int64) {
 	p.unitFetchSeq[u] = seq
 }
 
-// dispatch moves front-end instructions into the window, resolving
-// register dependences and applying per-policy dispatch-time work
-// (predictor lookups, synonym matching).
+// dispatch moves front-end instructions into the window, applying
+// per-policy dispatch-time work (predictor lookups, synonym matching).
+// The instructions are already staged in their slots; the queue holds
+// only their sequence numbers and ready cycles.
 func (p *Pipeline) dispatch() {
 	width := p.cfg.IssueWidth
 	lsq := p.cfg.LSQSize
@@ -208,12 +231,12 @@ func (p *Pipeline) dispatch() {
 		// the queue is consumed from the head and the cursor advances.
 		h := p.fetchHead
 		for ; h < len(p.fetchQ); h++ {
-			rec := &p.fetchQ[h]
-			lsqFull := p.memInFlight >= lsq && rec.isMem
+			rec := p.fetchQ[h]
+			lsqFull := p.memInFlight >= lsq && p.rob.has(p.slotIndex(rec.seq), fMem)
 			if dispatched >= width || rec.ready > p.cycle || rec.seq >= p.headSeq+int64(p.cfg.Window) || lsqFull {
 				break
 			}
-			p.dispatchOne(rec)
+			p.dispatchOne(rec.seq)
 			dispatched++
 		}
 		p.fetchHead = h
@@ -231,15 +254,14 @@ func (p *Pipeline) dispatch() {
 		// Split window: units dispatch independently, so stalled records
 		// are skipped and the queue is compacted in place.
 		out := p.fetchQ[:0]
-		for i := range p.fetchQ {
-			rec := &p.fetchQ[i]
-			lsqFull := p.memInFlight >= lsq && rec.isMem
+		for _, rec := range p.fetchQ {
+			lsqFull := p.memInFlight >= lsq && p.rob.has(p.slotIndex(rec.seq), fMem)
 			if dispatched >= width || rec.ready > p.cycle || rec.seq >= p.headSeq+int64(p.cfg.Window) || lsqFull {
 				//md:allocok reuse-append into fetchQ[:0]; never exceeds the old length
-				out = append(out, *rec)
+				out = append(out, rec)
 				continue
 			}
-			p.dispatchOne(rec)
+			p.dispatchOne(rec.seq)
 			dispatched++
 		}
 		p.fetchQ = out
@@ -279,33 +301,25 @@ func init() {
 	}
 }
 
-// dispatchOne installs one instruction into its window slot. Every
-// column is written explicitly: slots are reused and carry a previous
-// occupant's values; colparity enforces the every-column contract.
+// stage writes the fetched instruction d into its window slot s: every
+// column but seq, which dispatchOne writes to publish the entry. The
+// slot is free (fetch never runs more than Window ahead of commit) and
+// nothing reads a slot's other columns until seq names it, so fetch
+// fills the slot in place and no record is copied on the way to
+// dispatch. Every column is written explicitly: slots are reused and
+// carry a previous occupant's values; colparity enforces the
+// every-column contract. predictBranch adds the prediction afterwards.
 //
 //md:hotpath
 //md:soalifecycle robCols
-func (p *Pipeline) dispatchOne(rec *fetchRec) {
-	d := &rec.di
-	s := p.slotIndex(rec.seq)
+//md:colok seq dispatchOne publishes the slot
+func (p *Pipeline) stage(s int32, d *emu.DynInst) {
 	r := &p.rob
-	r.seq[s] = rec.seq
 	m := &opMeta[d.Inst.Op]
 	f := m.flags
-	if rec.bpPred {
-		f |= fBpPred
-	}
-	if rec.bpWrong {
-		f |= fBpWrong
-	}
-	if rec.bpIsCond {
-		f |= fBpIsCond
-	}
 	if d.Taken {
 		f |= fTaken
 	}
-	isLoad := f&fLoad != 0
-	isStore := f&fStore != 0
 	r.flags[s] = f
 	r.class[s] = m.class
 	r.doneCycle[s] = notYet
@@ -326,19 +340,30 @@ func (p *Pipeline) dispatchOne(rec *fetchRec) {
 	r.addr[s] = d.Addr
 	r.nextPC[s] = d.NextPC
 	r.synonym[s] = 0
-	r.bpHist[s] = rec.bpHist
-	if rec.seq >= p.dispatchSeq {
-		p.dispatchSeq = rec.seq + 1
+	r.bpHist[s] = 0
+}
+
+// dispatchOne moves the staged instruction seq into the window: it
+// publishes the slot, applies the policy's dispatch-time work and makes
+// the entry a wakeup candidate.
+//
+//md:hotpath
+func (p *Pipeline) dispatchOne(seq int64) {
+	s := p.slotIndex(seq)
+	r := &p.rob
+	r.seq[s] = seq
+	if seq >= p.dispatchSeq {
+		p.dispatchSeq = seq + 1
 	}
-	switch {
-	case isStore:
+	switch f := r.flags[s]; {
+	case f&fStore != 0:
 		p.memInFlight++
 		p.dispatchStore(s)
-	case isLoad:
+	case f&fLoad != 0:
 		p.memInFlight++
 		p.dispatchLoad(s)
 	}
-	p.candInsert(rec.seq)
+	p.candInsert(seq)
 }
 
 // dispatchStore applies store-side policy work at dispatch.

@@ -71,7 +71,8 @@ func (p *Pipeline) issueEvent() {
 // cursors persist across passes; nothing unblocks within a cycle (all
 // completion conditions are of the form "cycle >= t" with t strictly in
 // the future at issue), so an exhausted unit stays exhausted for the
-// rest of the cycle.
+// rest of the cycle: later rounds skip it, and the walk ends once every
+// unit is exhausted.
 func (p *Pipeline) issueSplitEvent() {
 	units := p.cfg.SplitUnits
 	w := int32(p.cfg.Window)
@@ -81,10 +82,18 @@ func (p *Pipeline) issueSplitEvent() {
 	for u := range cur {
 		cur[u] = 0
 	}
-	for p.issueLeft > 0 {
+	first := p.issueRotate % units
+	exhausted := 0
+	for p.issueLeft > 0 && exhausted < units {
 		progress := false
-		for off := 0; off < units && p.issueLeft > 0; off++ {
-			u := (p.issueRotate + off) % units
+		u := first - 1
+		for n := 0; n < units && p.issueLeft > 0; n++ {
+			if u++; u == units {
+				u = 0
+			}
+			if cur[u] == task {
+				continue
+			}
 			a := int32(u) * task
 			b := a + task
 			st := a // rotation point: the unit's oldest possible slot
@@ -131,7 +140,9 @@ func (p *Pipeline) issueSplitEvent() {
 				p.applyParkReq(s)
 				v++
 			}
-			cur[u] = v
+			if cur[u] = v; v == task {
+				exhausted++
+			}
 		}
 		if !progress {
 			break

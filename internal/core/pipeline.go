@@ -84,12 +84,13 @@ const (
 )
 
 // robCols is the instruction window (RUU) in structure-of-arrays form:
-// one dense column per field, indexed by window slot. The issue stage
-// touches only the columns a given check needs (liveness is one int64
-// compare, the predicate cascade one uint32 load), so a window walk
-// streams a few cache lines per column instead of dragging a ~200-byte
-// robEntry struct through the cache per entry, and dispatch writes
-// columns instead of a duffcopy of the whole struct.
+// one dense column per field, indexed by window slot. Each examination
+// of a wakeup candidate touches only the columns its check needs
+// (liveness is one int64 compare, the predicate cascade one uint32
+// load), so it loads a few words, not a ~200-byte entry struct. Fetch
+// writes an instruction's columns straight into its slot (stage), so no
+// record is copied on the way to dispatch. A per-slot struct with the
+// hot fields in one cache line measured no faster.
 //
 //md:soa
 type robCols struct {
@@ -185,18 +186,11 @@ func (r *robCols) clear(s int32, f uint32) { r.flags[s] &^= f }
 
 const notYet int64 = 1 << 62
 
-// fetchRec is an instruction moving through the front end.
+// fetchRec is an instruction moving through the front end. Fetch has
+// already staged it in its window slot; dispatch publishes that slot.
 type fetchRec struct {
-	di       emu.DynInst // decoded at fetch; dispatch reads it without re-decoding
-	seq      int64
-	ready    int64 // dispatchable at this cycle
-	isMem    bool  // decoded at fetch, for the dispatch LSQ check
-	bpHist   uint32
-	bpPred   bool
-	bpWrong  bool
-	bpIsCond bool
-	wrongPC  uint32 // predicted (wrong) next PC, for wrong-path fetch
-	unit     int    // split-window fetch unit
+	seq   int64
+	ready int64 // dispatchable at this cycle
 }
 
 // Pipeline is one configured simulation instance.
@@ -223,9 +217,9 @@ type Pipeline struct {
 	// fetchQ holds fetched-but-undispatched instructions; the live
 	// records are fetchQ[fetchHead:]. The continuous window consumes the
 	// queue strictly in order, so dispatch advances the cursor instead of
-	// compacting the slice every cycle (fetch records are wide — they
-	// carry the decoded instruction). Split-window dispatch skips stalled
-	// records out of order and still compacts, leaving fetchHead at 0.
+	// compacting the slice every cycle. Split-window dispatch skips
+	// stalled records out of order and still compacts, leaving fetchHead
+	// at 0.
 	fetchQ    []fetchRec
 	fetchHead int
 

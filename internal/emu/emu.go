@@ -55,49 +55,140 @@ func (d *DynInst) IsStore() bool { return d.Inst.Op.IsStore() }
 // IsBranch reports whether the dynamic instruction redirects control flow.
 func (d *DynInst) IsBranch() bool { return d.Inst.Op.IsBranch() }
 
+// The 32-bit byte address space is 2^29 words of 8 bytes. A page holds
+// 512 words (4 KB), a leaf 1024 pages (4 MB), and the directory 1024
+// leaves.
 const (
 	pageWords = 512
 	pageShift = 9
 	pageMask  = pageWords - 1
+	leafShift = 10
+	leafPages = 1 << leafShift
+	leafMask  = leafPages - 1
+	dirLeaves = 1024
+	dirShift  = pageShift + leafShift // word address -> directory index
 )
 
-// Memory is a sparse, paged, word-addressed (8-byte words) memory image.
-// The zero value is an empty memory; all words read as zero until written.
+// Memory is a sparse, word-addressed (8-byte words) memory image behind
+// a two-level page directory: an access is two indexed loads, with no
+// hashing. Leaves and pages are made on first write. The zero value is
+// an empty memory; all words read as zero until written.
 type Memory struct {
-	pages map[uint32]*[pageWords]int64
+	dir [dirLeaves]*leaf
+}
+
+// leaf is one directory entry. stored[p][i] is 1 + the Seq of the last
+// emulated store to word i of page p, and 0 means "never stored". A
+// page's stored array is made on its first store; few pages get one.
+type leaf struct {
+	words  [leafPages]*[pageWords]int64
+	stored [leafPages]*[pageWords]int64
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint32]*[pageWords]int64)}
-}
-
-func wordAddr(byteAddr uint32) uint32 { return byteAddr >> 3 }
+func NewMemory() *Memory { return &Memory{} }
 
 // Read returns the word at byte address addr (must be 8-byte aligned).
 func (m *Memory) Read(addr uint32) int64 {
-	w := wordAddr(addr)
-	pg := m.pages[w>>pageShift]
-	if pg == nil {
-		return 0
-	}
-	return pg[w&pageMask]
+	v, _ := m.load(addr)
+	return v
 }
 
 // Write stores v at byte address addr (must be 8-byte aligned).
 func (m *Memory) Write(addr uint32, v int64) {
-	w := wordAddr(addr)
-	key := w >> pageShift
-	pg := m.pages[key]
-	if pg == nil {
-		pg = new([pageWords]int64)
-		m.pages[key] = pg
+	w := addr >> 3
+	m.leafOf(w).page(w)[w&pageMask] = v
+}
+
+// load returns the word at byte address addr and the Seq of the last
+// store to it, or -1 if no store has written it.
+func (m *Memory) load(addr uint32) (word, producer int64) {
+	w := addr >> 3
+	l := m.dir[w>>dirShift]
+	if l == nil {
+		return 0, -1
 	}
-	pg[w&pageMask] = v
+	p := w >> pageShift & leafMask
+	pg := l.words[p]
+	if pg == nil {
+		return 0, -1
+	}
+	producer = -1
+	if st := l.stored[p]; st != nil {
+		producer = st[w&pageMask] - 1
+	}
+	return pg[w&pageMask], producer
+}
+
+// store records seq as the last store to the word at byte address addr
+// and returns a pointer to the word, for the caller to read and update.
+func (m *Memory) store(addr uint32, seq int64) *int64 {
+	w := addr >> 3
+	l := m.leafOf(w)
+	p := &l.stored[w>>pageShift&leafMask]
+	if *p == nil {
+		*p = new([pageWords]int64)
+	}
+	(*p)[w&pageMask] = seq + 1
+	return &l.page(w)[w&pageMask]
+}
+
+// leafOf returns the leaf covering word address w, making it on first
+// use.
+func (m *Memory) leafOf(w uint32) *leaf {
+	l := m.dir[w>>dirShift]
+	if l == nil {
+		l = new(leaf)
+		m.dir[w>>dirShift] = l
+	}
+	return l
+}
+
+// page returns the page holding word address w, making it on first use.
+func (l *leaf) page(w uint32) *[pageWords]int64 {
+	p := &l.words[w>>pageShift&leafMask]
+	if *p == nil {
+		*p = new([pageWords]int64)
+	}
+	return *p
+}
+
+// loadImage copies data into memory starting at byte address base, page
+// by page. Pages whose share of data is all zero are skipped, so
+// untouched pages of a data image are never materialized.
+func (m *Memory) loadImage(base uint32, data []int64) {
+	w := base >> 3
+	for len(data) > 0 {
+		n := pageWords - int(w&pageMask)
+		if n > len(data) {
+			n = len(data)
+		}
+		for _, v := range data[:n] {
+			if v != 0 {
+				copy(m.leafOf(w).page(w)[w&pageMask:], data[:n])
+				break
+			}
+		}
+		data = data[n:]
+		w += uint32(n)
+	}
 }
 
 // Footprint returns the number of distinct pages touched.
-func (m *Memory) Footprint() int { return len(m.pages) }
+func (m *Memory) Footprint() int {
+	n := 0
+	for _, l := range m.dir {
+		if l == nil {
+			continue
+		}
+		for _, pg := range l.words {
+			if pg != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // Machine executes a program functionally.
 type Machine struct {
@@ -108,8 +199,6 @@ type Machine struct {
 	seq    int64
 	halted bool
 
-	// lastStore maps word address -> Seq of the last store to it.
-	lastStore map[uint32]int64
 	// lastWriter maps register -> Seq of the last instruction to write
 	// it (-1 if never written).
 	lastWriter [isa.NumRegs]int64
@@ -119,18 +208,11 @@ type Machine struct {
 // data image loaded and SP set to the stack base.
 func New(p *prog.Program) *Machine {
 	m := &Machine{
-		prog:      p,
-		mem:       NewMemory(),
-		pc:        p.Entry,
-		lastStore: make(map[uint32]int64),
+		prog: p,
+		mem:  NewMemory(),
+		pc:   p.Entry,
 	}
-	// Only non-zero words are written, so untouched pages of the data
-	// image are never materialized.
-	for i, v := range p.Data {
-		if v != 0 {
-			m.mem.Write(prog.DataBase+uint32(i*prog.WordBytes), v)
-		}
-	}
+	m.mem.loadImage(prog.DataBase, p.Data)
 	m.regs[isa.SP] = int64(prog.StackBase)
 	for i := range m.lastWriter {
 		m.lastWriter[i] = -1
@@ -181,15 +263,18 @@ func (m *Machine) Step(d *DynInst) bool {
 		return false
 	}
 
-	*d = DynInst{
-		Seq:         m.seq,
-		PC:          m.pc,
-		Inst:        in,
-		ProducerSeq: -1,
-		Dep1Seq:     m.writerOf(in.Src1()),
-		Dep2Seq:     m.writerOf(in.Src2()),
-		NextPC:      m.pc + isa.InstBytes,
-	}
+	// Field by field: a composite-literal assignment would copy the
+	// whole pointer-bearing record through the write barrier.
+	d.Seq = m.seq
+	d.PC = m.pc
+	d.Inst = in
+	d.Addr = 0
+	d.LoadVal, d.StoreVal, d.OldVal = 0, 0, 0
+	d.ProducerSeq = -1
+	d.Dep1Seq = m.writerOf(in.Src1())
+	d.Dep2Seq = m.writerOf(in.Src2())
+	d.NextPC = m.pc + isa.InstBytes
+	d.Taken = false
 
 	r1 := m.Reg(in.Src1())
 	r2v := m.Reg(in.Rs2)
@@ -263,20 +348,18 @@ func (m *Machine) Step(d *DynInst) bool {
 		byteAddr := uint32(r1 + in.Imm)
 		addr := alignWord(byteAddr)
 		d.Addr = addr
-		word := m.mem.Read(addr)
+		word, producer := m.mem.load(addr)
 		d.LoadVal = extract(word, in.Op, byteAddr)
-		if s, ok := m.lastStore[wordAddr(addr)]; ok {
-			d.ProducerSeq = s
-		}
+		d.ProducerSeq = producer
 		m.setReg(in.Rd, d.LoadVal)
 	case isa.SW, isa.SB, isa.SH:
 		byteAddr := uint32(r1 + in.Imm)
 		addr := alignWord(byteAddr)
 		d.Addr = addr
-		d.OldVal = m.mem.Read(addr)
+		word := m.mem.store(addr, m.seq)
+		d.OldVal = *word
 		d.StoreVal = merge(d.OldVal, r2v, in.Op, byteAddr)
-		m.mem.Write(addr, d.StoreVal)
-		m.lastStore[wordAddr(addr)] = m.seq
+		*word = d.StoreVal
 	case isa.BEQ:
 		d.Taken = r1 == r2v
 	case isa.BNE:

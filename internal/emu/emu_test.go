@@ -179,6 +179,76 @@ func TestMemorySparse(t *testing.T) {
 	}
 }
 
+func TestMemoryZeroValue(t *testing.T) {
+	var m Memory
+	if m.Read(0x1000) != 0 || m.Footprint() != 0 {
+		t.Fatal("the zero Memory must read as empty")
+	}
+	m.Write(0x1000, 9)
+	if m.Read(0x1000) != 9 || m.Footprint() != 1 {
+		t.Errorf("zero Memory after one write: read %d, footprint %d; want 9, 1", m.Read(0x1000), m.Footprint())
+	}
+}
+
+// TestMemoryPageAndLeafEdges writes the first and last word of a page
+// and of a leaf, and the lowest and highest word of the address space,
+// and reads each back without disturbing its neighbours.
+func TestMemoryPageAndLeafEdges(t *testing.T) {
+	const pageBytes = pageWords * prog.WordBytes
+	const leafBytes = leafPages * pageBytes
+	addrs := []uint32{
+		0, 0xffff_fff8, // the address space's first and last word
+		5 * pageBytes, 6*pageBytes - 8, // a page's first and last word
+		3 * leafBytes, 4*leafBytes - 8, // a leaf's first and last word
+	}
+	m := NewMemory()
+	for i, a := range addrs {
+		m.Write(a, int64(i)+100)
+	}
+	for i, a := range addrs {
+		if got := m.Read(a); got != int64(i)+100 {
+			t.Errorf("Read(%#x) = %d, want %d", a, got, int64(i)+100)
+		}
+	}
+	for _, a := range []uint32{8, 0xffff_fff0, 5*pageBytes - 8, 6 * pageBytes, 3*leafBytes - 8, 4 * leafBytes} {
+		if got := m.Read(a); got != 0 {
+			t.Errorf("neighbour Read(%#x) = %d, want 0", a, got)
+		}
+	}
+	// A page's first and last word share its page; the leaf's sit on
+	// its first and last page.
+	if got := m.Footprint(); got != 5 {
+		t.Errorf("footprint = %d, want 5", got)
+	}
+}
+
+// TestNewMaterializesNonZeroPages loads a data image whose pages are
+// all-zero, partly zero and straddle the image's end, and requires New
+// to materialize exactly the pages holding a non-zero word, as writing
+// the image word by word did.
+func TestNewMaterializesNonZeroPages(t *testing.T) {
+	data := make([]int64, 5*pageWords+17)
+	data[3] = 1                // page 0
+	data[2*pageWords+511] = -2 // page 2, last word; page 1 stays all zero
+	data[5*pageWords+16] = 7   // page 5, the image's last word
+	p := &prog.Program{Code: []isa.Inst{{Op: isa.HALT}}, Entry: prog.TextBase, Data: data}
+	m := New(p)
+	want := map[uint32]bool{}
+	for i, v := range data {
+		if v != 0 {
+			want[(prog.DataBase/prog.WordBytes+uint32(i))/pageWords] = true
+		}
+	}
+	if got := m.Mem().Footprint(); got != len(want) {
+		t.Errorf("footprint = %d, want %d", got, len(want))
+	}
+	for i, v := range data {
+		if got := m.Mem().Read(prog.DataBase + uint32(i*prog.WordBytes)); got != v {
+			t.Fatalf("data word %d = %d, want %d", i, got, v)
+		}
+	}
+}
+
 func TestUnalignedAccessAligns(t *testing.T) {
 	b := prog.NewBuilder()
 	a := b.AllocInit(123)

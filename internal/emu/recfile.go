@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"unsafe"
 
 	"mdspec/internal/isa"
@@ -360,6 +361,17 @@ func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
 	f := &FileRecording{n: n, tail: tail, code: p.Code, data: data,
 		prefix: flags&recFlagPrefix != 0, chunks: make([]*recChunk, nChunks)}
 	sr := &sectionReader{payload: payload}
+	// valsRead[i] is how many value-table entries decode reads for
+	// instruction i of the code table.
+	valsRead := make([]uint8, len(p.Code))
+	for i := range p.Code {
+		switch op := p.Code[i].Op; {
+		case op.IsLoad():
+			valsRead[i] = 1
+		case op.IsStore():
+			valsRead[i] = 2
+		}
+	}
 	for ci := int64(0); ci < nChunks; ci++ {
 		chunkLen := int64(binary.LittleEndian.Uint32(dir[ci*12:]))
 		nVals := int64(binary.LittleEndian.Uint32(dir[ci*12+4:]))
@@ -381,22 +393,65 @@ func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
 		if sr.err != nil {
 			return nil, fmt.Errorf("%w: chunk %d: %v", ErrCorruptRecording, ci, sr.err)
 		}
-		// Every pcIdx must stay inside the code table and every valIdx
-		// inside the value table: a stale or hand-edited file must not
-		// index out of bounds at replay time.
-		for _, idx := range c.pcIdx {
-			if int(idx) >= len(p.Code) {
-				return nil, fmt.Errorf("%w: chunk %d: pcIdx %d outside code table", ErrCorruptRecording, ci, idx)
-			}
-		}
-		for i, vi := range c.valIdx {
-			if int64(vi) > nVals {
-				return nil, fmt.Errorf("%w: chunk %d: valIdx[%d] out of range", ErrCorruptRecording, ci, i)
-			}
+		if err := c.check(ci<<recChunkShift, valsRead); err != nil {
+			return nil, fmt.Errorf("%w: chunk %d: %v", ErrCorruptRecording, ci, err)
 		}
 		f.chunks[ci] = c
 	}
 	return f, nil
+}
+
+// check validates a chunk read from a file, whose first entry is
+// instruction base, in one pass over each column; valsRead is indexed
+// like the code table. A stale or hand-edited file that passes the CRC
+// must still not index out of bounds at replay (every pcIdx inside the
+// code table, every load's and store's values inside the value table,
+// every escaped dependence with its escape-table key), nor name a
+// producer that is not strictly older than its consumer, which would
+// park the consumer until the watchdog fires. The escape table must hold
+// exactly the escaped entries' keys, strictly ascending.
+func (c *recChunk) check(base int64, valsRead []uint8) error {
+	nVals := int64(len(c.vals))
+	valIdx := c.valIdx[:len(c.pcIdx)]
+	for off, idx := range c.pcIdx {
+		if int(idx) >= len(valsRead) {
+			return fmt.Errorf("pcIdx[%d] = %d outside code table", off, idx)
+		}
+		if vi := int64(valIdx[off]); vi+int64(valsRead[idx]) > nVals {
+			return fmt.Errorf("valIdx[%d] = %d needs %d values, chunk has %d", off, vi, valsRead[idx], nVals)
+		}
+	}
+	for i := 1; i < len(c.escKey); i++ {
+		if c.escKey[i] <= c.escKey[i-1] {
+			return fmt.Errorf("escape-table keys not strictly ascending at %d", i)
+		}
+	}
+	escaped := 0
+	for field, col := range [...][]uint16{escDep1: c.dep1, escDep2: c.dep2, escProd: c.prod} {
+		for off, enc := range col {
+			// depNone and distances up to seq name strictly older
+			// producers; anything else is an escape or out of range.
+			seq := base + int64(off)
+			if enc != depEscape && int64(enc) <= seq {
+				continue
+			}
+			if enc != depEscape {
+				return fmt.Errorf("seq %d: dependence %d reaches back %d instructions", seq, field, enc)
+			}
+			i, ok := slices.BinarySearch(c.escKey, escKeyOf(off, field))
+			if !ok {
+				return fmt.Errorf("seq %d: escaped dependence %d has no escape-table key", seq, field)
+			}
+			if v := c.escVal[i]; v < 0 || v >= seq {
+				return fmt.Errorf("seq %d: escaped dependence %d names seq %d", seq, field, v)
+			}
+			escaped++
+		}
+	}
+	if escaped != len(c.escKey) {
+		return fmt.Errorf("%d escape-table keys for %d escaped dependences", len(c.escKey), escaped)
+	}
+	return nil
 }
 
 // readFileAligned is the no-mmap fallback: the file is copied into a

@@ -2,10 +2,13 @@ package emu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mdspec/internal/isa"
@@ -70,7 +73,7 @@ func TestColumnarEscapeDistances(t *testing.T) {
 }
 
 // recordToFile records the whole program and serializes it.
-func recordToFile(t *testing.T, p *prog.Program, path string) *Recording {
+func recordToFile(t testing.TB, p *prog.Program, path string) *Recording {
 	t.Helper()
 	rec := NewRecording(New(p))
 	if !rec.Complete(1 << 22) {
@@ -226,4 +229,157 @@ func TestSealedPrefixRecording(t *testing.T) {
 		}
 	}()
 	fr.NewReplay().At(fr.Len())
+}
+
+// firstOf returns the offset of the first instruction in chunk c whose
+// opcode satisfies is.
+func firstOf(t testing.TB, c *recChunk, code []isa.Inst, is func(isa.Op) bool) int {
+	t.Helper()
+	for off, idx := range c.pcIdx {
+		if is(code[idx].Op) {
+			return off
+		}
+	}
+	t.Fatal("no matching instruction in the chunk")
+	return 0
+}
+
+// badColumns are mutations of a recording's first chunk that a file
+// with a valid CRC can carry. Open used to accept each: the first three
+// then panicked at replay with an index out of range, and the last two
+// named a producer that is not older than its consumer.
+var badColumns = []struct {
+	name   string
+	mutate func(t testing.TB, c *recChunk, code []isa.Inst)
+}{
+	{"load-valIdx-at-end", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.valIdx[firstOf(t, c, code, isa.Op.IsLoad)] = uint16(len(c.vals))
+	}},
+	{"store-valIdx-at-last-value", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.valIdx[firstOf(t, c, code, isa.Op.IsStore)] = uint16(len(c.vals) - 1)
+	}},
+	{"escape-without-key", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.dep1[7] = depEscape
+	}},
+	{"distance-before-seq-0", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.dep2[3] = 5 // seq 3 - 5 = -2
+	}},
+	{"escaped-producer-not-older", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.prod[10] = depEscape
+		c.escKey, c.escVal = []uint32{escKeyOf(10, escProd)}, []int64{10}
+	}},
+}
+
+// mutatedRecording records p to completion, applies mutate to the first
+// chunk and serializes the result with a valid header and CRC.
+func mutatedRecording(t testing.TB, p *prog.Program, mutate func(testing.TB, *recChunk, []isa.Inst)) []byte {
+	t.Helper()
+	rec := NewRecording(New(p))
+	if !rec.Complete(1 << 22) {
+		t.Fatal("program did not halt within the completion bound")
+	}
+	chunks, n, tail, _ := rec.snapshot()
+	if len(chunks[0].escKey) != 0 {
+		t.Fatal("the first chunk already has escapes")
+	}
+	mutate(t, chunks[0], p.Code)
+	var buf bytes.Buffer
+	if _, err := writeRecording(&buf, p, chunks, n, tail, recFlagDone); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRecordingFileRejectsBadColumns requires each of badColumns to
+// fail at open with ErrCorruptRecording instead of passing the CRC and
+// breaking replay.
+func TestRecordingFileRejectsBadColumns(t *testing.T) {
+	p := loopProgram(60)
+	for _, tc := range badColumns {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.mdrec")
+			if err := os.WriteFile(path, mutatedRecording(t, p, tc.mutate), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fr, err := OpenRecordingFile(path, p)
+			if err == nil {
+				fr.Close()
+				t.Fatal("open accepted the file")
+			}
+			if !errors.Is(err, ErrCorruptRecording) {
+				t.Fatalf("err = %v, want ErrCorruptRecording", err)
+			}
+		})
+	}
+}
+
+// FuzzRecordingFile: whatever columns a recording file holds, opening it
+// either fails or yields a recording every instruction of which replays
+// without a panic, at a PC in the text section, with dependences that
+// are absent or name a strictly older instruction. Allocation stays
+// proportional to the file. The harness stamps the program's
+// fingerprint and a fresh CRC into the header, so mutations reach the
+// column checks instead of stopping at the CRC. The program fits one
+// chunk, which keeps inputs small; the sealed-prefix seed is its file
+// with the prefix flag set, as a seal at a chunk boundary would be.
+func FuzzRecordingFile(f *testing.F) {
+	p := loopProgram(60)
+	complete := filepath.Join(f.TempDir(), "complete.mdrec")
+	recordToFile(f, p, complete)
+	whole, err := os.ReadFile(complete)
+	if err != nil {
+		f.Fatal(err)
+	}
+	prefix := bytes.Clone(whole)
+	binary.LittleEndian.PutUint32(prefix[20:], recFlagDone|recFlagPrefix)
+	seeds := [][]byte{whole, prefix, whole[:len(whole)/2], whole[:recHeaderSize+4], {}}
+	for _, pos := range []int{recHeaderSize + 1, len(whole) / 2, len(whole) - 2} {
+		flipped := bytes.Clone(whole)
+		flipped[pos] ^= 0x40
+		seeds = append(seeds, flipped)
+	}
+	badMagic := bytes.Clone(whole)
+	badMagic[0] = 'X'
+	seeds = append(seeds, badMagic)
+	for _, tc := range badColumns {
+		seeds = append(seeds, mutatedRecording(f, p, tc.mutate))
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	fingerprint := progFingerprint(p)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		if len(data) >= recHeaderSize {
+			binary.LittleEndian.PutUint64(data[24:], fingerprint)
+			binary.LittleEndian.PutUint32(data[36:], crc32.ChecksumIEEE(data[recHeaderSize:]))
+		}
+		path := filepath.Join(t.TempDir(), "fuzz.mdrec")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fr, err := OpenRecordingFile(path, p)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+uint64(len(data)) {
+			t.Fatalf("opening a %d-byte file allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		defer fr.Close()
+		rp := fr.NewReplay()
+		for seq := int64(0); seq < fr.Len(); seq++ {
+			d := rp.At(seq)
+			if d == nil || d.Seq != seq || p.IndexOf(d.PC) < 0 {
+				t.Fatalf("seq %d replayed as %+v", seq, d)
+			}
+			for _, dep := range [...]int64{d.Dep1Seq, d.Dep2Seq, d.ProducerSeq} {
+				if dep != -1 && (dep < 0 || dep >= seq) {
+					t.Fatalf("seq %d names dependence %d", seq, dep)
+				}
+			}
+		}
+	})
 }
