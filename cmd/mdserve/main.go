@@ -20,20 +20,24 @@
 //
 // With -workers N the daemon becomes a fleet supervisor: it forks N
 // copies of itself in -worker mode (each a full server on a private
-// unix socket, sharing -journal and -recdir), dispatches cells to them
-// from one shared queue, restarts crashed or wedged workers under
-// capped backoff, and degrades to in-process execution if the whole
-// fleet is down (reported as degraded in /v1/healthz; per-worker
-// liveness, failover, and restart counters in /v1/metrics). Each
-// worker holds its own journal segment runs.<id>.journal under a
-// kernel file lock; the supervisor merges every segment on restart.
+// unix socket, sharing -recdir), dispatches cells to them from one
+// shared queue, restarts crashed or wedged workers under capped
+// backoff, and degrades to in-process execution if the whole fleet is
+// down (reported as degraded in /v1/healthz; per-worker liveness,
+// failover, and restart counters in /v1/metrics). Workers keep no
+// journal: the supervisor journals every cell it answers, whichever
+// process simulated it, so a respawned worker is ready as soon as it
+// listens.
 //
 // With -journal, every finished cell is checkpointed to
-// <dir>/runs.0.journal (a worker's to its own segment) and a restarted
-// daemon re-primes its cache from every segment in the directory, so
+// <dir>/runs.0.journal before it is answered, and a restarted daemon
+// re-primes its cache from every segment in the directory (segments
+// that older fleet workers wrote, runs.w<N>.journal, are read too), so
 // previously-computed cells are served without re-simulating across
-// restarts. A second writer on the same segment, such as an
-// mdexp -resume on the directory, is refused. GET /v1/metrics exposes
+// restarts. A cell a worker finished but the supervisor did not live
+// to journal was never answered, and is simulated again after the
+// restart. A second writer on the segment, such as an mdexp -resume on
+// the directory, is refused. GET /v1/metrics exposes
 // the runner's lifetime counters, per-endpoint request/latency
 // accounting, and queue occupancy; GET /v1/options the provenance
 // tuple (clients check it before sweeping — see mdexp -server).
@@ -84,7 +88,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-request lifecycle logging")
 	workerMode := flag.Bool("worker", false, "run as a supervised fleet worker (internal; forked by -workers)")
 	socket := flag.String("socket", "", "with -worker, the unix control socket to listen on")
-	workerID := flag.String("worker-id", "", "with -worker, the journal segment id this worker locks")
+	workerID := flag.String("worker-id", "", "with -worker, the worker's name in its log lines")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "mdserve: unexpected arguments: %v\n", flag.Args())
@@ -92,6 +96,9 @@ func main() {
 	}
 	if *workerMode && (*socket == "" || *workerID == "") {
 		fatal(fmt.Errorf("-worker requires -socket and -worker-id"))
+	}
+	if *workerMode && *journalDir != "" {
+		fatal(fmt.Errorf("-worker takes no -journal: the supervisor journals every cell"))
 	}
 
 	prefix := "mdserve: "
@@ -120,19 +127,13 @@ func main() {
 	// with the final options: its meta header is the provenance
 	// fingerprint, so a dir journaled under different options is
 	// detected and refused rather than silently serving foreign cells.
-	//
-	// A worker locks its own segment; the single-process daemon and the
-	// fleet supervisor lock segment "0". Every process re-primes from
-	// the merge of every segment in the dir.
+	// The daemon locks segment "0" and re-primes from the merge of every
+	// segment in the dir.
 	var journal *experiments.Journal
 	var replayed []experiments.RunRecord
 	if *journalDir != "" {
-		id := "0"
-		if *workerMode {
-			id = *workerID
-		}
 		var err error
-		journal, replayed, err = experiments.OpenJournalSegment(*journalDir, id, opt, 0)
+		journal, replayed, err = experiments.OpenJournal(*journalDir, opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -145,7 +146,9 @@ func main() {
 	}
 	srv := server.New(cfg)
 	if n := srv.Runner().Prime(replayed); n > 0 {
-		logger.Printf("re-primed %d finished cell(s) from %s", n, *journalDir)
+		st := journal.ReplayStats()
+		logger.Printf("re-primed %d finished cell(s) from %s in %v (%d segment(s), %d frame(s))",
+			n, *journalDir, st.Elapsed.Round(10*time.Microsecond), st.Segments, st.Frames)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -242,12 +245,12 @@ func main() {
 
 // workerArgs rebuilds this daemon's relevant flags as a worker argv:
 // children inherit the provenance-defining options verbatim (same
-// fingerprint, same journal dir) plus their identity flags. The
-// supervisor-only flags (-workers, -addr, -drain-timeout) are not
-// forwarded; -sched is left to default so each worker sizes its own
-// pool from -par.
+// fingerprint, same recording dir) plus their identity flags. The
+// supervisor-only flags (-workers, -addr, -journal, -drain-timeout)
+// are not forwarded; -sched is left to default so each worker sizes
+// its own pool from -par.
 func workerArgs(fs *flag.FlagSet, drain time.Duration) func(slot int, socket string) []string {
-	inherit := []string{"n", "sampled", "par", "queue", "journal", "recdir", "phases", "retries", "quiet"}
+	inherit := []string{"n", "sampled", "par", "queue", "recdir", "phases", "retries", "quiet"}
 	var base []string
 	for _, name := range inherit {
 		f := fs.Lookup(name)
@@ -257,7 +260,8 @@ func workerArgs(fs *flag.FlagSet, drain time.Duration) func(slot int, socket str
 		base = append(base, "-"+name+"="+f.Value.String())
 	}
 	// Workers drain fast on SIGTERM: the supervisor escalates to
-	// SIGKILL anyway, and their journals make any loss recoverable.
+	// SIGKILL anyway, and every cell they answered is already in its
+	// journal.
 	base = append(base, "-drain="+drain.String())
 	return func(slot int, socket string) []string {
 		return append([]string{"-worker", "-socket", socket, "-worker-id", fleet.WorkerID(slot)}, base...)

@@ -19,6 +19,9 @@ var (
 	// ErrStateGeometry reports a state captured from a predictor with
 	// different table sizes.
 	ErrStateGeometry = errors.New("bpred: warm state geometry mismatch")
+	// ErrStateRAS reports a negative return-address-stack top, which no
+	// sequence of pushes and pops produces.
+	ErrStateRAS = errors.New("bpred: warm state return stack top negative")
 )
 
 const (
@@ -66,7 +69,8 @@ func (p *Predictor) AppendState(b []byte) []byte {
 
 // RestoreState overwrites the predictor's warm state from the front of b
 // and returns the bytes consumed. The buffer is validated against the
-// predictor's geometry before anything is mutated.
+// predictor's geometry, and its return-stack top checked, before
+// anything is mutated.
 //
 //md:hotpath
 func (p *Predictor) RestoreState(b []byte) (int, error) {
@@ -81,6 +85,9 @@ func (p *Predictor) RestoreState(b []byte) (int, error) {
 	}
 	if len(b) < p.StateLen() {
 		return 0, ErrStateTruncated
+	}
+	if rasTop := int64(binary.LittleEndian.Uint64(b[p.StateLen()-bpTailBytes+8:])); rasTop < 0 {
+		return 0, ErrStateRAS
 	}
 	off := bpHdrBytes
 	for _, t := range [3][]counter{p.bimodal, p.gselect, p.selector} {

@@ -1,19 +1,25 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"mdspec/internal/bpred"
 	"mdspec/internal/config"
+	"mdspec/internal/core"
 	"mdspec/internal/emu"
 	"mdspec/internal/workload"
 )
 
-func testRecording(t *testing.T, bench string, n int64) (*emu.Recording, uint64) {
+func testRecording(t testing.TB, bench string, n int64) (*emu.Recording, uint64) {
 	t.Helper()
 	p := workload.MustBuild(bench)
 	rec := emu.NewRecording(emu.New(p))
@@ -171,4 +177,163 @@ func TestBuildStopsAtTraceEnd(t *testing.T) {
 	if _, err := Build(config.Default128(), rec, fp, []int64{200, 100}); err == nil {
 		t.Fatal("non-ascending capture positions must error")
 	}
+}
+
+// Offsets of the warm-state scalars in a frame: the warmer's stream
+// position and flags lead the state, and the branch predictor's tail
+// (global history, BTB way, return-stack top, three counters) ends it.
+const (
+	posOff      = 0
+	flagsOff    = 8 + 4
+	predTailLen = 4 + 4 + 8 + 3*8
+)
+
+// TestRestoreRejectsImpossibleWarmState: a CRC-valid frame whose
+// warmer position or return-stack top is negative is refused by
+// RestoreWarm with an error. Both used to restore, and the next
+// interval panicked with an index out of range.
+func TestRestoreRejectsImpossibleWarmState(t *testing.T) {
+	rec, fp := testRecording(t, "126.gcc", 120_000)
+	cfg := config.Default128().WithPolicy(config.Naive)
+	set, err := Build(cfg, rec, fp, []int64{50_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		off  func(stateLen int) int
+		val  int64
+		want error
+	}{
+		"warmer position":  {func(int) int { return posOff }, -5, core.ErrStatePosition},
+		"return stack top": {func(n int) int { return n - predTailLen + 8 }, -3, bpred.ErrStateRAS},
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := bytes.Clone(set.Frames[0].State)
+			binary.LittleEndian.PutUint64(st[c.off(len(st)):], uint64(c.val))
+			bad := &Set{RecFP: fp, WarmHash: set.WarmHash, Frames: []Frame{{Seq: 50_000, State: st}}}
+			path := filepath.Join(t.TempDir(), "c.mdckpt")
+			if err := bad.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := OpenFile(path, fp, set.WarmHash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl, err := core.New(cfg, rec.NewReplay())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.RestoreWarm(got.Frames[0].State); !errors.Is(err, c.want) {
+				t.Fatalf("RestoreWarm = %v, want %v", err, c.want)
+			}
+		})
+	}
+}
+
+// stampFile writes the identity into b's header and fresh CRCs over its
+// header and over every frame of the header's geometry that b holds, so
+// that arbitrary bytes reach the frame checks and the restore.
+func stampFile(b []byte, recFP, warmHash uint64) []byte {
+	if len(b) < hdrBytes+crcBytes {
+		return b
+	}
+	binary.LittleEndian.PutUint64(b[8:], recFP)
+	binary.LittleEndian.PutUint64(b[16:], warmHash)
+	count := int64(binary.LittleEndian.Uint32(b[24:]))
+	stateLen := int64(binary.LittleEndian.Uint32(b[28:]))
+	dirEnd := hdrBytes + count*dirEntrBytes
+	if int64(len(b)) < dirEnd+crcBytes {
+		return b
+	}
+	binary.LittleEndian.PutUint32(b[dirEnd:], crc32.ChecksumIEEE(b[:dirEnd]))
+	for off := dirEnd + crcBytes; off+stateLen+crcBytes <= int64(len(b)) && count > 0; count-- {
+		binary.LittleEndian.PutUint32(b[off+stateLen:], crc32.ChecksumIEEE(b[off:off+stateLen]))
+		off += stateLen + crcBytes
+	}
+	return b
+}
+
+// restoreAndRun holds one parsed frame to the reader's contract: it
+// fails to restore with an error, or it restores into a machine that
+// runs a short interval over the recording. The interval may end in an
+// error; only a panic breaks the contract.
+func restoreAndRun(t *testing.T, cfg config.Machine, rec *emu.Recording, state []byte) {
+	pl, err := core.New(cfg, rec.NewReplay())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pl.RestoreWarm(state) != nil {
+		return
+	}
+	if _, err := pl.RunSampledInterval(15_000, 25_000, 2_000, 3_000, 1_000); err != nil {
+		t.Logf("interval after restore: %v", err)
+	}
+}
+
+// FuzzCheckpointFile: whatever a checkpoint file holds, Parse fails, or
+// every frame either fails to restore with an error or runs a short
+// interval without a panic, and Parse allocates in proportion to the
+// file. Each input is a file, stamped with the identity and fresh CRCs,
+// plus the warm-state scalars (position, flags, predictor history, BTB
+// way, return-stack top) patched into a real Table 2 frame: that frame
+// is about 680 KB, so random byte flips would rarely reach them.
+func FuzzCheckpointFile(f *testing.F) {
+	rec, fp := testRecording(f, "126.gcc", 30_000)
+	cfg := config.Default128().WithPolicy(config.Naive)
+	base, err := Build(cfg, rec, fp, []int64{10_000})
+	if err != nil {
+		f.Fatal(err)
+	}
+	frame := base.Frames[0].State
+	tail := len(frame) - predTailLen
+	var small bytes.Buffer
+	tiny := &Set{RecFP: fp, WarmHash: base.WarmHash, Frames: []Frame{{Seq: 5, State: make([]byte, 16)}, {Seq: 9, State: make([]byte, 16)}}}
+	if err := tiny.encode(&small); err != nil {
+		f.Fatal(err)
+	}
+	empty := stampFile(append([]byte(Magic), make([]byte, hdrBytes-len(Magic)+crcBytes)...), fp, base.WarmHash)
+	pos := int64(binary.LittleEndian.Uint64(frame[posOff:]))
+	flags := frame[flagsOff]
+	history := binary.LittleEndian.Uint32(frame[tail:])
+	btbWay := binary.LittleEndian.Uint32(frame[tail+4:])
+	rasTop := int64(binary.LittleEndian.Uint64(frame[tail+8:]))
+	for _, file := range [][]byte{nil, empty, small.Bytes(), small.Bytes()[:small.Len()-3], []byte("MDCKPT02")} {
+		f.Add(file, pos, flags, history, btbWay, rasTop)
+	}
+	f.Add(empty, int64(-5), flags, history, btbWay, rasTop)
+	f.Add(empty, pos, flags, history, btbWay, int64(-3))
+	f.Add(empty, int64(14_000), byte(3), ^uint32(0), ^uint32(0), int64(1)<<62)
+
+	f.Fuzz(func(t *testing.T, file []byte, pos int64, flags byte, history, btbWay uint32, rasTop int64) {
+		file = stampFile(bytes.Clone(file), fp, base.WarmHash)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		set, err := Parse(file, fp, base.WarmHash)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10+4*uint64(len(file)) {
+			t.Fatalf("parsing a %d-byte file allocated %d bytes", len(file), grew)
+		}
+		if err == nil {
+			for _, fr := range set.Frames {
+				restoreAndRun(t, cfg, rec, fr.State)
+			}
+		}
+
+		st := bytes.Clone(frame)
+		binary.LittleEndian.PutUint64(st[posOff:], uint64(pos))
+		st[flagsOff] = flags
+		binary.LittleEndian.PutUint32(st[tail:], history)
+		binary.LittleEndian.PutUint32(st[tail+4:], btbWay)
+		binary.LittleEndian.PutUint64(st[tail+8:], uint64(rasTop))
+		var buf bytes.Buffer
+		patched := &Set{RecFP: fp, WarmHash: base.WarmHash, Frames: []Frame{{Seq: 10_000, State: st}}}
+		if err := patched.encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		set, err = Parse(buf.Bytes(), fp, base.WarmHash)
+		if err != nil {
+			t.Fatalf("a real frame with patched scalars does not parse: %v", err)
+		}
+		restoreAndRun(t, cfg, rec, set.Frames[0].State)
+	})
 }

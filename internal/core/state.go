@@ -26,6 +26,8 @@ var (
 	// ErrPipelineUsed reports a RestoreWarm call on a pipeline that has
 	// already simulated or warmed.
 	ErrPipelineUsed = errors.New("core: RestoreWarm called on a used Pipeline")
+	// ErrStatePosition reports a warm-state stream position below zero.
+	ErrStatePosition = errors.New("core: warm state stream position negative")
 )
 
 const warmerHdrBytes = 8 + 4 + 1 // seq, lastBlock, flags
@@ -86,6 +88,9 @@ func (w *Warmer) RestoreState(b []byte) (int, error) {
 		return 0, ErrStateTruncated
 	}
 	seq := int64(binary.LittleEndian.Uint64(b))
+	if seq < 0 {
+		return 0, ErrStatePosition
+	}
 	lastBlock := binary.LittleEndian.Uint32(b[8:])
 	flags := b[12]
 	off := warmerHdrBytes

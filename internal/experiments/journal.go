@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -106,9 +107,10 @@ type journalEntry struct {
 // serialized and fsynced; it is safe for concurrent use by a Runner's
 // sweep workers.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File //md:guardedby mu
-	path string   // immutable after OpenJournalSegment
+	mu     sync.Mutex
+	f      *os.File    //md:guardedby mu
+	path   string      // immutable after OpenJournalSegment
+	replay ReplayStats // immutable after OpenJournalSegment
 }
 
 // ErrLeaseHeld reports that a journal segment is locked by another
@@ -196,15 +198,30 @@ func OpenJournalSegment(dir, id string, opt Options, _ time.Duration) (*Journal,
 // merge. A segment written under a different provenance fingerprint is
 // an error, just as for a single segment.
 func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
-	want := opt.Fingerprint()
+	recs, _, _, err := replayDir(dir, opt.Fingerprint(), "")
+	return recs, err
+}
+
+// ReplayStats describes the directory replay of one OpenJournalSegment.
+type ReplayStats struct {
+	Segments int           // segment files merged
+	Frames   int           // run frames decoded from their valid prefixes
+	Elapsed  time.Duration // reading, decoding and merging them
+}
+
+// replayDir is ReplayJournalDir decoding each file once: own, when not
+// empty, is the base name of the caller's segment, and ownLen the byte
+// length of its valid prefix.
+func replayDir(dir string, want Fingerprint, own string) (merged []RunRecord, ownLen int64, st ReplayStats, err error) {
+	start := time.Now()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("journal: %w", err)
+		return nil, 0, st, fmt.Errorf("journal: %w", err)
 	}
 	var files []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.Type().IsRegular() && strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix) {
+		if (e.Type().IsRegular() || name == own) && strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix) {
 			files = append(files, name)
 		}
 	}
@@ -212,10 +229,15 @@ func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
 	var order []runKeyID
 	byKey := make(map[runKeyID]RunRecord)
 	for _, name := range files {
-		recs, _, err := replayJournal(filepath.Join(dir, name), want)
+		recs, validLen, err := replayJournal(filepath.Join(dir, name), want)
 		if err != nil {
-			return nil, err
+			return nil, 0, st, err
 		}
+		if name == own {
+			ownLen = validLen
+		}
+		st.Segments++
+		st.Frames += len(recs)
 		for _, rec := range recs {
 			k := runKeyID{rec.Bench, rec.ConfigHash}
 			if _, seen := byKey[k]; !seen {
@@ -224,11 +246,12 @@ func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
 			byKey[k] = rec
 		}
 	}
-	merged := make([]RunRecord, 0, len(order))
+	merged = make([]RunRecord, 0, len(order))
 	for _, k := range order {
 		merged = append(merged, byKey[k])
 	}
-	return merged, nil
+	st.Elapsed = time.Since(start)
+	return merged, ownLen, st, nil
 }
 
 // lockAndRepair takes the segment's lock and replays dir, then leaves
@@ -248,14 +271,11 @@ func (j *Journal) lockAndRepair(dir string, opt Options) ([]RunRecord, error) {
 		return nil, err
 	}
 	want := opt.Fingerprint()
-	_, validLen, err := replayJournal(j.path, want)
+	recs, validLen, st, err := replayDir(dir, want, filepath.Base(j.path))
 	if err != nil {
 		return nil, err
 	}
-	recs, err := ReplayJournalDir(dir, opt)
-	if err != nil {
-		return nil, err
-	}
+	j.replay = st
 	if err := j.f.Truncate(validLen); err != nil {
 		return nil, fmt.Errorf("journal: truncating torn tail of %s: %w", j.path, err)
 	}
@@ -270,6 +290,9 @@ func (j *Journal) lockAndRepair(dir string, opt Options) ([]RunRecord, error) {
 	return recs, nil
 }
 
+// ReplayStats reports the directory replay the journal's open performed.
+func (j *Journal) ReplayStats() ReplayStats { return j.replay }
+
 // Append journals one completed run and fsyncs it, making the cell
 // durable against a crash from this point on.
 func (j *Journal) Append(rec RunRecord) error {
@@ -280,29 +303,35 @@ func (j *Journal) append(e journalEntry) error {
 	if err := faultinject.PointErr(faultinject.SiteJournalAppend); err != nil {
 		return fmt.Errorf("journal: append to %s: %w", j.path, err)
 	}
-	payload, err := json.Marshal(e)
+	frame, err := appendFrame(nil, e)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return err
 	}
-	var frame bytes.Buffer
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	frame.Write(hdr[:])
-	frame.Write(payload)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	// One Write call per frame: O_APPEND makes the frame a single
 	// contiguous region even with concurrent appenders, and the fsync
 	// pins it before Append reports the cell durable.
-	if _, err := j.f.Write(frame.Bytes()); err != nil {
+	if _, err := j.f.Write(frame); err != nil {
 		return fmt.Errorf("journal: append to %s: %w", j.path, err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync %s: %w", j.path, err)
 	}
 	return nil
+}
+
+// appendFrame appends e to b as one frame: payload length, payload
+// CRC, JSON payload.
+func appendFrame(b []byte, e journalEntry) ([]byte, error) {
+	payload, err := json.Marshal(e)
+	if err != nil {
+		return b, fmt.Errorf("journal: %w", err)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...), nil
 }
 
 // Close closes the segment file, which releases its lock.
@@ -316,12 +345,13 @@ func (j *Journal) Close() error {
 // is treated as corruption rather than allocated.
 const maxJournalEntry = 64 << 20
 
-// replayJournal scans path and returns the deduplicated run records and
-// the byte length of the valid prefix. A torn or corrupt tail ends the
-// scan at the last intact frame — every entry before it is replayed,
-// nothing after it is trusted. The length is 0 when the file holds no
-// intact meta entry: it is missing, empty, or was torn before its
-// header became durable, and its owner re-initializes it.
+// replayJournal scans path and returns the run records of its valid
+// prefix, in file order, and the prefix's byte length. A torn or
+// corrupt tail ends the scan at the last intact frame — every entry
+// before it is replayed, nothing after it is trusted. The length is 0
+// when the file holds no intact meta entry: it is missing, empty, or
+// was torn before its header became durable, and its owner
+// re-initializes it.
 func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -336,43 +366,103 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 	if !bytes.HasPrefix(data, []byte(journalMagic)) {
 		return nil, 0, fmt.Errorf("journal: %s is not a journal segment (bad magic)", path)
 	}
-	off := int64(len(journalMagic))
+	bounds := frameBounds(data)
+	entries := decodeFrames(data, bounds, min(runtime.GOMAXPROCS(0), (len(bounds)-1)/minFramesPerDecoder))
 	sawMeta := false
-	var order []runKeyID
-	byKey := make(map[runKeyID]RunRecord)
-	for {
-		entry, next, ok := readFrame(data, off)
-		if !ok {
-			break // torn or corrupt tail: valid prefix ends at off
-		}
+	var recs []RunRecord
+	for _, e := range entries {
 		switch {
-		case entry.Meta != nil:
-			if *entry.Meta != want {
+		case e.Meta != nil:
+			if *e.Meta != want {
 				return nil, 0, fmt.Errorf(
 					"journal: %s was written with %+v; this sweep runs %+v — use a fresh -resume directory",
-					path, *entry.Meta, want)
+					path, *e.Meta, want)
 			}
 			sawMeta = true
-		case entry.Run != nil && entry.Run.Stats != nil:
-			k := runKeyID{entry.Run.Bench, entry.Run.ConfigHash}
-			if _, seen := byKey[k]; !seen {
-				order = append(order, k)
-			}
-			byKey[k] = *entry.Run
+		case e.Run != nil && e.Run.Stats != nil:
+			recs = append(recs, *e.Run)
 		}
-		off = next
 	}
 	if !sawMeta {
-		if len(byKey) > 0 {
+		if len(recs) > 0 {
 			return nil, 0, fmt.Errorf("journal: %s has run entries but no meta header", path)
 		}
 		return nil, 0, nil
 	}
-	recs := make([]RunRecord, 0, len(order))
-	for _, k := range order {
-		recs = append(recs, byKey[k])
+	return recs, bounds[len(entries)], nil
+}
+
+// frameBounds walks the length prefixes after the magic line and
+// returns where each frame starts, then where the last one ends: frame
+// i spans bounds[i] to bounds[i+1]. The walk stops at the first frame
+// whose length is implausible or whose bytes are not all present; CRCs
+// and payloads are left to decodeFrames.
+func frameBounds(data []byte) []int64 {
+	bounds := []int64{int64(len(journalMagic))}
+	for {
+		off := bounds[len(bounds)-1]
+		rest := data[off:]
+		if len(rest) < 8 {
+			return bounds
+		}
+		n := int64(binary.BigEndian.Uint32(rest[0:4]))
+		if n == 0 || n > maxJournalEntry || int64(len(rest)) < 8+n {
+			return bounds
+		}
+		bounds = append(bounds, off+8+n)
 	}
-	return recs, off, nil
+}
+
+// minFramesPerDecoder is the fewest frames worth a decoding goroutine;
+// smaller segments decode inline.
+const minFramesPerDecoder = 64
+
+// decodeFrames checks and parses the frames between bounds and returns
+// the entries of the intact prefix: decoding stops at the first frame
+// whose CRC fails or whose payload does not parse. The frames are split
+// into contiguous runs decoded on that many goroutines, each frame into
+// its own slot, so the prefix is the one a sequential reader finds.
+func decodeFrames(data []byte, bounds []int64, workers int) []journalEntry {
+	frames := len(bounds) - 1
+	entries := make([]journalEntry, frames)
+	if workers = min(workers, frames); workers <= 1 {
+		return entries[:decodeRange(data, bounds, entries, 0, frames)]
+	}
+	// stop[w] is where worker w's run ended: its first bad frame, or the
+	// end of its run.
+	stop := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := range stop {
+		lo, hi := w*frames/workers, (w+1)*frames/workers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stop[w] = decodeRange(data, bounds, entries, lo, hi)
+		}()
+	}
+	wg.Wait()
+	for w, n := range stop {
+		if hi := (w + 1) * frames / workers; n < hi {
+			return entries[:n]
+		}
+	}
+	return entries
+}
+
+// decodeRange decodes frames [lo, hi) into entries and returns the
+// index of the first one that fails, or hi.
+func decodeRange(data []byte, bounds []int64, entries []journalEntry, lo, hi int) int {
+	for i := lo; i < hi; i++ {
+		off := bounds[i]
+		payload := data[off+8 : bounds[i+1]]
+		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[off+4:off+8]) {
+			return i
+		}
+		if err := json.Unmarshal(payload, &entries[i]); err != nil {
+			return i
+		}
+	}
+	return hi
 }
 
 // runKeyID keys journal entries the way -resume matches them: by
@@ -381,26 +471,4 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 type runKeyID struct {
 	bench      string
 	configHash string
-}
-
-// readFrame decodes the frame at off. ok is false when the remaining
-// bytes do not contain one intact, checksum-clean, parsable frame.
-func readFrame(data []byte, off int64) (e journalEntry, next int64, ok bool) {
-	rest := data[off:]
-	if len(rest) < 8 {
-		return e, 0, false
-	}
-	n := int64(binary.BigEndian.Uint32(rest[0:4]))
-	sum := binary.BigEndian.Uint32(rest[4:8])
-	if n <= 0 || n > maxJournalEntry || int64(len(rest)) < 8+n {
-		return e, 0, false
-	}
-	payload := rest[8 : 8+n]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return e, 0, false
-	}
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return e, 0, false
-	}
-	return e, off + 8 + n, true
 }

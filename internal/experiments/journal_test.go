@@ -3,8 +3,12 @@ package experiments
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -502,10 +506,171 @@ func TestJournalSegmentTornHeaderReinitialized(t *testing.T) {
 	}
 }
 
+// replayJournalReference is the sequential reader the tests hold
+// replayJournal to: one frame at a time from the magic line to the
+// first torn, CRC-broken or unparsable frame, under replayJournal's
+// contract (run records of the valid prefix in file order, and the
+// prefix's length).
+func replayJournalReference(data []byte, want Fingerprint) ([]RunRecord, int64, error) {
+	if len(data) < len(journalMagic) && strings.HasPrefix(journalMagic, string(data)) {
+		return nil, 0, nil
+	}
+	if !bytes.HasPrefix(data, []byte(journalMagic)) {
+		return nil, 0, fmt.Errorf("bad magic")
+	}
+	off := int64(len(journalMagic))
+	sawMeta := false
+	var recs []RunRecord
+	for {
+		entry, next, ok := readFrame(data, off)
+		if !ok {
+			break
+		}
+		switch {
+		case entry.Meta != nil:
+			if *entry.Meta != want {
+				return nil, 0, fmt.Errorf("written with %+v", *entry.Meta)
+			}
+			sawMeta = true
+		case entry.Run != nil && entry.Run.Stats != nil:
+			recs = append(recs, *entry.Run)
+		}
+		off = next
+	}
+	if !sawMeta {
+		if len(recs) > 0 {
+			return nil, 0, fmt.Errorf("run entries but no meta header")
+		}
+		return nil, 0, nil
+	}
+	return recs, off, nil
+}
+
+// readFrame decodes the frame at off. ok is false when the remaining
+// bytes do not contain one intact, checksum-clean, parsable frame.
+func readFrame(data []byte, off int64) (e journalEntry, next int64, ok bool) {
+	rest := data[off:]
+	if len(rest) < 8 {
+		return e, 0, false
+	}
+	n := int64(binary.BigEndian.Uint32(rest[0:4]))
+	sum := binary.BigEndian.Uint32(rest[4:8])
+	if n <= 0 || n > maxJournalEntry || int64(len(rest)) < 8+n {
+		return e, 0, false
+	}
+	payload := rest[8 : 8+n]
+	if crc32.ChecksumIEEE(payload) != sum {
+		return e, 0, false
+	}
+	if err := json.Unmarshal(payload, &e); err != nil {
+		return e, 0, false
+	}
+	return e, off + 8 + n, true
+}
+
+// checkAgainstReference fails t unless replayJournal over path, which
+// holds data, agrees with the sequential reference, and unless every
+// split of the frames across decoders finds the single decoder's
+// prefix.
+func checkAgainstReference(t *testing.T, path string, data []byte, want Fingerprint) {
+	t.Helper()
+	recs, validLen, err := replayJournal(path, want)
+	refRecs, refLen, refErr := replayJournalReference(data, want)
+	if (err != nil) != (refErr != nil) || validLen != refLen || !reflect.DeepEqual(recs, refRecs) {
+		t.Fatalf("replayJournal: %d records, length %d, err %v; reference: %d records, length %d, err %v",
+			len(recs), validLen, err, len(refRecs), refLen, refErr)
+	}
+	if !bytes.HasPrefix(data, []byte(journalMagic)) {
+		return
+	}
+	bounds := frameBounds(data)
+	one := decodeFrames(data, bounds, 1)
+	for _, workers := range []int{2, 3, 7} {
+		if got := decodeFrames(data, bounds, workers); !reflect.DeepEqual(got, one) {
+			t.Fatalf("%d decoders kept %d of %d frames, one decoder %d", workers, len(got), len(bounds)-1, len(one))
+		}
+	}
+}
+
+// TestReplayJournalDamagedFrame: in a 5,000-frame segment, frame 3,000
+// torn, failing its CRC, or CRC-valid but not JSON ends the valid
+// prefix where the sequential reader ends it, however many CPUs decode
+// the frames, and the owner's open truncates the segment there.
+func TestReplayJournalDamagedFrame(t *testing.T) {
+	const frames, bad = 5000, 3000
+	opt := Options{Insts: 1000}
+	fp := opt.Fingerprint()
+	data, err := appendFrame([]byte(journalMagic), journalEntry{Meta: &fp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := make([]int, frames+1) // starts[i]: offset of run frame i
+	base := journalRecord("126.gcc", nas(config.Naive), 1000)
+	for i := 0; i < frames; i++ {
+		rec := base
+		rec.ConfigHash = fmt.Sprintf("%016x", i)
+		starts[i] = len(data)
+		if data, err = appendFrame(data, journalEntry{Run: &rec}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	starts[frames] = len(data)
+	for name, damage := range map[string]func([]byte) []byte{
+		"torn": func(b []byte) []byte { return b[:starts[bad]+20] },
+		"crc": func(b []byte) []byte {
+			// Still JSON, so only the CRC can reject it.
+			at := starts[bad] + bytes.Index(b[starts[bad]:], []byte("126.gcc"))
+			b[at] = '3'
+			return b
+		},
+		"not json": func(b []byte) []byte {
+			payload := b[starts[bad]+8 : starts[bad+1]]
+			payload[0] = 'x'
+			binary.BigEndian.PutUint32(b[starts[bad]+4:], crc32.ChecksumIEEE(payload))
+			return b
+		},
+	} {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/GOMAXPROCS=%d", name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				b := damage(bytes.Clone(data))
+				dir := t.TempDir()
+				path := SegmentPath(dir, "0")
+				if err := os.WriteFile(path, b, 0o666); err != nil {
+					t.Fatal(err)
+				}
+				recs, validLen, err := replayJournal(path, fp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs) != bad || validLen != int64(starts[bad]) {
+					t.Fatalf("replayed %d frames up to byte %d, want %d up to byte %d", len(recs), validLen, bad, starts[bad])
+				}
+				checkAgainstReference(t, path, b, fp)
+				j, merged, err := OpenJournal(dir, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j.Close()
+				if len(merged) != bad || merged[bad-1].ConfigHash != fmt.Sprintf("%016x", bad-1) {
+					t.Fatalf("open replayed %d cells, want the first %d", len(merged), bad)
+				}
+				if st := j.ReplayStats(); st.Segments != 1 || st.Frames != bad {
+					t.Errorf("replay stats %+v, want 1 segment and %d frames", st, bad)
+				}
+				if fi, err := os.Stat(path); err != nil || fi.Size() != int64(starts[bad]) {
+					t.Errorf("segment not truncated at the damaged frame (err %v)", err)
+				}
+			})
+		}
+	}
+}
+
 // FuzzJournalSegment: whatever bytes a segment file holds, opening it
 // either fails or yields a journal whose appended cell replays after a
 // reopen. It never panics, and it allocates in proportion to the file,
-// never to a length prefix read from it.
+// never to a length prefix read from it. The parallel decoder agrees
+// with the sequential reference on every input.
 func FuzzJournalSegment(f *testing.F) {
 	opt := Options{Insts: 1000}
 	header := segmentBytes(f, opt)
@@ -532,9 +697,11 @@ func FuzzJournalSegment(f *testing.F) {
 	want := journalRecord("102.swim", nas(config.Oracle), 1000)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(SegmentPath(dir, "w0"), data, 0o666); err != nil {
+		path := SegmentPath(dir, "w0")
+		if err := os.WriteFile(path, data, 0o666); err != nil {
 			t.Fatal(err)
 		}
+		checkAgainstReference(t, path, data, opt.Fingerprint())
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		j, _, err := OpenJournalSegment(dir, "w0", opt, 0)

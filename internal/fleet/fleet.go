@@ -1,21 +1,22 @@
 // Package fleet shards mdserve simulation cells across a supervised
 // fleet of worker processes. The supervisor (Pool) forks N `mdserve
-// -worker` children over the same journal and recording directories,
-// assigns sweep cells to them over HTTP-on-unix-socket control
-// channels, and survives every worker failure mode the in-process
-// robustness layer cannot contain: a panic that escapes recovery, a
-// wedged cell exceeding its wall-clock budget, an OOM SIGKILL, a
-// deadlocked scheduler. The containment argument is the paper's own
+// -worker` children over the same recording directory, assigns sweep
+// cells to them over HTTP-on-unix-socket control channels, and
+// survives every worker failure mode the in-process robustness layer
+// cannot contain: a panic that escapes recovery, a wedged cell
+// exceeding its wall-clock budget, an OOM SIGKILL, a deadlocked
+// scheduler. The containment argument is the paper's own
 // (§4.2): pay only for the misspeculated slice — here, the one dead
 // worker's in-flight cells — never the whole window.
 //
-// Journal ownership is a kernel file lock: each worker appends to its
-// own runs.<id>.journal segment, which it holds locked for its lifetime
-// (experiments.OpenJournalSegment). The kernel drops the lock the
-// moment the worker dies, so its respawn takes the segment over at
-// once, and a restarted process merges every segment via
-// experiments.ReplayJournalDir, so nothing a worker journaled before
-// dying is ever re-simulated.
+// Workers are stateless: they journal nothing. The Pool is mounted
+// behind the supervisor's experiments.Runner, which, when the daemon
+// journals, appends every cell a worker answers to the supervisor's
+// own segment before replying. Each cell then has one durable copy,
+// and a respawned worker has nothing to open or replay: it is ready as
+// soon as it listens. A cell a worker finished after the supervisor
+// died was never answered, and the restarted daemon simulates it
+// again.
 //
 // The control channel is the daemon's own API: each worker is a full
 // mdserve server on a private unix socket, driven through a
@@ -73,7 +74,7 @@ type Config struct {
 	Exec string
 	// Args builds the argv (minus argv[0]) for one worker slot; it must
 	// include whatever flags put the child in worker mode listening on
-	// the given unix socket with journal segment id WorkerID(slot).
+	// the given unix socket, named WorkerID(slot).
 	Args func(slot int, socket string) []string
 	// Dir is where per-worker control sockets are created.
 	Dir string
@@ -151,9 +152,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// WorkerID is the journal segment id for a worker slot ("w0", "w1",
-// ...); cmd/mdserve passes it to the child as -worker-id, and the child
-// holds that segment locked for its lifetime.
+// WorkerID names a worker slot ("w0", "w1", ...) in the supervisor's
+// log and /v1/metrics; cmd/mdserve passes it to the child as
+// -worker-id, which the child uses as its log prefix.
 func WorkerID(slot int) string { return fmt.Sprintf("w%d", slot) }
 
 // worker is one supervised slot. Everything here is immutable after
@@ -409,11 +410,11 @@ func (p *Pool) deliver(w *worker, c *cell) {
 	}
 	if errors.Is(dctx.Err(), context.DeadlineExceeded) {
 		// The worker sat on this cell past its wall-clock budget: presume
-		// it wedged (deadlock, livelock) and recycle the process. The
-		// respawned worker re-primes from its own journal segment, so
-		// everything it finished before wedging survives. Marking the
-		// slot dead here (rather than waiting for the supervisor's
-		// waitpid) stops dispatch to the doomed process immediately.
+		// it wedged (deadlock, livelock) and recycle the process.
+		// Everything it answered before wedging is already in the
+		// supervisor's journal and memo. Marking the slot dead here
+		// (rather than waiting for the supervisor's waitpid) stops
+		// dispatch to the doomed process immediately.
 		p.cfg.Log.Printf("fleet: %s exceeded %v on %s/%s; recycling worker",
 			w.id, p.cfg.CellBudget, c.bench, c.cfg.Name())
 		select {
@@ -697,14 +698,21 @@ func (p *Pool) spawn(w *worker) (*exec.Cmd, error) {
 	return cmd, nil
 }
 
+// maxReadyPoll caps the wait between a spawned worker's readiness
+// probes.
+const maxReadyPoll = 25 * time.Millisecond
+
 // waitReady polls the worker's healthz until it answers, exits, or
-// SpawnTimeout expires. exitedEarly reports that the exited channel
-// was consumed (the caller must not wait on it again).
+// SpawnTimeout expires: at once, then after 1, 2, 4, ... ms, capped at
+// maxReadyPoll, since a worker is ready as soon as it listens.
+// exitedEarly reports that the exited channel was consumed (the caller
+// must not wait on it again).
 func (p *Pool) waitReady(ctx context.Context, w *worker, exited <-chan error) (ready, exitedEarly bool) {
 	deadline := time.NewTimer(p.cfg.SpawnTimeout)
 	defer deadline.Stop()
-	tick := time.NewTicker(25 * time.Millisecond)
-	defer tick.Stop()
+	var wait time.Duration
+	probe := time.NewTimer(0)
+	defer probe.Stop()
 	for {
 		select {
 		case <-ctx.Done():
@@ -714,13 +722,15 @@ func (p *Pool) waitReady(ctx context.Context, w *worker, exited <-chan error) (r
 			return false, true
 		case <-deadline.C:
 			return false, false
-		case <-tick.C:
+		case <-probe.C:
 			pctx, cancel := context.WithTimeout(ctx, time.Second)
 			err := w.client.Healthz(pctx)
 			cancel()
 			if err == nil {
 				return true, false
 			}
+			wait = min(max(2*wait, time.Millisecond), maxReadyPoll)
+			probe.Reset(wait)
 		}
 	}
 }

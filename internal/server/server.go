@@ -442,11 +442,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("benches and configs must both be non-empty"))
 		return
 	}
+	// A repeated name would only repeat its cells; refusing it caps a
+	// sweep at the suite's size times the configs the body can hold.
+	seen := make(map[string]bool, len(req.Benches))
 	for _, b := range req.Benches {
 		if err := checkBench(b); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
+		if seen[b] {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bench %q repeated", b))
+			return
+		}
+		seen[b] = true
 	}
 	for i, c := range req.Configs {
 		if err := c.Validate(); err != nil {

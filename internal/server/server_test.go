@@ -230,6 +230,25 @@ func TestRunRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// A sweep naming a bench twice is refused before any cell is queued:
+// otherwise a small body could ask for cells without bound.
+func TestSweepRejectsRepeatedBench(t *testing.T) {
+	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}}, nil)
+	body, _ := json.Marshal(SweepRequest{
+		Benches: []string{"126.gcc", "102.swim", "126.gcc"}, Configs: []config.Machine{cfgWith(config.Sync)},
+	})
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), "repeated") {
+		t.Errorf("sweep with a repeated bench: status = %d, body %s; want 400 naming the repeat", resp.StatusCode, buf.String())
+	}
+}
+
 // The bounded queue refuses overload with 503 instead of queueing
 // without limit, but only for cells that need a simulation: a cached
 // cell is answered while the queue is full.
