@@ -35,7 +35,8 @@
 // mdserve -journal on the same directory) is refused. Transient cell
 // failures (worker panics, watchdog deadlock reports) are retried up to
 // -retries attempts with capped exponential backoff; a sampled cell
-// that keeps failing falls back to one serial sampled pass, and a cell
+// that keeps failing gets one last attempt that runs its segments one
+// after another without checkpoints (same statistics), and a cell
 // that cannot be completed at all is listed in the artifact's
 // partial-results envelope instead of aborting the sweep. See README.md
 // ("Robustness & operations").

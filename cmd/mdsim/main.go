@@ -8,9 +8,11 @@
 //	      [-json] [-out file] [-cpuprofile file] [-memprofile file]
 //	      [-trace file]
 //
-// With -sample, -par shards the sampled run across N workers using the
-// interval-parallel engine (0 = one per CPU core; default 1 = serial);
-// the result is bit-identical for every N.
+// With -sample, the run is the interval-parallel sampled engine that
+// mdexp -sampled and mdserve run, over an in-memory recording and
+// warm-state checkpoint set; -par is its worker count (default 0 = one
+// per CPU core). The result is bit-identical for every -par value and
+// equals mdexp's for the same cell.
 //
 // With -json, a single provenance-carrying run record (config name and
 // hash, instruction budget, wall time, runner version, raw counters) is
@@ -27,6 +29,7 @@ import (
 	"time"
 
 	"mdspec/internal/atomicio"
+	"mdspec/internal/ckpt"
 	"mdspec/internal/config"
 	"mdspec/internal/core"
 	"mdspec/internal/emu"
@@ -50,7 +53,7 @@ func main() {
 	selinv := flag.Bool("selinv", false, "recover with selective invalidation instead of squashing")
 	wrongPath := flag.Bool("wrongpath", false, "model wrong-path instruction fetch during mispredictions")
 	sample := flag.String("sample", "", "sampled simulation as T:F instructions (e.g. 50000:100000)")
-	par := flag.Int("par", 1, "workers for an interval-parallel sampled run (with -sample; 0 = one per core)")
+	par := flag.Int("par", 0, "workers for the interval-parallel sampled run (with -sample; 0 = one per core)")
 	jsonOut := flag.Bool("json", false, "write a JSON run record instead of the text report")
 	outPath := flag.String("out", "", "destination file for -json (default stdout)")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -115,25 +118,19 @@ func main() {
 	}
 	var r *stats.Run
 	start := time.Now()
-	switch {
-	case *sample != "" && *par != 1:
-		// Interval-parallel sampled run over a shared recording.
+	if *sample != "" {
+		// Segments over a shared recording, each restored from the
+		// checkpoint at its warm-up start, as the runner does without
+		// -recdir.
 		rec := emu.NewRecording(emu.New(p))
-		r, err = parsim.Run(context.Background(), cfg, rec, parsim.Options{
-			TotalTiming: *n, TimingInsts: tw, FunctionalInsts: fw, Workers: *par,
-		})
-		if err != nil {
+		popt := parsim.Options{TotalTiming: *n, TimingInsts: tw, FunctionalInsts: fw, Workers: *par}
+		if popt.Checkpoints, err = ckpt.Build(cfg, rec, emu.ProgramFingerprint(p), popt.CheckpointSeqs()); err != nil {
 			fatal(err)
 		}
-	case *sample != "":
-		pl, err := core.New(cfg, emu.NewTrace(emu.New(p)))
-		if err != nil {
+		if r, err = parsim.Run(context.Background(), cfg, rec, popt); err != nil {
 			fatal(err)
 		}
-		if r, err = pl.RunSampled(*n, tw, fw); err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		pl, err := core.New(cfg, emu.NewTrace(emu.New(p)))
 		if err != nil {
 			fatal(err)

@@ -60,7 +60,8 @@ const (
 // re-capture" — the distinction is only for diagnostics and tests.
 var (
 	// ErrCorrupt reports structural damage: bad magic, impossible
-	// geometry, truncation, or a CRC mismatch in any frame.
+	// geometry, truncation, a CRC mismatch in any frame, or a frame
+	// whose warm state is not at its directory position.
 	ErrCorrupt = errors.New("ckpt: corrupt checkpoint file")
 	// ErrMismatch reports a structurally sound file captured from a
 	// different program recording or warm configuration.
@@ -323,6 +324,11 @@ func Parse(b []byte, recFP, warmHash uint64) (*Set, error) {
 		wantCRC := binary.LittleEndian.Uint32(b[off+int(stateLen):])
 		if gotCRC != wantCRC {
 			return nil, fmt.Errorf("%w: frame %d (seq %d) CRC %08x != %08x", ErrCorrupt, i, seq, gotCRC, wantCRC)
+		}
+		// A frame restores its state's own position, not its directory
+		// entry's: a mismatch would resume the stream at the wrong place.
+		if pos, err := core.StateSeq(state); err != nil || pos != seq {
+			return nil, fmt.Errorf("%w: frame %d at seq %d is not a warm state at that position", ErrCorrupt, i, seq)
 		}
 		s.Frames[i] = Frame{Seq: seq, State: state}
 		off += frameBytes

@@ -116,6 +116,15 @@ func TestOpenFileRejects(t *testing.T) {
 	corrupt("flipped header bit", func(c []byte) []byte { c[25] ^= 1; return c })
 	corrupt("flipped frame byte", func(c []byte) []byte { c[len(c)-100] ^= 1; return c })
 	corrupt("tiny file", func(c []byte) []byte { return c[:10] })
+	// A CRC-valid frame whose warm state sits elsewhere than its
+	// directory entry would resume the stream at the wrong place.
+	state0 := hdrBytes + len(set.Frames)*dirEntrBytes + crcBytes
+	for _, moved := range []int64{4_000, 6_000} {
+		corrupt("frame holding another position", func(c []byte) []byte {
+			binary.LittleEndian.PutUint64(c[state0+posOff:], uint64(moved))
+			return stampFile(c, fp, set.WarmHash)
+		})
+	}
 
 	// The original file still parses after all that (mutations copied).
 	if _, err := Parse(b, fp, set.WarmHash); err != nil {
@@ -191,7 +200,9 @@ const (
 // TestRestoreRejectsImpossibleWarmState: a CRC-valid frame whose
 // warmer position or return-stack top is negative is refused by
 // RestoreWarm with an error. Both used to restore, and the next
-// interval panicked with an index out of range.
+// interval panicked with an index out of range. A negative position is
+// not the frame's directory position either, so such a file no longer
+// opens; RestoreWarm still refuses the state on its own.
 func TestRestoreRejectsImpossibleWarmState(t *testing.T) {
 	rec, fp := testRecording(t, "126.gcc", 120_000)
 	cfg := config.Default128().WithPolicy(config.Naive)
@@ -200,12 +211,13 @@ func TestRestoreRejectsImpossibleWarmState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, c := range map[string]struct {
-		off  func(stateLen int) int
-		val  int64
-		want error
+		off     func(stateLen int) int
+		val     int64
+		openErr error
+		want    error
 	}{
-		"warmer position":  {func(int) int { return posOff }, -5, core.ErrStatePosition},
-		"return stack top": {func(n int) int { return n - predTailLen + 8 }, -3, bpred.ErrStateRAS},
+		"warmer position":  {func(int) int { return posOff }, -5, ErrCorrupt, core.ErrStatePosition},
+		"return stack top": {func(n int) int { return n - predTailLen + 8 }, -3, nil, bpred.ErrStateRAS},
 	} {
 		t.Run(name, func(t *testing.T) {
 			st := bytes.Clone(set.Frames[0].State)
@@ -216,14 +228,17 @@ func TestRestoreRejectsImpossibleWarmState(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, err := OpenFile(path, fp, set.WarmHash)
-			if err != nil {
-				t.Fatal(err)
+			if !errors.Is(err, c.openErr) {
+				t.Fatalf("OpenFile = %v, want %v", err, c.openErr)
+			}
+			if err == nil {
+				st = got.Frames[0].State
 			}
 			pl, err := core.New(cfg, rec.NewReplay())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := pl.RestoreWarm(got.Frames[0].State); !errors.Is(err, c.want) {
+			if err := pl.RestoreWarm(st); !errors.Is(err, c.want) {
 				t.Fatalf("RestoreWarm = %v, want %v", err, c.want)
 			}
 		})
@@ -276,7 +291,10 @@ func restoreAndRun(t *testing.T, cfg config.Machine, rec *emu.Recording, state [
 // file. Each input is a file, stamped with the identity and fresh CRCs,
 // plus the warm-state scalars (position, flags, predictor history, BTB
 // way, return-stack top) patched into a real Table 2 frame: that frame
-// is about 680 KB, so random byte flips would rarely reach them.
+// is about 680 KB, so random byte flips would rarely reach them. The
+// patched frame sits at its own position, so it parses when that
+// position is a valid directory entry; any state restores to an error
+// or runs.
 func FuzzCheckpointFile(f *testing.F) {
 	rec, fp := testRecording(f, "126.gcc", 30_000)
 	cfg := config.Default128().WithPolicy(config.Naive)
@@ -326,14 +344,17 @@ func FuzzCheckpointFile(f *testing.F) {
 		binary.LittleEndian.PutUint32(st[tail+4:], btbWay)
 		binary.LittleEndian.PutUint64(st[tail+8:], uint64(rasTop))
 		var buf bytes.Buffer
-		patched := &Set{RecFP: fp, WarmHash: base.WarmHash, Frames: []Frame{{Seq: 10_000, State: st}}}
+		patched := &Set{RecFP: fp, WarmHash: base.WarmHash, Frames: []Frame{{Seq: pos, State: st}}}
 		if err := patched.encode(&buf); err != nil {
 			t.Fatal(err)
 		}
-		set, err = Parse(buf.Bytes(), fp, base.WarmHash)
-		if err != nil {
+		_, err = Parse(buf.Bytes(), fp, base.WarmHash)
+		if pos > 0 && err != nil {
 			t.Fatalf("a real frame with patched scalars does not parse: %v", err)
 		}
-		restoreAndRun(t, cfg, rec, set.Frames[0].State)
+		if pos <= 0 && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("a frame at position %d parses: %v", pos, err)
+		}
+		restoreAndRun(t, cfg, rec, st)
 	})
 }

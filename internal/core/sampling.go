@@ -7,28 +7,6 @@ import (
 	"mdspec/internal/stats"
 )
 
-// RunSampled simulates with the paper's sampling methodology (§3.1):
-// timing windows of timingInsts committed instructions alternate with
-// functional-only windows of functionalInsts instructions during which
-// the caches and the branch predictor stay warm but no cycles are
-// charged. It covers ceil(totalTiming/timingInsts) sampling periods (or
-// stops when the trace ends), committing at least totalTiming
-// instructions in timing mode. A 1:2 "timing:functional" ratio from the
-// paper's Table 1 corresponds to functionalInsts = 2*timingInsts.
-//
-// The sampling periods are anchored at fixed stream positions
-// (k * (timingInsts+functionalInsts)), so a serial RunSampled simulates
-// exactly the same timing regions as the interval-parallel engine
-// (internal/parsim) at the same budget — the two differ only in how the
-// microarchitectural state reaching each segment was warmed.
-func (p *Pipeline) RunSampled(totalTiming, timingInsts, functionalInsts int64) (*stats.Run, error) {
-	if err := p.checkSampled(timingInsts, functionalInsts); err != nil {
-		return nil, err
-	}
-	nPeriods := (totalTiming + timingInsts - 1) / timingInsts
-	return p.RunSampledInterval(0, nPeriods*(timingInsts+functionalInsts), timingInsts, functionalInsts, 0)
-}
-
 // RunSampledInterval runs the timing/functional alternation over the
 // stream region [start, end): the machine is functionally fast-forwarded
 // toward start (caches and branch predictor warm, no cycles charged, no
@@ -43,13 +21,14 @@ func (p *Pipeline) RunSampled(totalTiming, timingInsts, functionalInsts int64) (
 // predictors, which learn from violations and synchronizations — so a
 // mid-stream segment entered with a purely functional warm-up starts
 // with a cold MDPT and overstates misspeculation. The warm-up stretch
-// covers the tail of the preceding functional region (positions serial
-// sampling merely warms), closing that gap.
+// covers the tail of the preceding functional region (positions a
+// single whole-stream interval merely warms), closing that gap.
 //
 // It is the per-segment engine of the interval-parallel orchestrator
-// (internal/parsim), which decomposes one sampled run into such segments
-// on period boundaries. Because every window is delimited by absolute
-// stream positions rather than committed-instruction counts, a segment's
+// (internal/parsim), which decomposes one sampled run — the paper's
+// sampling methodology (§3.1) — into such segments on period
+// boundaries. Because every window is delimited by absolute stream
+// positions rather than committed-instruction counts, a segment's
 // result depends only on (configuration, stream, bounds, windows) —
 // never on which worker ran it or when — so the merged result is
 // bit-identical for any worker count.

@@ -11,13 +11,26 @@ import (
 	"mdspec/internal/workload"
 )
 
+// runSampled is the paper's sampled methodology (§3.1) run serially,
+// the whole stream as one RunSampledInterval: ceil(totalTiming /
+// timingInsts) sampling periods from position 0 with no detailed
+// warm-up, committing at least totalTiming instructions in timing mode
+// unless the trace ends first.
+func runSampled(p *Pipeline, totalTiming, timingInsts, functionalInsts int64) (*stats.Run, error) {
+	if err := p.checkSampled(timingInsts, functionalInsts); err != nil {
+		return nil, err
+	}
+	nPeriods := (totalTiming + timingInsts - 1) / timingInsts
+	return p.RunSampledInterval(0, nPeriods*(timingInsts+functionalInsts), timingInsts, functionalInsts, 0)
+}
+
 func TestSampledRunProgresses(t *testing.T) {
 	p := workload.MustBuild("129.compress")
 	pl, err := New(config.Default128().WithPolicy(config.Sync), emu.NewTrace(emu.New(p)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := pl.RunSampled(40_000, 5_000, 10_000) // the paper's 1:2 ratio
+	r, err := runSampled(pl, 40_000, 5_000, 10_000) // the paper's 1:2 ratio
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +65,7 @@ func TestSampledCloseToFullTiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := sampled.RunSampled(30_000, 10_000, 20_000)
+	sr, err := runSampled(sampled, 30_000, 10_000, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +79,11 @@ func TestSampledCloseToFullTiming(t *testing.T) {
 func TestSampledRejectsBadArgs(t *testing.T) {
 	p := workload.KernelStream(0)
 	pl, _ := New(config.Default128(), emu.NewTrace(emu.New(p)))
-	if _, err := pl.RunSampled(1000, 0, 10); err == nil {
+	if _, err := runSampled(pl, 1000, 0, 10); err == nil {
 		t.Error("zero timing window should error")
 	}
 	pl2, _ := New(config.Default128().WithPolicy(config.Naive).WithSplitWindow(4), emu.NewTrace(emu.New(p)))
-	if _, err := pl2.RunSampled(1000, 100, 100); err == nil {
+	if _, err := runSampled(pl2, 1000, 100, 100); err == nil {
 		t.Error("split-window sampling should error")
 	}
 }
@@ -78,7 +91,7 @@ func TestSampledRejectsBadArgs(t *testing.T) {
 func TestSampledFiniteProgramEnds(t *testing.T) {
 	p := workload.KernelRecurrence(500)
 	pl, _ := New(config.Default128().WithPolicy(config.Naive), emu.NewTrace(emu.New(p)))
-	r, err := pl.RunSampled(1<<20, 1_000, 500)
+	r, err := runSampled(pl, 1<<20, 1_000, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +110,7 @@ func TestSampledRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := pl.RunSampled(24_000, 3_000, 6_000)
+		r, err := runSampled(pl, 24_000, 3_000, 6_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +138,7 @@ func TestSampledTraceEndsMidFunctionalWindow(t *testing.T) {
 	// One timing window, then a functional window longer than the rest of
 	// the program: the trace necessarily ends inside the functional skip.
 	pl, _ := New(config.Default128().WithPolicy(config.Naive), emu.NewTrace(emu.New(p)))
-	r, err := pl.RunSampled(2*length, 1_000, 2*length)
+	r, err := runSampled(pl, 2*length, 1_000, 2*length)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +163,7 @@ func TestSampledBudgetExceedsProgram(t *testing.T) {
 	}
 
 	pl, _ := New(config.Default128().WithPolicy(config.Naive), emu.NewTrace(emu.New(p)))
-	r, err := pl.RunSampled(1<<20, 1<<20, 1<<20)
+	r, err := runSampled(pl, 1<<20, 1<<20, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +197,8 @@ func TestSampledIntervalWarmupClamped(t *testing.T) {
 	}
 }
 
-// The *stats.Run that Run and RunSampled return must not point into
-// the Pipeline: the experiment runner's memo keeps one result per
+// The *stats.Run that Run and RunSampledInterval return must not point
+// into the Pipeline: the experiment runner's memo keeps one result per
 // simulated cell, and a result aliasing p.res would keep every cell's
 // whole Pipeline (window, caches, predictors) reachable.
 func TestRunResultDoesNotRetainPipeline(t *testing.T) {
@@ -196,7 +209,7 @@ func TestRunResultDoesNotRetainPipeline(t *testing.T) {
 		run  func(p *Pipeline) (*stats.Run, error)
 	}{
 		{"Run", func(p *Pipeline) (*stats.Run, error) { return p.Run(2000) }},
-		{"RunSampled", func(p *Pipeline) (*stats.Run, error) { return p.RunSampled(2000, 500, 1000) }},
+		{"RunSampled", func(p *Pipeline) (*stats.Run, error) { return runSampled(p, 2000, 500, 1000) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats

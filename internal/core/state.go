@@ -78,16 +78,26 @@ func (w *Warmer) AppendState(b []byte) []byte {
 	return w.bp.AppendState(b)
 }
 
+// StateSeq returns the stream position of a warm state AppendState
+// wrote: the position its warmer had reached, where a restored machine
+// resumes.
+func StateSeq(state []byte) (int64, error) {
+	if len(state) < warmerHdrBytes {
+		return 0, ErrStateTruncated
+	}
+	return int64(binary.LittleEndian.Uint64(state)), nil
+}
+
 // RestoreState overwrites the warmer's state from the front of b and
 // returns the bytes consumed. On error the warmer may be partially
 // restored; callers must discard the machine.
 //
 //md:hotpath
 func (w *Warmer) RestoreState(b []byte) (int, error) {
-	if len(b) < warmerHdrBytes {
-		return 0, ErrStateTruncated
+	seq, err := StateSeq(b)
+	if err != nil {
+		return 0, err
 	}
-	seq := int64(binary.LittleEndian.Uint64(b))
 	if seq < 0 {
 		return 0, ErrStatePosition
 	}

@@ -13,10 +13,11 @@ import (
 // predictor observes every conditional branch, so microarchitectural
 // state stays warm, but no cycles are charged and no Pipeline is needed.
 //
-// A Warmer has two users: the Pipeline's own functional windows during
-// RunSampled, and the interval-parallel engine (internal/parsim), whose
-// workers fast-forward a fresh machine to their segment start before
-// running the timing/functional alternation within the segment.
+// A Warmer has two users: a Pipeline running RunSampledInterval, which
+// fast-forwards to its segment start and skips each functional window
+// with it, and checkpoint capture (internal/ckpt), which advances a
+// standalone Warmer through the stream and snapshots it at each
+// interval-parallel segment's warm-up start.
 type Warmer struct {
 	trace emu.Stream
 	hier  *cache.Hierarchy

@@ -17,10 +17,15 @@ import (
 // schema or to what the runner measures.
 const RunnerVersion = "mdspec-runner/4"
 
-// FallbackSerialSampled marks a run whose interval-parallel sampled
-// simulation kept failing transiently and was completed by one serial
-// sampled pass instead (graceful degradation; see Runner).
-const FallbackSerialSampled = "serial-sampled"
+// FallbackSerialSegments marks a sampled run whose interval-parallel
+// attempts kept failing transiently and that was completed by running
+// the same segments one after another, without checkpoints (graceful
+// degradation; see Runner). Its statistics equal the primary engine's.
+const FallbackSerialSegments = "serial-segments"
+
+// fallbackSerialSampled marked the retired serial sampled fallback,
+// another estimator than the segments'. Prime skips its records.
+const fallbackSerialSampled = "serial-sampled"
 
 // Provenance identifies one simulation well enough to reproduce it:
 // which benchmark ran under which configuration (by paper-style name
@@ -43,7 +48,7 @@ type RunRecord struct {
 	// (1 = clean first try; omitted for replayed pre-retry records).
 	Attempts int `json:"attempts,omitempty"`
 	// Fallback names the degraded backend that produced the result, if
-	// any (FallbackSerialSampled); empty for the primary engine.
+	// any (FallbackSerialSegments); empty for the primary engine.
 	Fallback    string     `json:"fallback,omitempty"`
 	IPC         float64    `json:"ipc"`
 	MisspecRate float64    `json:"misspec_rate"`

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -145,6 +147,62 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 	}
 	if len(set.Frames) == 0 {
 		t.Error("re-captured checkpoint file has no frames")
+	}
+}
+
+// TestRunnerRecapturesMispositionedFrames: a CRC-valid checkpoint file
+// whose frames hold warm state 1,000 instructions past or before their
+// directory positions is refused at open, so the runner re-captures it
+// and the cell's statistics equal an uncached run's. Restored as it
+// was, a frame ahead of its position failed every segment with a plain
+// error, abandoning the cell on every later sweep, and a frame behind
+// its position warmed 1,000 instructions twice.
+func TestRunnerRecapturesMispositionedFrames(t *testing.T) {
+	const bench = "129.compress"
+	cfg := nas(config.Sync)
+	want, err := NewRunner(ckptOpt()).Run(bg, bench, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.Build(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shift := range []int64{1_000, -1_000} {
+		o := ckptOpt()
+		o.RecordingDir = t.TempDir()
+		seed := NewRunner(o)
+		if _, err := seed.Run(bg, bench, cfg); err != nil {
+			t.Fatal(err)
+		}
+		seed.Close()
+		path := ckptFile(t, o.RecordingDir)
+		set, err := ckpt.OpenFile(path, emu.ProgramFingerprint(p), ckpt.WarmConfigOf(cfg).Hash())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range set.Frames {
+			// A warm state leads with its stream position.
+			st := bytes.Clone(set.Frames[i].State)
+			binary.LittleEndian.PutUint64(st, uint64(set.Frames[i].Seq+shift))
+			set.Frames[i].State = st
+		}
+		if err := set.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+
+		r := NewRunner(o)
+		got, err := r.Run(bg, bench, cfg)
+		r.Close()
+		if err != nil {
+			t.Fatalf("frames moved by %+d: %v", shift, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("frames moved by %+d: stats differ from an uncached run", shift)
+		}
+		if c := r.Counters(); c.CheckpointMisses != 1 || c.CheckpointHits != 0 {
+			t.Errorf("frames moved by %+d: counters = %+v, want the file re-captured", shift, c)
+		}
 	}
 }
 

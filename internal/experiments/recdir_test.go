@@ -85,8 +85,11 @@ func TestRecordingDirCachesAndReplays(t *testing.T) {
 // with (phase-)sampling. A file captured for the smaller budget is
 // sealed short of the larger budget's horizon, so the larger budget must
 // re-capture it once instead of replaying past its end; a larger file
-// serves the smaller budget as is. Every run's statistics must equal a
-// runner's without a cache, and no cell may be abandoned.
+// serves the smaller budget as is. Checkpoint sets follow the same
+// rule: the larger budget re-captures a set captured for the smaller
+// one, and the smaller budget reuses the larger set. Every run's
+// statistics must equal a runner's without a cache, and no cell may be
+// abandoned.
 func TestRecordingDirServesMixedBudgets(t *testing.T) {
 	benches := []string{"129.compress", "102.swim"}
 	cfgs := []config.Machine{config.Default128(), config.Default128().WithPolicy(config.Naive)}
@@ -152,6 +155,14 @@ func TestRecordingDirServesMixedBudgets(t *testing.T) {
 						t.Errorf("%s shrank from %d to %d bytes", path, size, fi.Size())
 					}
 					size = fi.Size()
+					// Both configurations share one warm class per benchmark.
+					wantSets := int64(0)
+					if opt.Sampled && (i == 0 || grow) {
+						wantSets = int64(len(benches))
+					}
+					if c.CheckpointMisses != wantSets {
+						t.Errorf("insts %d: captured %d checkpoint sets, want %d", opt.Insts, c.CheckpointMisses, wantSets)
+					}
 				}
 			})
 		}

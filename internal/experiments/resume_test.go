@@ -249,8 +249,11 @@ func TestPrimeSkipsForeignRecords(t *testing.T) {
 	wrongRunner.Runner = "mdspec-runner/0"
 	noStats := journalRecord("102.swim", nas(config.Sync), 1000)
 	noStats.Stats = nil
+	// The retired serial sampled fallback computed another estimator.
+	retired := journalRecord("099.go", nas(config.Naive), 1000)
+	retired.Fallback = "serial-sampled"
 
-	if n := r.Prime([]RunRecord{good, wrongInsts, wrongRunner, noStats}); n != 1 {
+	if n := r.Prime([]RunRecord{good, wrongInsts, wrongRunner, noStats, retired}); n != 1 {
 		t.Fatalf("Prime accepted %d records, want 1", n)
 	}
 
@@ -277,5 +280,8 @@ func TestPrimeSkipsForeignRecords(t *testing.T) {
 	// The rejected cells would simulate (and here, fail).
 	if _, err := r.Run(bg, "126.gcc", nas(config.Sync)); err == nil {
 		t.Error("cell with mismatched budget was served from the journal")
+	}
+	if _, err := r.Run(bg, "099.go", nas(config.Naive)); err == nil {
+		t.Error("cell of the retired serial sampled fallback was served from the journal")
 	}
 }

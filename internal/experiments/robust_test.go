@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -182,8 +183,8 @@ func TestExhaustedRetriesAbandonCell(t *testing.T) {
 }
 
 // TestSampledFallbackSerial: a sampled cell whose interval-parallel
-// attempts keep failing degrades to one serial sampled pass; the run
-// record carries the fallback marker.
+// attempts keep failing gets one last attempt on the serial-segments
+// backend; the run record carries the fallback marker.
 func TestSampledFallbackSerial(t *testing.T) {
 	r := NewRunner(Options{Insts: 1000, Sampled: true, Retry: retry.Policy{MaxAttempts: 2}})
 	r.sleep = instantSleep
@@ -205,8 +206,8 @@ func TestSampledFallbackSerial(t *testing.T) {
 		t.Fatalf("parallel=%d serial=%d, want 2 failed parallel attempts then 1 serial", parallelCalls.Load(), serialCalls.Load())
 	}
 	recs := r.Records()
-	if len(recs) != 1 || recs[0].Fallback != FallbackSerialSampled || recs[0].Attempts != 3 {
-		t.Errorf("record = %+v, want Fallback=%q Attempts=3", recs[0], FallbackSerialSampled)
+	if len(recs) != 1 || recs[0].Fallback != FallbackSerialSegments || recs[0].Attempts != 3 {
+		t.Errorf("record = %+v, want Fallback=%q Attempts=3", recs[0], FallbackSerialSegments)
 	}
 	if len(r.Abandoned()) != 0 {
 		t.Errorf("rescued cell listed as abandoned: %v", r.Abandoned())
@@ -229,12 +230,69 @@ func TestSampledFallbackAlsoFails(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if !strings.Contains(err.Error(), "serial fallback also failed") {
+	if !strings.Contains(err.Error(), "serial-segments fallback also failed") {
 		t.Errorf("error should name the fallback failure: %v", err)
 	}
 	ab := r.Abandoned()
 	if len(ab) != 1 || ab[0].Attempts != 2 {
 		t.Fatalf("Abandoned() = %+v, want one entry with 2 attempts (1 parallel + 1 serial)", ab)
+	}
+}
+
+// TestSampledFallbackCanceled: a sweep canceled while a cell runs its
+// fallback leaves the cell unfinished, not abandoned.
+func TestSampledFallbackCanceled(t *testing.T) {
+	r := NewRunner(Options{Insts: 1000, Sampled: true, Retry: retry.Policy{MaxAttempts: 1}})
+	r.sleep = instantSleep
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		return nil, &parsim.PanicError{Segment: 0, Value: "engine fault"}
+	}
+	r.simSerial = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		cancel()
+		return nil, ctx.Err()
+	}
+
+	if _, err := r.Run(ctx, "126.gcc", nas(config.Naive)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ab := r.Abandoned(); len(ab) != 0 {
+		t.Errorf("canceled cell listed as abandoned: %v", ab)
+	}
+}
+
+// TestSampledFallbackEqualsPrimary: the degraded attempt runs the
+// primary's estimator — the same segments and phase plan, one after
+// another and without checkpoints — so a sampled or phase-sampled cell
+// has one value whether or not its parallel attempts failed.
+func TestSampledFallbackEqualsPrimary(t *testing.T) {
+	const bench = "129.compress"
+	cfg := nas(config.Naive)
+	for _, phases := range []int{0, 2} {
+		opt := ckptOpt()
+		opt.Phases = phases
+		opt.Retry = retry.Policy{MaxAttempts: 2}
+		want, err := NewRunner(opt).Run(bg, bench, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		r := NewRunner(opt)
+		r.sleep = instantSleep
+		r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+			return nil, &parsim.PanicError{Segment: 1, Value: "engine fault"}
+		}
+		got, err := r.Run(bg, bench, cfg)
+		if err != nil {
+			t.Fatalf("phases %d: fallback should rescue the cell: %v", phases, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("phases %d: degraded stats differ from a clean runner's:\nwant %+v\ngot  %+v", phases, want, got)
+		}
+		if recs := r.Records(); len(recs) != 1 || recs[0].Fallback != FallbackSerialSegments {
+			t.Errorf("phases %d: records = %+v, want one marked %q", phases, recs, FallbackSerialSegments)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,13 +141,16 @@ func (o Options) segmentPeriods() int {
 	return parsim.DefaultSegmentPeriods
 }
 
-// checkpointSeqs is the warm-state checkpoint schedule these options
-// induce: one frame at each interval-parallel segment's warm-up start,
-// so a resumed segment fast-forwards zero residue. parsim defaults the
-// warm-up length to the timing window.
-func (o Options) checkpointSeqs() []int64 {
-	return ckpt.Positions(o.Insts, o.timingWindow(), o.functionalWindow(),
-		int64(o.segmentPeriods()), o.timingWindow())
+// sampling is the fixed interval-parallel decomposition of every
+// sampled cell under these options. Each attempt at a cell runs over
+// it, so a cell has one value whichever attempt answers it.
+func (o Options) sampling() parsim.Options {
+	return parsim.Options{
+		TotalTiming:     o.Insts,
+		TimingInsts:     o.timingWindow(),
+		FunctionalInsts: o.functionalWindow(),
+		SegmentPeriods:  o.SegmentPeriods,
+	}
 }
 
 // Hooks are optional progress callbacks a Runner invokes around each
@@ -248,8 +252,8 @@ type Runner struct {
 	// sim is the simulation implementation; tests substitute stubs to
 	// exercise singleflight, cancellation and error aggregation without
 	// paying for real simulations. simSerial is the graceful-degradation
-	// backend: the serial sampled run a cell falls back to when the
-	// interval-parallel engine keeps failing transiently.
+	// backend a sampled cell falls back to when sim keeps failing
+	// transiently: the same segments, run one after another.
 	sim       func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error)
 	simSerial func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error)
 
@@ -293,7 +297,7 @@ func NewRunner(opt Options) *Runner {
 		sem:        parsim.NewSem(opt.parallel()),
 	}
 	r.sim = r.simulate
-	r.simSerial = r.simulateSerialSampled
+	r.simSerial = r.simulateSerialSegments
 	r.sleep = func(ctx context.Context, d time.Duration) error {
 		if d <= 0 {
 			return ctx.Err()
@@ -334,7 +338,8 @@ func (r *Runner) Counters() Counters {
 }
 
 // Abandoned returns a copy of the cells this runner gave up on after
-// exhausting retries (and, for sampled cells, the serial fallback).
+// exhausting retries (and, for sampled cells, the serial-segments
+// fallback).
 // They are the partial-results envelope's "what is missing" list.
 func (r *Runner) Abandoned() []AbandonedCell {
 	r.mu.Lock()
@@ -355,14 +360,16 @@ func (r *Runner) JournalErr() error {
 // primed cell is served without re-simulation, appears in Records (with
 // its original provenance), and is not re-journaled. Entries from a
 // different runner version or instruction budget are skipped — they
-// belong to a sweep whose cells are not this sweep's cells. Returns how
-// many records were accepted.
+// belong to a sweep whose cells are not this sweep's cells — and so are
+// entries of the retired serial sampled fallback, whose statistics came
+// from another estimator. Returns how many records were accepted.
 func (r *Runner) Prime(recs []RunRecord) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
 	for _, rec := range recs {
-		if rec.Runner != RunnerVersion || rec.Insts != r.opt.Insts || rec.Stats == nil {
+		if rec.Runner != RunnerVersion || rec.Insts != r.opt.Insts || rec.Stats == nil ||
+			rec.Fallback == fallbackSerialSampled {
 			continue
 		}
 		r.primed[runKeyID{rec.Bench, rec.ConfigHash}] = rec
@@ -577,10 +584,11 @@ func (r *Runner) checkpointSet(bench string, cfg config.Machine) *ckpt.Set {
 // set. With RecordingDir set the set persists as
 // <bench>-<warmhash>.mdckpt next to the benchmark's recording, shared
 // by concurrent mdserve workers and resumed mdexp sweeps; a corrupt,
-// mismatched, or stale file is silently re-captured and rewritten.
-// Every failure path degrades to a smaller or nil set, never an error.
+// mismatched, or non-covering file is silently re-captured and
+// rewritten. Every failure path degrades to a smaller or nil set, never
+// an error.
 func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set {
-	seqs := r.opt.checkpointSeqs()
+	seqs := r.opt.sampling().CheckpointSeqs()
 	if len(seqs) == 0 {
 		return nil // single-segment decomposition: nothing to resume
 	}
@@ -600,7 +608,7 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 		path = filepath.Join(r.opt.RecordingDir,
 			fmt.Sprintf("%s-%016x.mdckpt", bench, warm.Hash()))
 		s, err := ckpt.OpenFile(path, recFP, warm.Hash())
-		if err == nil && !staleSeqs(s.Seqs(), seqs) {
+		if err == nil && covers(s.Seqs(), seqs, rec) {
 			r.ckptHits.Add(1)
 			r.ckptBytes.Add(s.SizeBytes())
 			return s
@@ -624,21 +632,19 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 	return s
 }
 
-// staleSeqs reports whether an on-disk checkpoint schedule no longer
-// matches the sweep's. A file whose frames are a non-empty prefix of
-// the desired positions is accepted — a trace shorter than the capture
-// horizon truncates the tail identically on rebuild — while a file
-// from a different window geometry is re-captured.
-func staleSeqs(got, want []int64) bool {
-	if len(got) == 0 || len(got) > len(want) {
-		return true
+// covers reports whether an on-disk checkpoint set captured at
+// positions got serves a sweep that wants positions want, so that
+// checkpoint files, like recordings, only grow. A set captured for this
+// or a larger budget holds want as a prefix. A shorter set serves only
+// if ckpt.Build would capture no more frames: the recording ends before
+// the first missing position. Anything else (a smaller budget, another
+// window geometry) is re-captured.
+func covers(got, want []int64, rec emu.ReplaySource) bool {
+	n := min(len(got), len(want))
+	if !slices.Equal(got[:n], want[:n]) {
+		return false
 	}
-	for i, s := range got {
-		if s != want[i] {
-			return true
-		}
-	}
-	return false
+	return n == len(want) || rec.NewReplay().At(want[n]-1) == nil
 }
 
 // phasePlan returns bench's phase-representative segment selection,
@@ -673,31 +679,18 @@ func (r *Runner) buildPhasePlan(bench string) []ckpt.WeightedSegment {
 // simulate is the real simulation backend behind Run. With
 // Options.Sampled it runs the interval-parallel sampled engine, whose
 // segment workers borrow spare tokens from the runner's own parallelism
-// budget (split-window machines fall back to a full timing run —
-// sampling needs a continuous window).
+// budget and restore warm-state checkpoints (split-window machines fall
+// back to a full timing run — sampling needs a continuous window).
 func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+	if r.opt.Sampled && !cfg.SplitWindow {
+		popt := r.opt.sampling()
+		popt.Sem = r.sem
+		popt.Checkpoints = r.checkpointSet(bench, cfg)
+		return r.simulateSampled(ctx, bench, cfg, popt)
+	}
 	rec, err := r.recording(bench)
 	if err != nil {
 		return nil, err
-	}
-	if r.opt.Sampled && !cfg.SplitWindow {
-		popt := parsim.Options{
-			TotalTiming:     r.opt.Insts,
-			TimingInsts:     r.opt.timingWindow(),
-			FunctionalInsts: r.opt.functionalWindow(),
-			SegmentPeriods:  r.opt.SegmentPeriods,
-			Sem:             r.sem,
-			Checkpoints:     r.checkpointSet(bench, cfg),
-		}
-		if r.opt.Phases > 0 {
-			popt.Select = r.phasePlan(bench)
-		}
-		res, err := parsim.Run(ctx, cfg, rec, popt)
-		if err != nil {
-			return nil, err
-		}
-		res.Workload = bench
-		return res, nil
 	}
 	pl, err := core.New(cfg, rec.NewReplay())
 	if err != nil {
@@ -711,27 +704,30 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine)
 	return res, nil
 }
 
-// simulateSerialSampled is the graceful-degradation backend for sampled
-// cells: one serial sampled pass on a private pipeline, touching none
-// of the interval-parallel machinery that kept failing (checkpoints,
-// phase selection, and segment workers included — a phase-sampled cell
-// degrades to the full, unweighted serial methodology, which is at
-// least as accurate). Slower and warmed slightly differently than the
-// segmented run (the paper's serial methodology), but it lets the sweep
-// finish the cell instead of abandoning it.
-func (r *Runner) simulateSerialSampled(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// simulateSerialSegments is the graceful-degradation backend for
+// sampled cells: the primary's decomposition and phase plan, with every
+// segment on the calling goroutine and no checkpoint set, so it leans
+// on no cached bytes but the CRC-checked recording. Worker count and
+// checkpoints change parsim's wall time only, so its statistics equal
+// the primary's; without checkpoints each segment fast-forwards from
+// the stream start, which makes it slower.
+func (r *Runner) simulateSerialSegments(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+	popt := r.opt.sampling()
+	popt.Workers = 1
+	return r.simulateSampled(ctx, bench, cfg, popt)
+}
+
+// simulateSampled runs one sampled cell over popt and bench's phase
+// plan.
+func (r *Runner) simulateSampled(ctx context.Context, bench string, cfg config.Machine, popt parsim.Options) (*stats.Run, error) {
 	rec, err := r.recording(bench)
 	if err != nil {
 		return nil, err
 	}
-	pl, err := core.New(cfg, rec.NewReplay())
-	if err != nil {
-		return nil, err
+	if r.opt.Phases > 0 {
+		popt.Select = r.phasePlan(bench)
 	}
-	res, err := pl.RunSampled(r.opt.Insts, r.opt.timingWindow(), r.opt.functionalWindow())
+	res, err := parsim.Run(ctx, cfg, rec, popt)
 	if err != nil {
 		return nil, err
 	}
@@ -785,9 +781,9 @@ func (r *Runner) runProtected(ctx context.Context, bench string, cfg config.Mach
 // failure, or a degraded success: transient failures are re-attempted
 // up to the retry policy's budget (with its deterministic capped
 // exponential backoff between attempts), and a sampled cell whose
-// interval-parallel runs keep failing falls back to one serial sampled
-// pass. It returns the attempts consumed and the fallback marker for
-// the cell's provenance record.
+// interval-parallel runs keep failing gets one last attempt that runs
+// its segments one after another (simSerial). It returns the attempts
+// consumed and the fallback marker for the cell's provenance record.
 func (r *Runner) runWithRecovery(ctx context.Context, bench string, cfg config.Machine, cfgName string) (res *stats.Run, attempts int, fallback string, err error) {
 	pol := r.opt.Retry.WithDefaults()
 	for {
@@ -816,9 +812,12 @@ func (r *Runner) runWithRecovery(ctx context.Context, bench string, cfg config.M
 		attempts++
 		fres, ferr := r.runProtected(ctx, bench, cfg, cfgName, r.simSerial)
 		if ferr == nil {
-			return fres, attempts, FallbackSerialSampled, nil
+			return fres, attempts, FallbackSerialSegments, nil
 		}
-		err = fmt.Errorf("%w (serial fallback also failed: %v)", err, ferr)
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, attempts, "", cerr // canceled mid-fallback: unfinished, not abandoned
+		}
+		err = fmt.Errorf("%w (serial-segments fallback also failed: %v)", err, ferr)
 	}
 	return nil, attempts, "", err
 }
@@ -1040,8 +1039,8 @@ func (r *Runner) cacheHit(key runKey) {
 type SimulateFunc func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error)
 
 // UseBackend replaces the runner's simulation backend — both the
-// primary engine and the sampled serial fallback — while keeping the
-// memo cache, singleflight dedup, journal priming, hooks and counters
+// primary engine and the sampled fallback — while keeping the memo
+// cache, singleflight dedup, journal priming, hooks and counters
 // in front of it. mdexp -server uses it to point experiments at a
 // remote mdserve daemon instead of simulating locally. Call it before
 // the first Run; it is not safe to swap backends mid-sweep.

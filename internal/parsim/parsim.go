@@ -129,7 +129,8 @@ type Options struct {
 	// fast-forward, so the option changes wall-clock time only. A set
 	// whose WarmHash does not match cfg, or a frame that fails to
 	// restore, is silently ignored (full fast-forward) — checkpoints
-	// may never change results.
+	// may never change results. CheckpointSeqs is the schedule to
+	// capture it at.
 	Checkpoints *ckpt.Set
 	// Select, when non-empty, simulates only the named segments of the
 	// fixed decomposition, scaling each result by its weight before the
@@ -156,6 +157,13 @@ func (o Options) warmup() int64 {
 	default:
 		return o.TimingInsts
 	}
+}
+
+// CheckpointSeqs is the warm-state checkpoint schedule of this run's
+// decomposition: one position at each mid-stream segment's warm-up
+// start, so a segment restored from its frame fast-forwards no residue.
+func (o Options) CheckpointSeqs() []int64 {
+	return ckpt.Positions(o.TotalTiming, o.TimingInsts, o.FunctionalInsts, o.segmentPeriods(), o.warmup())
 }
 
 func (o Options) workers() int {
@@ -221,6 +229,9 @@ func Run(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, opt Opti
 	}
 	if opt.TimingInsts <= 0 || opt.FunctionalInsts < 0 {
 		return nil, fmt.Errorf("parsim: invalid sampling windows %d:%d", opt.TimingInsts, opt.FunctionalInsts)
+	}
+	if cfg.SplitWindow {
+		return nil, fmt.Errorf("parsim: sampling is not supported with a split window")
 	}
 	segs := opt.segments()
 	// Weight of each segment in the merge: 1 everywhere by default, or

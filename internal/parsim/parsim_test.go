@@ -159,7 +159,8 @@ func TestSharedSemaphoreBudget(t *testing.T) {
 }
 
 // TestCalibrationAgainstSerialSampled holds the interval-parallel
-// engine's IPC within 2% of serial RunSampled per benchmark at the same
+// engine's IPC within 2% of the serial sampled methodology — the whole
+// stream as one RunSampledInterval — per benchmark at the same
 // instruction budget and window sizes: the segments' functional warm-up
 // approximates the serial run's accumulated detailed state, so the two
 // must agree closely on phase-free workloads.
@@ -175,7 +176,7 @@ func TestCalibrationAgainstSerialSampled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := serialPl.RunSampled(total, tw, fw)
+		serial, err := serialPl.RunSampledInterval(0, (total+tw-1)/tw*(tw+fw), tw, fw, 0)
 		if err != nil {
 			t.Fatalf("%s serial: %v", bench, err)
 		}
