@@ -975,8 +975,7 @@ func (r *Runner) lookup(ctx context.Context, key runKey, claim bool) (RunRecord,
 	if i, ok := r.memo[key]; ok {
 		rec := r.records[i]
 		r.mu.Unlock()
-		r.cacheHits.Add(1)
-		r.cacheHit(key)
+		r.CacheHit(rec.Bench, rec.Config)
 		return rec, SourceCache, nil, nil
 	}
 	if len(r.primed) > 0 {
@@ -990,7 +989,9 @@ func (r *Runner) lookup(ctx context.Context, key runKey, claim bool) (RunRecord,
 			r.rememberLocked(key, rec)
 			r.mu.Unlock()
 			r.replayed.Add(1)
-			r.cacheHit(key)
+			if r.opt.Hooks.CacheHit != nil {
+				r.opt.Hooks.CacheHit(rec.Bench, rec.Config)
+			}
 			return rec, SourceJournal, nil, nil
 		}
 	}
@@ -1001,8 +1002,7 @@ func (r *Runner) lookup(ctx context.Context, key runKey, claim bool) (RunRecord,
 			if c.err != nil {
 				return RunRecord{}, "", nil, c.err
 			}
-			r.cacheHits.Add(1)
-			r.cacheHit(key)
+			r.CacheHit(c.rec.Bench, c.rec.Config)
 			return c.rec, SourceDedup, nil, nil
 		case <-ctx.Done():
 			return RunRecord{}, "", nil, ctx.Err()
@@ -1026,11 +1026,16 @@ func (r *Runner) rememberLocked(key runKey, rec RunRecord) {
 	r.memo[key] = len(r.records) - 1
 }
 
-// cacheHit fires the CacheHit hook for a cell answered without a new
-// simulation.
-func (r *Runner) cacheHit(key runKey) {
+// CacheHit accounts one answer from the memo cache or from a joined
+// in-flight duplicate: it counts it in cache_hits and fires the
+// CacheHit hook with the cell's bench and config name. Lookup calls it
+// for its own hits; mdserve calls it when it answers a memo cell from
+// response bytes it kept, so such a hit is counted exactly as
+// Lookup's.
+func (r *Runner) CacheHit(bench, cfg string) {
+	r.cacheHits.Add(1)
 	if r.opt.Hooks.CacheHit != nil {
-		r.opt.Hooks.CacheHit(key.bench, key.cfg.Name())
+		r.opt.Hooks.CacheHit(bench, cfg)
 	}
 }
 

@@ -23,7 +23,8 @@ import (
 // name outside the suite. Every body must be answered within a bound
 // with a 2xx, a 4xx or the queue's 503: never a panic or another 5xx.
 // A body that succeeds is sent again and must come back from the cache
-// with the same record.
+// with the same record, and a third time, when the digest index answers
+// it, with the same bytes as the second.
 func FuzzRunRequest(f *testing.F) {
 	zeroIssue := cfgWith(config.Naive)
 	zeroIssue.IssueWidth = 0
@@ -79,6 +80,10 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if b.Source != experiments.SourceCache || !reflect.DeepEqual(a.Record, b.Record) {
 			t.Fatalf("repeat is not the cached record:\nfirst:  %s\nrepeat: %s", first, again)
+		}
+		status, third := fuzzPost(t, s, "/v1/runs", body)
+		if status != http.StatusOK || !bytes.Equal(third, again) {
+			t.Fatalf("digest answer: status %d, bytes differ from the decode path's:\nsecond: %s\nthird:  %s", status, again, third)
 		}
 	})
 }

@@ -17,7 +17,11 @@
 // Only cells that need a new simulation take a slot: a cell request
 // the cache settles (memo hit, journal-primed, or joining an in-flight
 // duplicate) is answered on its own goroutine, a memo hit from
-// response bytes encoded once. Every response is compact JSON.
+// response bytes encoded once. A cell request byte-identical to the
+// one whose hit stored those bytes is answered by the SHA-256 of its
+// body, without decoding it again. A request body holds exactly one
+// JSON value with no field its type lacks; anything else is refused
+// with 400. Every response is compact JSON.
 package server
 
 import (

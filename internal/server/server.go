@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -56,16 +59,29 @@ type Server struct {
 	eps    map[string]*endpointStats
 	fleet  Fleet // nil when running single-process
 
-	// bodies holds the encoded response of every cell answered from the
-	// memo, written again on each later hit. Memo entries are never
+	// bodies holds the response of every cell answered from the memo,
+	// encoded on its first hit and written again on each later one.
+	// digests maps the SHA-256 of the request body that stored a cell's
+	// response to the same entry, so a byte-identical repeat of that
+	// body is answered without decoding it. Memo entries are never
 	// evicted, so neither are these.
-	bodyMu sync.Mutex
-	bodies map[cellKey][]byte //md:guardedby bodyMu
+	bodyMu  sync.Mutex
+	bodies  map[cellKey]*memoRun           //md:guardedby bodyMu
+	digests map[[sha256.Size]byte]*memoRun //md:guardedby bodyMu
 }
 
 // cellKey identifies a cell by benchmark and configuration hash.
 type cellKey struct {
 	bench, configHash string
+}
+
+// memoRun is a memo cell's encoded response, with the names and wall
+// time a hit's accounting and log line need. It never changes once
+// stored.
+type memoRun struct {
+	body          []byte
+	bench, config string
+	wallSeconds   float64
 }
 
 // Fleet is the health/metrics surface a worker-process pool exposes to
@@ -99,13 +115,14 @@ func New(cfg Config) *Server {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
 	s := &Server{
-		cfg:    cfg,
-		fp:     cfg.Options.Fingerprint(),
-		runner: experiments.NewRunner(cfg.Options),
-		mux:    http.NewServeMux(),
-		start:  time.Now(),
-		eps:    make(map[string]*endpointStats),
-		bodies: make(map[cellKey][]byte),
+		cfg:     cfg,
+		fp:      cfg.Options.Fingerprint(),
+		runner:  experiments.NewRunner(cfg.Options),
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		eps:     make(map[string]*endpointStats),
+		bodies:  make(map[cellKey]*memoRun),
+		digests: make(map[[sha256.Size]byte]*memoRun),
 	}
 	s.sched = newScheduler(s.runner, cfg.Workers, cfg.QueueDepth)
 	s.route("GET /v1/healthz", s.handleHealthz)
@@ -309,26 +326,75 @@ func checkBench(bench string) error {
 // 420 bytes of JSON, so a sweep of 2,000 configurations still fits.
 const maxRequestBytes = 1 << 20
 
-// decodeRequest decodes the JSON body of r into v, reading at most
-// maxRequestBytes. On failure it answers 413 (body too large) or 400
-// itself and reports false.
-func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(v)
+// maxPooledBody is the largest buffer freeBody returns to bodyPool: a
+// cell request fits with room to spare, and a large sweep's buffer is
+// left to the collector instead of being held by the pool.
+const maxPooledBody = 4 << 10
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads the body of r, at most maxRequestBytes, into a pooled
+// buffer, which the caller hands back with freeBody. On failure it
+// answers 413 (body too large) or 400 itself and reports false.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err == nil {
-		return true
+		return buf, true
 	}
+	freeBody(buf)
 	status := http.StatusBadRequest
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeError(w, status, fmt.Errorf("decoding request: %w", err))
-	return false
+	writeError(w, status, fmt.Errorf("reading request: %w", err))
+	return nil, false
+}
+
+// freeBody returns a buffer from readBody to the pool.
+func freeBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodyPool.Put(buf)
+	}
+}
+
+// decodeRequest decodes body, which must hold exactly one JSON value,
+// into v. A field v lacks is an error, as is anything but whitespace
+// after the value: dropping a field inside config or meta would answer
+// for a cell or a provenance tuple the client did not ask for. On
+// failure it answers 400 itself and reports false.
+func decodeRequest(w http.ResponseWriter, body []byte, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, next := dec.Token(); next != io.EOF {
+			err = errors.New("data after the request's JSON value")
+		}
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return false
+	}
+	return true
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	buf, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	digest := sha256.Sum256(buf.Bytes())
+	if s.answerDigest(w, r, digest) {
+		freeBody(buf)
+		return
+	}
 	var req RunRequest
-	if !decodeRequest(w, r, &req) {
+	ok = decodeRequest(w, buf.Bytes(), &req)
+	freeBody(buf)
+	if !ok {
 		return
 	}
 	if err := checkBench(req.Bench); err != nil {
@@ -372,7 +438,33 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.logf("run %s %s: %s in %.3fs", req.Bench, rec.Config, src, rec.WallSeconds)
-	s.writeRun(w, rec, src)
+	s.writeRun(w, rec, src, digest)
+}
+
+// answerDigest answers a request whose body is byte-identical to one
+// that stored a memo cell's response (writeRun): that body decodes to
+// the same cell and passes the same checks, and the cell's memo entry
+// and response never change, so the stored bytes are its answer. It
+// skips the decode, the checks and the memo lookup, and counts and
+// logs the hit as Lookup's memo branch would. It reports false, having
+// written nothing, when digest names no cell.
+func (s *Server) answerDigest(w http.ResponseWriter, r *http.Request, digest [sha256.Size]byte) bool {
+	s.bodyMu.Lock()
+	m := s.digests[digest]
+	s.bodyMu.Unlock()
+	if m == nil {
+		return false
+	}
+	if err := r.Context().Err(); err != nil {
+		// Lookup refuses a done context before its memo hit.
+		writeError(w, statusClientClosedRequest, err)
+		s.logf("run %s %s: %v", m.bench, m.config, err)
+		return true
+	}
+	s.runner.CacheHit(m.bench, m.config)
+	s.logf("run %s %s: %s in %.3fs", m.bench, m.config, experiments.SourceCache, m.wallSeconds)
+	writeBody(w, http.StatusOK, m.body)
+	return true
 }
 
 // enqueue hands a cell that needs a simulation to the scheduler and
@@ -399,33 +491,39 @@ func (s *Server) enqueue(w http.ResponseWriter, r *http.Request, req *RunRequest
 	}
 }
 
-// writeRun answers a finished cell. A memo hit's response depends only
-// on the cell, so it is encoded once and its bytes are written on every
-// later hit; the other sources answer a cell once per request.
-func (s *Server) writeRun(w http.ResponseWriter, rec experiments.RunRecord, src experiments.RunSource) {
+// writeRun answers a finished cell for a request whose body has the
+// given digest. A memo hit's response depends only on the cell, so it
+// is encoded once and its bytes are written on every later hit; the
+// request that stores them also files its body's digest, so that
+// body's repeats skip the decode (answerDigest) and a cell gets at most
+// one digest, however many encodings of it clients send. The other
+// sources answer a cell once per request and file nothing.
+func (s *Server) writeRun(w http.ResponseWriter, rec experiments.RunRecord, src experiments.RunSource, digest [sha256.Size]byte) {
 	if src != experiments.SourceCache {
 		writeJSON(w, http.StatusOK, RunResponse{Record: rec, Source: src})
 		return
 	}
 	key := cellKey{rec.Bench, rec.ConfigHash}
 	s.bodyMu.Lock()
-	body, ok := s.bodies[key]
+	m, ok := s.bodies[key]
 	s.bodyMu.Unlock()
 	if !ok {
-		var err error
-		if body, err = encodeJSON(RunResponse{Record: rec, Source: src}); err != nil {
+		body, err := encodeJSON(RunResponse{Record: rec, Source: src})
+		if err != nil {
 			writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 			return
 		}
+		m = &memoRun{body: body, bench: rec.Bench, config: rec.Config, wallSeconds: rec.WallSeconds}
 		s.bodyMu.Lock()
 		if prev, ok := s.bodies[key]; ok {
-			body = prev // a concurrent hit stored it first: keep one copy
+			m = prev // a concurrent hit stored it first: keep one copy
 		} else {
-			s.bodies[key] = body
+			s.bodies[key] = m
+			s.digests[digest] = m
 		}
 		s.bodyMu.Unlock()
 	}
-	writeBody(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, m.body)
 }
 
 // statusClientClosedRequest is nginx's conventional status for a
@@ -434,8 +532,14 @@ func (s *Server) writeRun(w http.ResponseWriter, rec experiments.RunRecord, src 
 const statusClientClosedRequest = 499
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
+	buf, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req SweepRequest
-	if !decodeRequest(w, r, &req) {
+	ok = decodeRequest(w, buf.Bytes(), &req)
+	freeBody(buf)
+	if !ok {
 		return
 	}
 	if len(req.Benches) == 0 || len(req.Configs) == 0 {

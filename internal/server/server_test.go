@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -204,6 +205,38 @@ func TestRunRejectsBadRequests(t *testing.T) {
 		resp, body := postRun(t, ts.URL, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400; body: %s", name, resp.StatusCode, body)
+		}
+	}
+	// A body is exactly one request: trailing data and fields the
+	// request types lack are refused, not dropped, so the server never
+	// answers for a cell or a provenance tuple the client did not name.
+	fp := experiments.Options{Insts: 5000}.Fingerprint()
+	good, _ := json.Marshal(RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync), Meta: &fp})
+	oneCell, _ := json.Marshal(SweepRequest{Benches: []string{"126.gcc"}, Configs: []config.Machine{cfgWith(config.Sync)}})
+	edit := func(body []byte, old, new string) string {
+		if !bytes.Contains(body, []byte(old)) {
+			t.Fatalf("%s is not in %s", old, body)
+		}
+		return strings.Replace(string(body), old, new, 1)
+	}
+	for name, c := range map[string]struct{ path, body string }{
+		"two requests":         {"/v1/runs", string(good) + string(good)},
+		"trailing garbage":     {"/v1/runs", string(good) + "garbage"},
+		"unknown field":        {"/v1/runs", edit(good, `{"bench"`, `{"priority":1,"bench"`)},
+		"unknown config field": {"/v1/runs", edit(good, `"config":{`, `"config":{"Turbo":true,`)},
+		"unknown meta field":   {"/v1/runs", edit(good, `"meta":{`, `"meta":{"insts_typo":1,`)},
+		"sweep trailing data":  {"/v1/sweeps", string(oneCell) + "{}"},
+		"sweep unknown field":  {"/v1/sweeps", edit(oneCell, `{"benches"`, `{"priority":1,"benches"`)},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400; body: %s", name, resp.StatusCode, buf.String())
 		}
 	}
 	// Sweeps validate every configuration before queueing any cell.
@@ -478,6 +511,28 @@ func TestJournalRestartReprimesCache(t *testing.T) {
 		t.Errorf("restart metrics: jobs_started=%d replayed=%d cache_hits=%d, want 0, 1 and 1",
 			c.JobsStarted, c.Replayed, c.CacheHits)
 	}
+	// The first memo hit filed its body's digest, so the same body again
+	// is answered from the digest index with the same bytes.
+	if !hasDigest(s2, req) {
+		t.Fatal("the first memo hit filed no digest for its body")
+	}
+	resp4, body4 := postRun(t, ts2.URL, req)
+	if resp4.StatusCode != http.StatusOK || !bytes.Equal(body4, body3) {
+		t.Errorf("digest answer: status %d, body differs from the memo hit's:\n%s\nvs\n%s", resp4.StatusCode, body4, body3)
+	}
+	if c := getMetrics(t, ts2.URL).Counters; c.JobsStarted != 0 || c.Replayed != 1 || c.CacheHits != 2 {
+		t.Errorf("after the digest answer: jobs_started=%d replayed=%d cache_hits=%d, want 0, 1 and 2",
+			c.JobsStarted, c.Replayed, c.CacheHits)
+	}
+}
+
+// hasDigest reports whether s answers req's encoding from its digest
+// index.
+func hasDigest(s *Server, req RunRequest) bool {
+	body, _ := json.Marshal(req)
+	s.bodyMu.Lock()
+	defer s.bodyMu.Unlock()
+	return s.digests[sha256.Sum256(body)] != nil
 }
 
 // Concurrent hits on one memoized cell all get the same bytes, and the
@@ -527,6 +582,143 @@ func TestConcurrentCacheHitsShareOneEncoding(t *testing.T) {
 	}
 	if c := getMetrics(t, ts.URL).Counters; c.JobsStarted != 1 || c.CacheHits != hits {
 		t.Errorf("metrics: jobs_started=%d cache_hits=%d, want 1 and %d", c.JobsStarted, c.CacheHits, hits)
+	}
+
+	// A second round of the same body is answered from the digest index
+	// the first round filed: the same bytes, one digest, one encoding.
+	if !hasDigest(s, req) {
+		t.Fatal("the memo hits filed no digest for their body")
+	}
+	again := make([][]byte, hits)
+	for i := range again {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postRun(t, ts.URL, req)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("digest hit %d: status %d: %s", i, resp.StatusCode, body)
+			}
+			again[i] = body
+		}()
+	}
+	wg.Wait()
+	for i, b := range again {
+		if !bytes.Equal(b, bodies[0]) {
+			t.Fatalf("digest hit %d body differs:\n%s\nvs\n%s", i, b, bodies[0])
+		}
+	}
+	s.bodyMu.Lock()
+	n, d := len(s.bodies), len(s.digests)
+	s.bodyMu.Unlock()
+	if n != 1 || d != 1 {
+		t.Errorf("after the digest round: %d encodings and %d digests, want 1 and 1", n, d)
+	}
+	if c := getMetrics(t, ts.URL).Counters; c.JobsStarted != 1 || c.CacheHits != 2*hits {
+		t.Errorf("metrics: jobs_started=%d cache_hits=%d, want 1 and %d", c.JobsStarted, c.CacheHits, 2*hits)
+	}
+}
+
+// A body byte-identical to the one that stored a memo cell's response
+// is answered from the digest index: the same bytes, counted as one
+// cache hit each, simulating nothing. Another encoding of the cell takes
+// the decode path to the same bytes and files no digest, so however many
+// encodings of a cell clients send, it keeps one.
+func TestRepeatedBodyAnsweredByDigest(t *testing.T) {
+	sim := func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		return fakeStats(bench, cfg), nil
+	}
+	opt := experiments.Options{Insts: 5000}
+	s, ts := newTestServer(t, Config{Options: opt}, sim)
+	post := func(body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d for %s: %s", resp.StatusCode, body, buf.Bytes())
+		}
+		return buf.Bytes()
+	}
+	digests := func() int {
+		s.bodyMu.Lock()
+		defer s.bodyMu.Unlock()
+		return len(s.digests)
+	}
+
+	fp := opt.Fingerprint()
+	req := RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync), Meta: &fp}
+	body, _ := json.Marshal(req)
+	post(body)           // simulated
+	stored := post(body) // the first memo hit: stores the response and the digest
+	if !hasDigest(s, req) || digests() != 1 {
+		t.Fatalf("after the first memo hit: %d digests, body's filed %v; want 1, true", digests(), hasDigest(s, req))
+	}
+	var rr RunResponse
+	if err := json.Unmarshal(stored, &rr); err != nil || rr.Source != experiments.SourceCache {
+		t.Fatalf("memo hit: source %q, %v", rr.Source, err)
+	}
+	before := getMetrics(t, ts.URL)
+	for i := int64(1); i <= 3; i++ {
+		if got := post(body); !bytes.Equal(got, stored) {
+			t.Fatalf("digest answer %d differs from the memo hit's:\n%s\nvs\n%s", i, got, stored)
+		}
+		c := getMetrics(t, ts.URL).Counters
+		if c.CacheHits != before.Counters.CacheHits+i || c.JobsStarted != before.Counters.JobsStarted {
+			t.Errorf("after digest answer %d: cache_hits=%d jobs_started=%d, want %d and %d",
+				i, c.CacheHits, c.JobsStarted, before.Counters.CacheHits+i, before.Counters.JobsStarted)
+		}
+	}
+	after := getMetrics(t, ts.URL)
+	was, is := before.Endpoints["POST /v1/runs"], after.Endpoints["POST /v1/runs"]
+	if is.Requests != was.Requests+3 || is.Errors != was.Errors {
+		t.Errorf("POST /v1/runs counters went from %+v to %+v, want 3 more requests and no errors", was, is)
+	}
+
+	// One byte more, or meta left out: the decode path, the same answer.
+	noMeta, _ := json.Marshal(RunRequest{Bench: req.Bench, Config: req.Config})
+	for _, other := range [][]byte{append(body[:len(body):len(body)], '\n'), noMeta} {
+		if got := post(other); !bytes.Equal(got, stored) {
+			t.Errorf("%q: answer differs from the digest path's:\n%s\nvs\n%s", other, got, stored)
+		}
+	}
+	if n := digests(); n != 1 {
+		t.Errorf("other encodings of a cell filed digests: %d, want 1", n)
+	}
+
+	// A client that varies its encoding of one cell adds one digest in all.
+	swim, _ := json.Marshal(RunRequest{Bench: "102.swim", Config: cfgWith(config.Naive)})
+	post(swim) // simulated
+	var first []byte
+	for i := 1; i <= 1000; i++ {
+		got := post(append(bytes.Repeat([]byte(" "), i), swim...))
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatalf("encoding %d: answer differs:\n%s\nvs\n%s", i, got, first)
+		}
+	}
+	if n := digests(); n != 2 {
+		t.Errorf("1,000 encodings of one cell left %d digests in all, want 2 (one per cell)", n)
+	}
+
+	// A request whose client already left is refused as Lookup refuses
+	// it, on either path, and is not counted as a hit.
+	hits := getMetrics(t, ts.URL).Counters.CacheHits
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, b := range [][]byte{body, noMeta} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(b)).WithContext(ctx))
+		if rec.Code != statusClientClosedRequest {
+			t.Errorf("%s with a done context: status %d, want %d", b, rec.Code, statusClientClosedRequest)
+		}
+	}
+	if c := getMetrics(t, ts.URL).Counters; c.CacheHits != hits {
+		t.Errorf("done-context requests counted as hits: cache_hits %d, want %d", c.CacheHits, hits)
 	}
 }
 
