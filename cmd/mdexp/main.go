@@ -28,11 +28,12 @@
 //
 // With -resume <dir>, every finished (benchmark, config) cell is
 // journaled to <dir>/runs.0.journal as it completes, and a restarted
-// sweep pointed at the same directory replays every journal segment
-// there instead of re-simulating — resume after a crash or SIGKILL is
-// bit-identical to an uninterrupted run. The segment stays locked while
-// the sweep runs, so a second writer on it (another mdexp -resume, or
-// mdserve -journal on the same directory) is refused. Transient cell
+// sweep pointed at the same directory replays that journal (and,
+// read-only, any runs.*.journal an older build left there) instead of
+// re-simulating — resume after a crash or SIGKILL is bit-identical to
+// an uninterrupted run. The journal stays locked while the sweep runs,
+// so a second writer on the directory (another mdexp -resume, or
+// mdserve -journal) is refused. Transient cell
 // failures (worker panics, watchdog deadlock reports) are retried up to
 // -retries attempts with capped exponential backoff; a sampled cell
 // that keeps failing gets one last attempt that runs its segments one

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	mdserve [-addr host:port] [-n insts] [-sampled T:F] [-par N]
-//	        [-workers N] [-sched N] [-queue N] [-journal dir]
+//	        [-workers N] [-queue N] [-journal dir]
 //	        [-recdir dir] [-retries N] [-cell-budget d]
 //	        [-drain d] [-drain-timeout d] [-quiet]
 //
@@ -31,13 +31,15 @@
 //
 // With -journal, every finished cell is checkpointed to
 // <dir>/runs.0.journal before it is answered, and a restarted daemon
-// re-primes its cache from every segment in the directory (segments
-// that older fleet workers wrote, runs.w<N>.journal, are read too), so
-// previously-computed cells are served without re-simulating across
-// restarts. A cell a worker finished but the supervisor did not live
-// to journal was never answered, and is simulated again after the
-// restart. A second writer on the segment, such as an mdexp -resume on
-// the directory, is refused. GET /v1/metrics exposes
+// re-primes its cache from that journal (and, read-only, from any
+// runs.*.journal an older build left in the directory, such as the
+// runs.w<N>.journal of older fleet workers), so previously-computed
+// cells are served without re-simulating across restarts. A cell a
+// worker finished but the supervisor did not live to journal was never
+// answered, and is simulated again after the restart. A second writer
+// on the directory, such as an mdexp -resume, is refused. The restart
+// logs "re-primed N finished cell(s) from D in T (F file(s), K
+// frame(s))". GET /v1/metrics exposes
 // the runner's lifetime counters, per-endpoint request/latency
 // accounting, and queue occupancy; GET /v1/options the provenance
 // tuple (clients check it before sweeping — see mdexp -server).
@@ -76,7 +78,6 @@ func main() {
 	sampled := flag.String("sampled", "", "sampled simulation with windows T:F instructions; -n becomes the total timing budget")
 	par := flag.Int("par", 0, "max concurrent simulations (default: GOMAXPROCS)")
 	procs := flag.Int("workers", 0, "worker processes to fork and supervise (0 = single-process)")
-	sched := flag.Int("sched", 0, "scheduler worker pool size (default: -par)")
 	queue := flag.Int("queue", server.DefaultQueueDepth, "bounded work-queue depth; beyond it, cells that need a simulation get 503")
 	journalDir := flag.String("journal", "", "checkpoint directory: journal finished cells and re-prime the cache from it on restart")
 	recDir := flag.String("recdir", "", "recording and warm-state cache directory: mmap per-benchmark columnar recordings and share warmed checkpoint sets across server processes")
@@ -127,8 +128,8 @@ func main() {
 	// with the final options: its meta header is the provenance
 	// fingerprint, so a dir journaled under different options is
 	// detected and refused rather than silently serving foreign cells.
-	// The daemon locks segment "0" and re-primes from the merge of every
-	// segment in the dir.
+	// The daemon locks the directory's journal and re-primes from it and
+	// from any journal file an older build left there.
 	var journal *experiments.Journal
 	var replayed []experiments.RunRecord
 	if *journalDir != "" {
@@ -140,15 +141,15 @@ func main() {
 		opt.Journal = journal
 	}
 
-	cfg := server.Config{Options: opt, Workers: *sched, QueueDepth: *queue}
+	cfg := server.Config{Options: opt, QueueDepth: *queue}
 	if !*quiet {
 		cfg.Log = logger
 	}
 	srv := server.New(cfg)
 	if n := srv.Runner().Prime(replayed); n > 0 {
 		st := journal.ReplayStats()
-		logger.Printf("re-primed %d finished cell(s) from %s in %v (%d segment(s), %d frame(s))",
-			n, *journalDir, st.Elapsed.Round(10*time.Microsecond), st.Segments, st.Frames)
+		logger.Printf("re-primed %d finished cell(s) from %s in %v (%d file(s), %d frame(s))",
+			n, *journalDir, st.Elapsed.Round(10*time.Microsecond), st.Files, st.Frames)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -247,8 +248,7 @@ func main() {
 // children inherit the provenance-defining options verbatim (same
 // fingerprint, same recording dir) plus their identity flags. The
 // supervisor-only flags (-workers, -addr, -journal, -drain-timeout)
-// are not forwarded; -sched is left to default so each worker sizes
-// its own pool from -par.
+// are not forwarded; each worker sizes its scheduler pool from -par.
 func workerArgs(fs *flag.FlagSet, drain time.Duration) func(slot int, socket string) []string {
 	inherit := []string{"n", "sampled", "par", "queue", "recdir", "phases", "retries", "quiet"}
 	var base []string

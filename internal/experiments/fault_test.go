@@ -5,6 +5,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -105,29 +106,67 @@ func TestInjectedJournalAppendError(t *testing.T) {
 	}
 }
 
-// TestInjectedLeaseAcquireError: a seeded error at the lease.acquire
-// site must fail the segment open with that error and leave nothing
-// behind — the next open of the same id takes the segment at once, so
-// no descriptor or lock leaked.
-func TestInjectedLeaseAcquireError(t *testing.T) {
+// TestInjectedJournalLockError: a seeded error at the journal.lock
+// site must fail the open with that error and leave nothing behind —
+// the next open of the directory takes the journal at once, so no
+// descriptor or lock leaked.
+func TestInjectedJournalLockError(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 	faultinject.Arm(faultinject.Plan{
-		Site: faultinject.SiteLeaseAcquire, N: 1, Kind: faultinject.KindError,
+		Site: faultinject.SiteJournalLock, N: 1, Kind: faultinject.KindError,
 	})
 	defer faultinject.Disarm()
 
-	_, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	_, _, err := OpenJournal(dir, opt)
 	var inj *faultinject.InjectedError
 	if !errors.As(err, &inj) {
-		t.Fatalf("open with an armed lease.acquire fault: err = %v, want the injected error", err)
+		t.Fatalf("open with an armed journal.lock fault: err = %v, want the injected error", err)
 	}
-	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	j, _, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatalf("open after the injected failure: %v", err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInjectedRecordingWriteError: a seeded error at the atomicio.write
+// site while a RecordingDir runner captures a full-timing cell must not
+// fail the cell or change its statistics — the runner replays its
+// in-memory capture — and must publish nothing: the directory holds no
+// .mdrec and no temp file.
+func TestInjectedRecordingWriteError(t *testing.T) {
+	const bench = "129.compress"
+	cfg := nas(config.Sync)
+	opt := Options{Insts: 5_000}
+	want, err := NewRunner(opt).Run(bg, bench, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	faultinject.Arm(faultinject.Plan{
+		Site: faultinject.SiteAtomicWrite, N: 1, Kind: faultinject.KindError, Repeat: true,
+	})
+	defer faultinject.Disarm()
+	opt.RecordingDir = dir
+	r := NewRunner(opt)
+	defer r.Close()
+	got, err := r.Run(bg, bench, cfg)
+	if err != nil {
+		t.Fatalf("atomicio.write fault must not fail the cell: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Error("stats under an atomicio.write fault differ from the unarmed run")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("failed recording write left %s behind", e.Name())
 	}
 }
 

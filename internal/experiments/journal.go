@@ -9,26 +9,23 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"mdspec/internal/atomicio"
 	"mdspec/internal/faultinject"
 )
 
 // The journal is the sweep's write-ahead checkpoint store: every
-// completed (benchmark, configuration) simulation is appended to the
-// writer's segment <dir>/runs.<id>.journal as one length-prefixed,
-// checksummed JSON entry the moment it finishes, and `mdexp -resume
-// <dir>` replays every segment in the directory so already-finished
-// cells of a killed sweep are primed into the runner's memo cache
-// instead of re-simulated. Because each segment's statistics depend
-// only on (recording, config, options) — the determinism contract the
-// rest of the repository enforces — a replayed cell is bit-identical
-// to re-running it, which makes resume-after-SIGKILL equivalent to an
-// uninterrupted sweep.
+// completed (benchmark, configuration) simulation is appended to
+// <dir>/runs.0.journal as one length-prefixed, checksummed JSON entry
+// the moment it finishes, and `mdexp -resume <dir>` replays the
+// directory so already-finished cells of a killed sweep are primed
+// into the runner's memo cache instead of re-simulated. Because each
+// cell's statistics depend only on (recording, config, options) — the
+// determinism contract the rest of the repository enforces — a
+// replayed cell is bit-identical to re-running it, which makes
+// resume-after-SIGKILL equivalent to an uninterrupted sweep.
 //
 // On-disk format: a magic line, then frames of
 //
@@ -45,23 +42,26 @@ import (
 // detected on the next open and truncated away, never parsed into the
 // cache.
 //
-// Each segment has one writer at a time: the open file holds an
-// exclusive kernel lock (lockFile) from OpenJournalSegment to Close.
-// The kernel drops that lock when its owner's file closes, also when
-// the owner dies, so a killed writer's successor takes the segment
-// over at once.
+// A directory has one writer at a time: the journal file holds an
+// exclusive kernel lock (lockFile) from OpenJournal to Close. The
+// kernel drops that lock when its owner's file closes, also when the
+// owner dies, so a killed writer's successor opens the journal at once.
+//
+// Older builds also wrote runs.journal, runs.sup.journal and one
+// runs.w<N>.journal per fleet worker. Every such runs.*.journal is
+// replayed read-only, before the journal's own file, and never
+// written: its torn tail ends its replay and stays on disk.
 
 // journalMagic identifies (and versions) the file format.
 const journalMagic = "mdspec-journal/1\n"
 
-// Segment naming: a journal directory holds one runs.<id>.journal per
-// writer. Every file matching the pattern is merged on replay, which
-// includes the pre-segment runs.journal: no id yields that name, so it
-// is read but never written.
-const (
-	segmentPrefix = "runs."
-	segmentSuffix = ".journal"
-)
+// journalName is the file OpenJournal writes: the name older builds
+// gave the single-process writer's segment, so their directories open
+// with their journal in place.
+const journalName = "runs.0.journal"
+
+// journalPath returns the file the journal of dir appends to.
+func journalPath(dir string) string { return filepath.Join(dir, journalName) }
 
 // Fingerprint identifies the provenance tuple a result cache or
 // checkpoint journal is keyed under, beyond the per-cell (benchmark,
@@ -102,81 +102,44 @@ type journalEntry struct {
 	Run  *RunRecord   `json:"run,omitempty"`
 }
 
-// Journal is an append-only, checksummed WAL of completed runs: one
-// segment, held under its exclusive lock until Close. Appends are
-// serialized and fsynced; it is safe for concurrent use by a Runner's
-// sweep workers.
+// Journal is an append-only, checksummed WAL of completed runs: the
+// journal file of one directory, held under its exclusive lock until
+// Close. Appends are serialized and fsynced; it is safe for concurrent
+// use by a Runner's sweep workers.
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File    //md:guardedby mu
-	path   string      // immutable after OpenJournalSegment
-	replay ReplayStats // immutable after OpenJournalSegment
+	path   string      // immutable after OpenJournal
+	replay ReplayStats // immutable after OpenJournal
 }
 
-// ErrLeaseHeld reports that a journal segment is locked by another
-// open journal, in this process or another one. The lock cannot name
-// its holder.
-type ErrLeaseHeld struct {
-	Path string // the segment file
+// ErrJournalLocked reports that a directory's journal file is locked by
+// another open journal, in this process or another one. The lock cannot
+// name its holder.
+type ErrJournalLocked struct {
+	Path string // the journal file
 }
 
-func (e *ErrLeaseHeld) Error() string {
-	return fmt.Sprintf("journal: segment %s is held by another writer", e.Path)
+func (e *ErrJournalLocked) Error() string {
+	return fmt.Sprintf("journal: %s is held by another writer", e.Path)
 }
 
-// OpenJournal opens segment "0" in dir, the segment of single-process
-// writers: `mdexp -resume`, a single-process mdserve and the fleet
-// supervisor. See OpenJournalSegment.
+// OpenJournal opens (or creates) the journal of dir, runs.0.journal,
+// for a sweep running with opt, and returns the run records replayed
+// from dir (ReplayJournalDir). The file stays locked until Close; while
+// another open journal holds it, OpenJournal fails with
+// *ErrJournalLocked. Under the lock, a torn tail left by a crash is
+// truncated, and a file with no intact meta entry (fresh, or torn
+// before its header was durable) is reset and initialized. A directory
+// holding a journal file written under different options (budget,
+// sampling windows, runner version) is refused untouched: its cells
+// belong to a different sweep. No other file is created, locked or
+// written.
 func OpenJournal(dir string, opt Options) (*Journal, []RunRecord, error) {
-	return OpenJournalSegment(dir, "0", opt, 0)
-}
-
-// SegmentPath returns the journal segment file a writer with the given
-// id appends to inside dir.
-func SegmentPath(dir, id string) string {
-	return filepath.Join(dir, segmentPrefix+id+segmentSuffix)
-}
-
-// validSegmentID restricts segment ids to filename-safe tokens so a
-// crafted id cannot escape the journal directory or collide with the
-// pre-segment runs.journal.
-func validSegmentID(id string) error {
-	if id == "" {
-		return fmt.Errorf("journal: empty segment id")
-	}
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-		default:
-			return fmt.Errorf("journal: segment id %q: only [A-Za-z0-9_-] allowed", id)
-		}
-	}
-	return nil
-}
-
-// OpenJournalSegment opens (or creates) this writer's own journal
-// segment, runs.<id>.journal in dir, for a sweep running with opt, and
-// returns the run records merged from every segment in dir
-// (ReplayJournalDir). The segment stays locked until Close; while
-// another open journal holds it, OpenJournalSegment fails with
-// *ErrLeaseHeld. Under the lock, a torn tail left by a crash is
-// truncated, and a segment with no intact meta entry (fresh, or torn
-// before its header was durable) is reset and initialized. A segment
-// written under different options (budget, sampling windows, runner
-// version) is rejected: its cells belong to a different sweep. The
-// time.Duration argument is unused.
-//
-// Torn tails of *other* writers' segments are skipped, never
-// truncated: a tear there is either a live append in progress or a
-// crash their next OpenJournalSegment will repair under its own lock.
-func OpenJournalSegment(dir, id string, opt Options, _ time.Duration) (*Journal, []RunRecord, error) {
-	if err := atomicio.ProbeDir(dir); err != nil {
+	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	if err := validSegmentID(id); err != nil {
-		return nil, nil, err
-	}
-	path := SegmentPath(dir, id)
+	path := journalPath(dir)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o666)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
@@ -190,53 +153,56 @@ func OpenJournalSegment(dir, id string, opt Options, _ time.Duration) (*Journal,
 	return j, recs, nil
 }
 
-// ReplayJournalDir replays every journal segment in dir read-only — all
-// runs.*.journal files, in lexical filename order — and returns the
-// merged, deduplicated run records (last entry per (bench, config hash)
-// wins, as within a single file; cells are deterministic, so any copy
-// is the cell). Torn tails end each file's scan without failing the
-// merge. A segment written under a different provenance fingerprint is
-// an error, just as for a single segment.
+// OpenJournalSegment is OpenJournal; the id and the duration are
+// ignored. It is kept for bench/probe.go until the probe calls
+// OpenJournal.
+func OpenJournalSegment(dir, _ string, opt Options, _ time.Duration) (*Journal, []RunRecord, error) {
+	return OpenJournal(dir, opt)
+}
+
+// ReplayJournalDir is OpenJournal's replay without the lock or any
+// write: the run records of the valid prefix of every journal file in
+// dir, the files older builds left first (by name) and the journal's
+// own last, keeping the last copy of each cell in the order of first
+// appearance (cells are deterministic, so any copy is the cell). A
+// file written under another provenance fingerprint is an error.
 func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
-	recs, _, _, err := replayDir(dir, opt.Fingerprint(), "")
+	recs, _, _, err := replayDir(dir, opt.Fingerprint())
 	return recs, err
 }
 
-// ReplayStats describes the directory replay of one OpenJournalSegment.
+// ReplayStats describes the replay of one OpenJournal.
 type ReplayStats struct {
-	Segments int           // segment files merged
-	Frames   int           // run frames decoded from their valid prefixes
-	Elapsed  time.Duration // reading, decoding and merging them
+	Files   int           // journal files read
+	Frames  int           // run frames decoded from their valid prefixes
+	Elapsed time.Duration // reading, decoding and merging them
 }
 
-// replayDir is ReplayJournalDir decoding each file once: own, when not
-// empty, is the base name of the caller's segment, and ownLen the byte
-// length of its valid prefix.
-func replayDir(dir string, want Fingerprint, own string) (merged []RunRecord, ownLen int64, st ReplayStats, err error) {
+// replayDir is ReplayJournalDir that also returns the byte length of
+// the journal file's valid prefix and the replay's stats.
+func replayDir(dir string, want Fingerprint) (merged []RunRecord, ownLen int64, st ReplayStats, err error) {
 	start := time.Now()
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
 		return nil, 0, st, fmt.Errorf("journal: %w", err)
 	}
 	var files []string
 	for _, e := range entries {
 		name := e.Name()
-		if (e.Type().IsRegular() || name == own) && strings.HasPrefix(name, segmentPrefix) && strings.HasSuffix(name, segmentSuffix) {
-			files = append(files, name)
+		if e.Type().IsRegular() && name != journalName && strings.HasPrefix(name, "runs.") && strings.HasSuffix(name, ".journal") {
+			files = append(files, filepath.Join(dir, name))
 		}
 	}
-	sort.Strings(files)
+	files = append(files, journalPath(dir))
 	var order []runKeyID
 	byKey := make(map[runKeyID]RunRecord)
-	for _, name := range files {
-		recs, validLen, err := replayJournal(filepath.Join(dir, name), want)
+	for _, path := range files {
+		recs, validLen, err := replayJournal(path, want)
 		if err != nil {
 			return nil, 0, st, err
 		}
-		if name == own {
-			ownLen = validLen
-		}
-		st.Segments++
+		ownLen = validLen // the journal's own file is the last
+		st.Files++
 		st.Frames += len(recs)
 		for _, rec := range recs {
 			k := runKeyID{rec.Bench, rec.ConfigHash}
@@ -254,24 +220,24 @@ func replayDir(dir string, want Fingerprint, own string) (merged []RunRecord, ow
 	return merged, ownLen, st, nil
 }
 
-// lockAndRepair takes the segment's lock and replays dir, then leaves
-// the segment ready for appending: a torn tail is truncated so the
-// append cursor starts on a frame boundary, and a segment with no
-// intact meta entry gets the magic and the meta fingerprint first, so
-// even an immediately-killed sweep leaves a parsable file. Nothing is
-// written before every segment in dir has replayed, so a directory of
-// another sweep is refused untouched.
+// lockAndRepair takes the journal file's lock and replays dir, then
+// leaves the file ready for appending: a torn tail is truncated so the
+// append cursor starts on a frame boundary, and a file with no intact
+// meta entry gets the magic and the meta fingerprint first, so even an
+// immediately-killed sweep leaves a parsable file. Nothing is written
+// before every file in dir has replayed, so a directory of another
+// sweep is refused untouched.
 //
-//md:nolock single-owner: OpenJournalSegment calls lockAndRepair before the Journal is published to any other goroutine
+//md:nolock single-owner: OpenJournal calls lockAndRepair before the Journal is published to any other goroutine
 func (j *Journal) lockAndRepair(dir string, opt Options) ([]RunRecord, error) {
 	if err := lockFile(j.f); err != nil {
 		return nil, err
 	}
-	if err := faultinject.PointErr(faultinject.SiteLeaseAcquire); err != nil {
+	if err := faultinject.PointErr(faultinject.SiteJournalLock); err != nil {
 		return nil, err
 	}
 	want := opt.Fingerprint()
-	recs, validLen, st, err := replayDir(dir, want, filepath.Base(j.path))
+	recs, validLen, st, err := replayDir(dir, want)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +256,7 @@ func (j *Journal) lockAndRepair(dir string, opt Options) ([]RunRecord, error) {
 	return recs, nil
 }
 
-// ReplayStats reports the directory replay the journal's open performed.
+// ReplayStats reports the replay the journal's open performed.
 func (j *Journal) ReplayStats() ReplayStats { return j.replay }
 
 // Append journals one completed run and fsyncs it, making the cell
@@ -334,7 +300,7 @@ func appendFrame(b []byte, e journalEntry) ([]byte, error) {
 	return append(b, payload...), nil
 }
 
-// Close closes the segment file, which releases its lock.
+// Close closes the journal file, which releases its lock.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -350,7 +316,7 @@ const maxJournalEntry = 64 << 20
 // corrupt tail ends the scan at the last intact frame — every entry
 // before it is replayed, nothing after it is trusted. The length is 0
 // when the file holds no intact meta entry: it is missing, empty, or
-// was torn before its header became durable, and its owner
+// was torn before its header became durable, and OpenJournal
 // re-initializes it.
 func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 	data, err := os.ReadFile(path)
@@ -364,7 +330,7 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 		return nil, 0, nil // created, but torn before its magic line was whole
 	}
 	if !bytes.HasPrefix(data, []byte(journalMagic)) {
-		return nil, 0, fmt.Errorf("journal: %s is not a journal segment (bad magic)", path)
+		return nil, 0, fmt.Errorf("journal: %s is not a journal (bad magic)", path)
 	}
 	bounds := frameBounds(data)
 	entries := decodeFrames(data, bounds, min(runtime.GOMAXPROCS(0), (len(bounds)-1)/minFramesPerDecoder))
@@ -414,7 +380,7 @@ func frameBounds(data []byte) []int64 {
 }
 
 // minFramesPerDecoder is the fewest frames worth a decoding goroutine;
-// smaller segments decode inline.
+// smaller files decode inline.
 const minFramesPerDecoder = 64
 
 // decodeFrames checks and parses the frames between bounds and returns

@@ -15,59 +15,53 @@ import (
 )
 
 // lockHelperEnv, set to a journal directory, makes
-// TestJournalSegmentLockAcrossProcesses act as its own helper process.
+// TestJournalLockAcrossProcesses act as its own helper process.
 const lockHelperEnv = "MDSPEC_JOURNAL_LOCK_HELPER"
 
-// TestJournalSegmentLeaseExclusive: a segment is single-writer — a
-// second open of the same id while the first is open must be refused
-// with ErrLeaseHeld, a different id must coexist, and Close must
-// release the lock so a successor takes over without waiting.
-func TestJournalSegmentLeaseExclusive(t *testing.T) {
+// TestJournalLockExclusive: a directory has one writer — a second open
+// of its journal while the first is open must be refused with
+// ErrJournalLocked, and Close must release the lock so a successor
+// takes over without waiting.
+func TestJournalLockExclusive(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
 
-	j0, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
+	j0, recs, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 0 {
-		t.Fatalf("fresh segment replayed %d records", len(recs))
+		t.Fatalf("fresh journal replayed %d records", len(recs))
 	}
 
-	_, _, err = OpenJournalSegment(dir, "w0", opt, 0)
-	var held *ErrLeaseHeld
+	_, _, err = OpenJournal(dir, opt)
+	var held *ErrJournalLocked
 	if !errors.As(err, &held) {
-		t.Fatalf("double-open of a locked segment: err = %v, want ErrLeaseHeld", err)
+		t.Fatalf("double-open of a locked journal: err = %v, want ErrJournalLocked", err)
 	}
-	if held.Path != SegmentPath(dir, "w0") {
-		t.Errorf("ErrLeaseHeld.Path = %s, want %s", held.Path, SegmentPath(dir, "w0"))
+	if held.Path != journalPath(dir) {
+		t.Errorf("ErrJournalLocked.Path = %s, want %s", held.Path, journalPath(dir))
 	}
-
-	j1, _, err := OpenJournalSegment(dir, "w1", opt, 0)
-	if err != nil {
-		t.Fatalf("sibling segment refused: %v", err)
-	}
-	j1.Close()
 
 	if err := j0.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j0b, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	j0b, _, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatalf("reopen after clean release: %v", err)
 	}
 	j0b.Close()
 }
 
-// TestJournalSegmentLockAcrossProcesses: a helper process holds segment
-// w0 with one cell journaled. While it lives, opening w0 here is
-// refused; once it is SIGKILLed and reaped, the open succeeds at once,
-// with no wait and no break step, and replays the helper's cell.
-func TestJournalSegmentLockAcrossProcesses(t *testing.T) {
+// TestJournalLockAcrossProcesses: a helper process holds the journal
+// with one cell journaled. While it lives, opening the directory here
+// is refused; once it is SIGKILLed and reaped, the open succeeds at
+// once, with no wait and no break step, and replays the helper's cell.
+func TestJournalLockAcrossProcesses(t *testing.T) {
 	opt := Options{Insts: 1000}
 	cell := journalRecord("126.gcc", nas(config.Naive), 1000)
 	if dir := os.Getenv(lockHelperEnv); dir != "" {
-		j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+		j, _, err := OpenJournal(dir, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,13 +69,13 @@ func TestJournalSegmentLockAcrossProcesses(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Println("ready")
-		// Hold the segment until killed, or until the parent is gone.
+		// Hold the journal until killed, or until the parent is gone.
 		_, _ = io.Copy(io.Discard, os.Stdin)
 		return
 	}
 
 	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run=^TestJournalSegmentLockAcrossProcesses$")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestJournalLockAcrossProcesses$")
 	cmd.Env = append(os.Environ(), lockHelperEnv+"="+dir)
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
@@ -104,17 +98,17 @@ func TestJournalSegmentLockAcrossProcesses(t *testing.T) {
 		t.Fatalf("helper said %q (%v), want ready", line, err)
 	}
 
-	_, _, err = OpenJournalSegment(dir, "w0", opt, 0)
-	var held *ErrLeaseHeld
+	_, _, err = OpenJournal(dir, opt)
+	var held *ErrJournalLocked
 	if !errors.As(err, &held) {
-		t.Fatalf("open while another process holds the segment: err = %v, want ErrLeaseHeld", err)
+		t.Fatalf("open while another process holds the journal: err = %v, want ErrJournalLocked", err)
 	}
 
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	_ = cmd.Wait() // "signal: killed"
-	j, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
+	j, recs, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatalf("open right after the holder was killed: %v", err)
 	}

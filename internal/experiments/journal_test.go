@@ -31,7 +31,7 @@ func journalRecord(bench string, cfg config.Machine, insts int64) RunRecord {
 }
 
 func TestJournalRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+	dir := filepath.Join(t.TempDir(), "ckpt") // created by the open
 	opt := Options{Insts: 1000}
 
 	j, recs, err := OpenJournal(dir, opt)
@@ -90,7 +90,7 @@ func TestJournalTornTail(t *testing.T) {
 	j.Close()
 
 	// Tear the tail: chop half of the last frame off.
-	path := SegmentPath(dir, "0")
+	path := journalPath(dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestJournalChecksumCorruption(t *testing.T) {
 	}
 	j.Close()
 
-	path := SegmentPath(dir, "0")
+	path := journalPath(dir)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -203,20 +203,18 @@ func TestJournalMetaMismatch(t *testing.T) {
 		t.Errorf("mismatch error should show both phase counts: %v", err)
 	}
 
-	// A refused open writes nothing, even where its own segment is new:
-	// the directory still opens under the options that wrote it.
-	sdir := t.TempDir()
-	w0, _, err := OpenJournalSegment(sdir, "w0", Options{Insts: 1000}, 0)
-	if err != nil {
-		t.Fatal(err)
+	// A file an older build left under other options refuses the
+	// directory, and the refused open writes nothing, even where the
+	// journal's own file is new: the directory still opens under the
+	// options that wrote the older file.
+	odir := t.TempDir()
+	writeOlderFile(t, odir, "runs.w0.journal", journalBytes(t, Options{Insts: 1000}))
+	if _, _, err := OpenJournal(odir, Options{Insts: 2000}); err == nil {
+		t.Fatal("directory with a mismatched older file accepted")
 	}
-	w0.Close()
-	if _, _, err := OpenJournal(sdir, Options{Insts: 2000}); err == nil {
-		t.Fatal("directory with a mismatched segment accepted")
-	}
-	j, _, err = OpenJournal(sdir, Options{Insts: 1000})
+	j, _, err = OpenJournal(odir, Options{Insts: 1000})
 	if err != nil {
-		t.Fatalf("refused open left a foreign segment behind: %v", err)
+		t.Fatalf("refused open left a foreign journal behind: %v", err)
 	}
 	j.Close()
 }
@@ -256,10 +254,10 @@ func TestJournalDedup(t *testing.T) {
 }
 
 // TestJournalRejectsForeignFile: pointing -resume at a directory whose
-// journal segment is not a journal must fail loudly.
+// journal file is not a journal must fail loudly.
 func TestJournalRejectsForeignFile(t *testing.T) {
 	dir := t.TempDir()
-	path := SegmentPath(dir, "0")
+	path := journalPath(dir)
 	if err := os.WriteFile(path, []byte(`{"not":"a journal"}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -269,172 +267,173 @@ func TestJournalRejectsForeignFile(t *testing.T) {
 	}
 }
 
-// TestJournalSegmentIDValidation: ids are filename tokens; anything
-// that could escape the directory or collide with the pre-segment
-// runs.journal is rejected.
-func TestJournalSegmentIDValidation(t *testing.T) {
-	dir := t.TempDir()
-	for _, id := range []string{"", "a/b", "..", "w 0", "w.0"} {
-		if _, _, err := OpenJournalSegment(dir, id, Options{Insts: 1000}, 0); err == nil {
-			t.Errorf("segment id %q accepted", id)
-		}
+// writeOlderFile places data in dir under name, as a journal file an
+// older build left there.
+func writeOlderFile(tb testing.TB, dir, name string, data []byte) {
+	tb.Helper()
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o666); err != nil {
+		tb.Fatal(err)
 	}
 }
 
-// TestReplayJournalDirMerges: the merged replay spans a pre-segment
-// runs.journal and every segment, deduplicating per cell with the
-// lexically-last copy winning; the old file is read, never written.
+// snapshotDir returns the bytes of every file in dir by name.
+func snapshotDir(tb testing.TB, dir string) map[string][]byte {
+	tb.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestReplayJournalDirMerges: the files an older build left next to the
+// journal (runs.journal, runs.sup.journal and runs.w0.journal, the last
+// torn mid-frame) are replayed read-only before the journal's own file,
+// one copy per cell: lexical order among the older files, and the
+// journal's own copy over all of them. OpenJournal creates, locks and
+// writes no file but runs.0.journal, ReplayJournalDir returns what a
+// live OpenJournal replayed, and an older file under another
+// fingerprint refuses the directory without touching any file.
 func TestReplayJournalDirMerges(t *testing.T) {
 	dir := t.TempDir()
 	opt := Options{Insts: 1000}
+	withWall := func(rec RunRecord, wall float64) RunRecord {
+		rec.WallSeconds = wall
+		return rec
+	}
+	a := journalRecord("126.gcc", nas(config.Naive), 1000)
+	b := journalRecord("126.gcc", nas(config.Sync), 1000)
+	c := journalRecord("102.swim", nas(config.Naive), 1000)
+	d := journalRecord("102.swim", nas(config.Sync), 1000)
+	e := journalRecord("099.go", nas(config.Naive), 1000)
+	writeOlderFile(t, dir, "runs.journal", journalBytes(t, opt, withWall(a, 1), b))
+	writeOlderFile(t, dir, "runs.sup.journal", journalBytes(t, opt, withWall(a, 2), c))
+	w0 := journalBytes(t, opt, d, e)
+	writeOlderFile(t, dir, "runs.w0.journal", w0[:len(w0)-30]) // e torn mid-frame
+	older := snapshotDir(t, dir)
 
-	legacy, _, err := OpenJournal(dir, opt)
+	j, recs, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared := journalRecord("126.gcc", nas(config.Naive), 1000)
-	shared.WallSeconds = 1.0
-	if err := legacy.Append(shared); err != nil {
-		t.Fatal(err)
+	var got []string
+	for _, rec := range recs {
+		got = append(got, fmt.Sprintf("%s %s %g", rec.Bench, rec.Config, rec.WallSeconds))
 	}
-	legacy.Close()
-	// The same bytes under the name single-writer journals used to have.
-	legacyPath := filepath.Join(dir, "runs.journal")
-	if err := os.Rename(SegmentPath(dir, "0"), legacyPath); err != nil {
-		t.Fatal(err)
+	want := []string{"126.gcc NAS/NAV 2", "126.gcc NAS/SYNC 0.123", "102.swim NAS/NAV 0.123", "102.swim NAS/SYNC 0.123"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("open over older files replayed %q, want %q", got, want)
 	}
-	legacyBytes, err := os.ReadFile(legacyPath)
-	if err != nil {
-		t.Fatal(err)
+	if st := j.ReplayStats(); st.Files != 4 || st.Frames != 5 {
+		t.Errorf("replay stats %+v, want 4 files and 5 frames", st)
+	}
+	after := snapshotDir(t, dir)
+	if _, ok := after[journalName]; !ok || len(after) != len(older)+1 {
+		t.Errorf("open left %d files, want the %d older ones and %s", len(after), len(older), journalName)
+	}
+	for name, data := range older {
+		if !bytes.Equal(after[name], data) {
+			t.Errorf("open changed %s", name)
+		}
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lockFile(f); err != nil {
+			t.Errorf("open left %s locked: %v", name, err)
+		}
+		f.Close()
 	}
 
-	w0, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	// The journal's own copy of a cell wins over every older one, in
+	// the open's replay and in ReplayJournalDir's alike, also while a
+	// live journal holds the lock.
+	if err := j.Append(withWall(a, 3)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j, recs, err = OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup := shared
-	dup.WallSeconds = 2.0
-	if err := w0.Append(dup); err != nil {
+	defer j.Close()
+	if len(recs) != 4 || recs[0].WallSeconds != 3 {
+		t.Fatalf("reopen replayed %+v, want the journal's copy of the first cell", recs)
+	}
+	replayed, err := ReplayJournalDir(dir, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w0.Append(journalRecord("126.gcc", nas(config.Sync), 1000)); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(replayed, recs) {
+		t.Errorf("ReplayJournalDir beside a live journal: %+v, want what the open replayed: %+v", replayed, recs)
 	}
-	w0.Close()
+	j.Close()
 
-	w1, _, err := OpenJournalSegment(dir, "w1", opt, 0)
-	if err != nil {
+	// An older file under another fingerprint refuses the directory, and
+	// every file stays as it was.
+	writeOlderFile(t, dir, "runs.w1.journal", journalBytes(t, Options{Insts: 2000}))
+	before := snapshotDir(t, dir)
+	if _, _, err := OpenJournal(dir, opt); err == nil {
+		t.Error("open accepted an older file with a foreign fingerprint")
+	}
+	if _, err := ReplayJournalDir(dir, opt); err == nil {
+		t.Error("replay accepted an older file with a foreign fingerprint")
+	}
+	if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Error("refused open changed the directory")
+	}
+}
+
+// TestReplayJournalDirSkipsForeignTornTail: an older file's torn tail
+// ends its replay and stays on disk, while the same tear in the
+// journal's own file is truncated by the open.
+func TestReplayJournalDirSkipsForeignTornTail(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{Insts: 1000}
+	full := journalBytes(t, opt, journalRecord("126.gcc", nas(config.Naive), 1000), journalRecord("126.gcc", nas(config.Sync), 1000))
+	torn := full[:len(full)-40]
+	writeOlderFile(t, dir, "runs.w0.journal", torn)
+	if err := os.WriteFile(journalPath(dir), torn, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.Append(journalRecord("102.swim", nas(config.Naive), 1000)); err != nil {
-		t.Fatal(err)
-	}
-	w1.Close()
 
 	recs, err := ReplayJournalDir(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("merged replay has %d records, want 3 deduplicated cells", len(recs))
-	}
-	// runs.journal sorts before runs.w0.journal, so the segment's copy
-	// of the shared cell wins.
-	if recs[0].Bench != "126.gcc" || recs[0].WallSeconds != 2.0 {
-		t.Errorf("shared cell = %+v, want the lexically-last (segment) copy", recs[0])
-	}
-	j0, recs, err := OpenJournal(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j0.Close()
-	if len(recs) != 3 {
-		t.Errorf("segment 0 open replayed %d records, want the 3 merged cells", len(recs))
-	}
-	if got, err := os.ReadFile(legacyPath); err != nil || !bytes.Equal(got, legacyBytes) {
-		t.Errorf("runs.journal changed by the opens around it (err %v)", err)
-	}
-
-	// A segment under a different fingerprint poisons the whole merge.
-	foreign, _, err := OpenJournalSegment(t.TempDir(), "w2", Options{Insts: 2000}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foreign.Close()
-	if err := os.Rename(foreign.path, SegmentPath(dir, "w2")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReplayJournalDir(dir, opt); err == nil {
-		t.Error("merge accepted a segment with a foreign fingerprint")
-	}
-}
-
-// TestReplayJournalDirSkipsForeignTornTail: another writer's torn tail
-// is either a live append or their crash to repair — the merge must
-// skip it without truncating their file.
-func TestReplayJournalDirSkipsForeignTornTail(t *testing.T) {
-	dir := t.TempDir()
-	opt := Options{Insts: 1000}
-
-	w0, _, err := OpenJournalSegment(dir, "w0", opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w0.Append(journalRecord("126.gcc", nas(config.Naive), 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w0.Append(journalRecord("126.gcc", nas(config.Sync), 1000)); err != nil {
-		t.Fatal(err)
-	}
-	w0.Close()
-
-	path := SegmentPath(dir, "w0")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	torn := int64(len(data)) - 40
-	if err := os.Truncate(path, torn); err != nil {
-		t.Fatal(err)
-	}
-
-	w1, recs, err := OpenJournalSegment(dir, "w1", opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1.Close()
 	if len(recs) != 1 || recs[0].Config != "NAS/NAV" {
-		t.Fatalf("merge past foreign torn tail replayed %v, want just NAS/NAV", recs)
+		t.Fatalf("replay past torn tails gave %v, want just NAS/NAV", recs)
 	}
-	fi, err := os.Stat(path)
+	j, recs, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != torn {
-		t.Errorf("foreign segment was truncated: size %d, want %d", fi.Size(), torn)
+	j.Close()
+	if len(recs) != 1 || recs[0].Config != "NAS/NAV" {
+		t.Fatalf("open past torn tails replayed %v, want just NAS/NAV", recs)
 	}
-
-	// The owner's own reopen is the one that repairs the tear.
-	w0b, _, err := OpenJournalSegment(dir, "w0", opt, 0)
-	if err != nil {
-		t.Fatal(err)
+	if data, err := os.ReadFile(filepath.Join(dir, "runs.w0.journal")); err != nil || !bytes.Equal(data, torn) {
+		t.Errorf("older file changed by the open (err %v)", err)
 	}
-	w0b.Close()
-	fi, err = os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() >= torn {
-		t.Errorf("owner reopen did not truncate the torn tail: size %d", fi.Size())
+	if fi, err := os.Stat(journalPath(dir)); err != nil || fi.Size() >= int64(len(torn)) {
+		t.Errorf("open did not truncate the journal's own torn tail (err %v)", err)
 	}
 }
 
-// segmentBytes returns the bytes of a closed segment written under opt
+// journalBytes returns the bytes of a closed journal written under opt
 // holding recs.
-func segmentBytes(tb testing.TB, opt Options, recs ...RunRecord) []byte {
+func journalBytes(tb testing.TB, opt Options, recs ...RunRecord) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
-	j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+	j, _, err := OpenJournal(dir, opt)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -446,7 +445,7 @@ func segmentBytes(tb testing.TB, opt Options, recs ...RunRecord) []byte {
 	if err := j.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	data, err := os.ReadFile(SegmentPath(dir, "w0"))
+	data, err := os.ReadFile(journalPath(dir))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -454,13 +453,13 @@ func segmentBytes(tb testing.TB, opt Options, recs ...RunRecord) []byte {
 }
 
 // TestJournalSegmentTornHeaderReinitialized: a crash before a fresh
-// segment's meta entry is durable leaves an empty file, part of the
+// journal's meta entry is durable leaves an empty file, part of the
 // magic line, or the magic and a torn meta frame. The next open must
-// reset such a segment and initialize it once, so the cells appended
+// reset such a file and initialize it once, so the cells appended
 // after it replay on every later open.
 func TestJournalSegmentTornHeaderReinitialized(t *testing.T) {
 	opt := Options{Insts: 1000}
-	header := segmentBytes(t, opt)
+	header := journalBytes(t, opt)
 	magic := len(journalMagic)
 	rec := journalRecord("126.gcc", nas(config.Sync), 1000)
 	for name, torn := range map[string][]byte{
@@ -472,11 +471,11 @@ func TestJournalSegmentTornHeaderReinitialized(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			path := SegmentPath(dir, "w0")
+			path := journalPath(dir)
 			if err := os.WriteFile(path, torn, 0o666); err != nil {
 				t.Fatal(err)
 			}
-			j, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
+			j, recs, err := OpenJournal(dir, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -487,7 +486,7 @@ func TestJournalSegmentTornHeaderReinitialized(t *testing.T) {
 				t.Fatal(err)
 			}
 			j.Close()
-			j2, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
+			j2, recs, err := OpenJournal(dir, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -500,7 +499,7 @@ func TestJournalSegmentTornHeaderReinitialized(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.HasPrefix(data, header) || bytes.Count(data, []byte(journalMagic)) != 1 {
-				t.Errorf("segment does not start with one fresh header: %q", data[:min(len(data), 2*magic)])
+				t.Errorf("journal does not start with one fresh header: %q", data[:min(len(data), 2*magic)])
 			}
 		})
 	}
@@ -592,10 +591,10 @@ func checkAgainstReference(t *testing.T, path string, data []byte, want Fingerpr
 	}
 }
 
-// TestReplayJournalDamagedFrame: in a 5,000-frame segment, frame 3,000
+// TestReplayJournalDamagedFrame: in a 5,000-frame journal, frame 3,000
 // torn, failing its CRC, or CRC-valid but not JSON ends the valid
 // prefix where the sequential reader ends it, however many CPUs decode
-// the frames, and the owner's open truncates the segment there.
+// the frames, and the open truncates the journal there.
 func TestReplayJournalDamagedFrame(t *testing.T) {
 	const frames, bad = 5000, 3000
 	opt := Options{Insts: 1000}
@@ -635,7 +634,7 @@ func TestReplayJournalDamagedFrame(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				b := damage(bytes.Clone(data))
 				dir := t.TempDir()
-				path := SegmentPath(dir, "0")
+				path := journalPath(dir)
 				if err := os.WriteFile(path, b, 0o666); err != nil {
 					t.Fatal(err)
 				}
@@ -655,26 +654,26 @@ func TestReplayJournalDamagedFrame(t *testing.T) {
 				if len(merged) != bad || merged[bad-1].ConfigHash != fmt.Sprintf("%016x", bad-1) {
 					t.Fatalf("open replayed %d cells, want the first %d", len(merged), bad)
 				}
-				if st := j.ReplayStats(); st.Segments != 1 || st.Frames != bad {
-					t.Errorf("replay stats %+v, want 1 segment and %d frames", st, bad)
+				if st := j.ReplayStats(); st.Files != 1 || st.Frames != bad {
+					t.Errorf("replay stats %+v, want 1 file and %d frames", st, bad)
 				}
 				if fi, err := os.Stat(path); err != nil || fi.Size() != int64(starts[bad]) {
-					t.Errorf("segment not truncated at the damaged frame (err %v)", err)
+					t.Errorf("journal not truncated at the damaged frame (err %v)", err)
 				}
 			})
 		}
 	}
 }
 
-// FuzzJournalSegment: whatever bytes a segment file holds, opening it
+// FuzzJournalSegment: whatever bytes a journal file holds, opening it
 // either fails or yields a journal whose appended cell replays after a
 // reopen. It never panics, and it allocates in proportion to the file,
 // never to a length prefix read from it. The parallel decoder agrees
 // with the sequential reference on every input.
 func FuzzJournalSegment(f *testing.F) {
 	opt := Options{Insts: 1000}
-	header := segmentBytes(f, opt)
-	withRun := segmentBytes(f, opt, journalRecord("126.gcc", nas(config.Naive), 1000))
+	header := journalBytes(f, opt)
+	withRun := journalBytes(f, opt, journalRecord("126.gcc", nas(config.Naive), 1000))
 	magic := len(journalMagic)
 	flipped := bytes.Clone(withRun)
 	flipped[len(header)+5] ^= 0xFF // the run frame's CRC
@@ -690,24 +689,24 @@ func FuzzJournalSegment(f *testing.F) {
 		flipped,
 		huge,
 		[]byte("mdspec-journal/9\n{}"),
-		segmentBytes(f, Options{Insts: 2000}),
+		journalBytes(f, Options{Insts: 2000}),
 	} {
 		f.Add(seed)
 	}
 	want := journalRecord("102.swim", nas(config.Oracle), 1000)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := SegmentPath(dir, "w0")
+		path := journalPath(dir)
 		if err := os.WriteFile(path, data, 0o666); err != nil {
 			t.Fatal(err)
 		}
 		checkAgainstReference(t, path, data, opt.Fingerprint())
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		j, _, err := OpenJournalSegment(dir, "w0", opt, 0)
+		j, _, err := OpenJournal(dir, opt)
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20+256*uint64(len(data)) {
-			t.Fatalf("opening a %d-byte segment allocated %d bytes", len(data), grew)
+			t.Fatalf("opening a %d-byte journal allocated %d bytes", len(data), grew)
 		}
 		if err != nil {
 			return
@@ -718,7 +717,7 @@ func FuzzJournalSegment(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		j2, recs, err := OpenJournalSegment(dir, "w0", opt, 0)
+		j2, recs, err := OpenJournal(dir, opt)
 		if err != nil {
 			t.Fatalf("reopen after an append: %v", err)
 		}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"mdspec/internal/config"
@@ -109,98 +111,88 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConcurrentSegmentsCrashRecovery is the multi-writer analogue of
-// TestResumeBitIdentical: two writers journal disjoint halves of a
-// sweep into their own locked segments concurrently; one is "SIGKILLed"
-// mid-append (its file closes without Close, its segment gets a torn
-// tail). Recovery must take the segment over at once, truncate exactly
-// the torn tail of the dead writer's own segment — not a byte of
-// anyone else's — and replay every other cell from both segments
+// TestCrashRecoveryKeepsOlderFiles is TestResumeBitIdentical with a
+// crash mid-append, next to a file an older build left: an older fleet
+// worker's runs.w0.journal holds half of a sweep, and the journal's
+// writer is "SIGKILLed" while appending the other half (its file closes
+// without Close, its last frame is torn). Recovery must take the
+// journal over at once, truncate exactly its torn tail — not a byte of
+// the older file — and replay every other cell from both files
 // bit-identically, re-simulating only the torn one.
-func TestConcurrentSegmentsCrashRecovery(t *testing.T) {
+func TestCrashRecoveryKeepsOlderFiles(t *testing.T) {
 	opt := Options{Insts: 6_000, Sampled: true, TimingWindow: 1_000, FunctionalWindow: 2_000}
 	jobs := sweepJobs()
 
-	// Reference: one uninterrupted single-writer sweep.
+	// Reference: one uninterrupted sweep.
 	ref := runSweep(t, NewRunner(opt), jobs)
 
+	// The older file: the first half, journaled elsewhere and copied in.
+	wdir := t.TempDir()
+	jw, _, err := OpenJournal(wdir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	optW := opt
+	optW.Journal = jw
+	runSweep(t, NewRunner(optW), jobs[:2])
+	jw.Close()
+	olderBytes, err := os.ReadFile(journalPath(wdir))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	j0, _, err := OpenJournalSegment(dir, "w0", opt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, _, err := OpenJournalSegment(dir, "w1", opt, 0)
-	if err != nil {
+	older := filepath.Join(dir, "runs.w0.journal")
+	if err := os.WriteFile(older, olderBytes, 0o666); err != nil {
 		t.Fatal(err)
 	}
 
-	// Writer w0 journals its half from a second goroutine while w1 works
-	// below — the two segments fill concurrently, as fleet workers do.
-	opt0 := opt
-	opt0.Journal = j0
-	r0 := NewRunner(opt0)
-	w0done := make(chan error, 1)
-	go func() {
-		for _, jb := range jobs[:2] {
-			if _, err := r0.Run(bg, jb.bench, jb.cfg); err != nil {
-				w0done <- err
-				return
-			}
-		}
-		w0done <- nil
-	}()
-
-	// Writer w1 journals its half one cell at a time so the test can
-	// record its segment's frame boundaries.
+	// The writer journals the second half one cell at a time so the test
+	// can record its file's frame boundaries.
+	j1, recs, err := OpenJournal(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("open replayed %d cells from the older file, want 2", len(recs))
+	}
 	opt1 := opt
 	opt1.Journal = j1
 	r1 := NewRunner(opt1)
-	seg1 := SegmentPath(dir, "w1")
 	var sizes []int64
 	for _, jb := range jobs[2:] {
 		if _, err := r1.Run(bg, jb.bench, jb.cfg); err != nil {
 			t.Fatalf("%s under %s: %v", jb.bench, jb.cfg.Name(), err)
 		}
-		fi, err := os.Stat(seg1)
+		fi, err := os.Stat(journalPath(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sizes = append(sizes, fi.Size())
 	}
-	if err := <-w0done; err != nil {
-		t.Fatalf("concurrent writer w0: %v", err)
-	}
-	j0.Close()
 
-	// "SIGKILL" w1 mid-append: its file closes the way a dying
+	// "SIGKILL" the writer mid-append: its file closes the way a dying
 	// process's does, which drops the lock, and its last frame is torn.
 	j1.f.Close()
-	if err := os.Truncate(seg1, sizes[1]-11); err != nil {
-		t.Fatal(err)
-	}
-	w0size, err := os.Stat(SegmentPath(dir, "w0"))
-	if err != nil {
+	if err := os.Truncate(journalPath(dir), sizes[1]-11); err != nil {
 		t.Fatal(err)
 	}
 
-	// Recovery: w1's successor takes the segment over and repairs it —
+	// Recovery: the successor takes the journal over and repairs it —
 	// truncated to exactly the last intact frame.
-	j1b, recs, err := OpenJournalSegment(dir, "w1", opt, 0)
+	j1b, recs, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
-	if fi, serr := os.Stat(seg1); serr != nil {
+	if fi, serr := os.Stat(journalPath(dir)); serr != nil {
 		t.Fatal(serr)
 	} else if fi.Size() != sizes[0] {
 		t.Errorf("torn tail truncated to %d bytes, want exactly the intact prefix %d", fi.Size(), sizes[0])
 	}
-	if fi, serr := os.Stat(SegmentPath(dir, "w0")); serr != nil {
-		t.Fatal(serr)
-	} else if fi.Size() != w0size.Size() {
-		t.Errorf("recovery modified w0's segment: %d bytes, was %d", fi.Size(), w0size.Size())
+	if got, rerr := os.ReadFile(older); rerr != nil || !bytes.Equal(got, olderBytes) {
+		t.Errorf("recovery modified the older file (err %v)", rerr)
 	}
 	if len(recs) != 3 {
-		t.Fatalf("merged replay has %d cells, want 3 (both of w0's, w1's intact first)", len(recs))
+		t.Fatalf("replay has %d cells, want 3 (both of the older file's, the journal's intact first)", len(recs))
 	}
 
 	// Resume the full sweep: only the torn cell re-simulates, and every
@@ -213,7 +205,7 @@ func TestConcurrentSegmentsCrashRecovery(t *testing.T) {
 	}
 	resumed := runSweep(t, r2, jobs)
 	if got := r2.Counters().Replayed; got != 3 {
-		t.Errorf("Replayed = %d, want 3 cells served from the merged segments", got)
+		t.Errorf("Replayed = %d, want 3 cells served from the two files", got)
 	}
 	if got := r2.Counters().JobsStarted; got != 1 {
 		t.Errorf("JobsStarted = %d, want only the torn cell re-simulated", got)
@@ -224,7 +216,7 @@ func TestConcurrentSegmentsCrashRecovery(t *testing.T) {
 			t.Fatalf("resumed sweep missing cell %v", k)
 		}
 		if *got != *want {
-			t.Errorf("cell %v differs after multi-segment recovery:\nref:     %+v\nresumed: %+v", k, *want, *got)
+			t.Errorf("cell %v differs after crash recovery:\nref:     %+v\nresumed: %+v", k, *want, *got)
 		}
 	}
 	j1b.Close()

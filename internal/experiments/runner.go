@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -27,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mdspec/internal/atomicio"
 	"mdspec/internal/ckpt"
 	"mdspec/internal/config"
 	"mdspec/internal/core"
@@ -479,8 +481,8 @@ func (r *Runner) recording(bench string) (emu.ReplaySource, error) {
 
 // fileRecording serves bench from the RecordingDir cache: an existing
 // valid file that covers these options' capture horizon is mmapped;
-// otherwise the program is captured once, the file written atomically
-// (temp + rename, safe against concurrent writers and crashes), and
+// otherwise the program is captured once, the file written through
+// atomicio.WriteFile (safe against concurrent writers and crashes), and
 // reopened mapped. A file sealed short of the horizon (captured for a
 // smaller budget) is replaced by the longer capture, so files only
 // grow and a larger file serves every smaller budget. Every failure
@@ -499,7 +501,13 @@ func (r *Runner) fileRecording(bench string, p *prog.Program) emu.ReplaySource {
 	r.recMisses.Add(1)
 	rec := emu.NewRecording(emu.New(p))
 	rec.Record(r.opt.captureHorizon())
-	if err := writeRecordingFile(path, rec); err != nil {
+	if err := os.MkdirAll(r.opt.RecordingDir, 0o755); err != nil {
+		return rec
+	}
+	if err := atomicio.WriteFile(path, func(w io.Writer) error {
+		_, err := rec.WriteSealedTo(w)
+		return err
+	}); err != nil {
 		return rec
 	}
 	if f, err := emu.OpenRecordingFile(path, p); err == nil {
@@ -523,31 +531,6 @@ func (o Options) captureHorizon() int64 {
 		h = periods * (tw + fw)
 	}
 	return h + 1<<17
-}
-
-// writeRecordingFile publishes a completed recording at path via a
-// same-directory temp file and an atomic rename.
-func writeRecordingFile(path string, rec *emu.Recording) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := rec.WriteSealedTo(tmp); err != nil {
-		tmp.Close() //md:errok cleanup on an already-failing write; the temp file is removed, not published
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close() //md:errok cleanup on an already-failing sync; the temp file is removed, not published
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // Close releases resources held by the runner's replay sources (mmapped

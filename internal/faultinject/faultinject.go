@@ -53,10 +53,10 @@ const (
 	// probe (an injected error counts as a missed heartbeat; enough
 	// consecutive misses must get the worker killed and restarted).
 	SiteWorkerHeartbeat = "worker.heartbeat"
-	// SiteLeaseAcquire fires as a journal segment's lock is taken (an
-	// injected error must fail the segment open cleanly — the caller
-	// restarts or degrades, and the segment stays unlocked).
-	SiteLeaseAcquire = "lease.acquire"
+	// SiteJournalLock fires as a journal file's lock is taken (an
+	// injected error must fail the open cleanly — the caller restarts
+	// or degrades, and the journal stays unlocked).
+	SiteJournalLock = "journal.lock"
 )
 
 // Kind selects what an armed plan injects when it fires.

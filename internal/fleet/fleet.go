@@ -11,12 +11,13 @@
 //
 // Workers are stateless: they journal nothing. The Pool is mounted
 // behind the supervisor's experiments.Runner, which, when the daemon
-// journals, appends every cell a worker answers to the supervisor's
-// own segment before replying. Each cell then has one durable copy,
-// and a respawned worker has nothing to open or replay: it is ready as
-// soon as it listens. A cell a worker finished after the supervisor
-// died was never answered, and the restarted daemon simulates it
-// again.
+// journals, appends every cell a worker answers to the directory's one
+// journal file, runs.0.journal, before replying. Older daemons' worker
+// files (runs.w<N>.journal) are only read, on restart. Each cell then
+// has one durable copy, and a respawned worker has nothing to open or
+// replay: it is ready as soon as it listens. A cell a worker finished
+// after the supervisor died was never answered, and the restarted
+// daemon simulates it again.
 //
 // The control channel is the daemon's own API: each worker is a full
 // mdserve server on a private unix socket, driven through a

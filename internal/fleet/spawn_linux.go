@@ -10,8 +10,7 @@ import (
 // sysProcAttr ties each worker's lifetime to the supervisor's: if the
 // supervising thread dies without running its shutdown path (SIGKILL,
 // OOM), the kernel delivers SIGKILL to the children, so a fleet can
-// never outlive its supervisor as orphan processes holding their
-// journal segments locked.
+// never outlive its supervisor as orphan processes.
 func sysProcAttr() *syscall.SysProcAttr {
 	return &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 }

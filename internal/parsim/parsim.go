@@ -103,17 +103,6 @@ type Options struct {
 	// (default DefaultSegmentPeriods). It fixes the decomposition — and
 	// with it the result — independently of Workers.
 	SegmentPeriods int
-	// WarmupInsts is the detailed (timing-mode, unmeasured) warm-up each
-	// mid-stream segment runs immediately before its first timing window.
-	// Functional fast-forward warms caches and the branch predictor but
-	// cannot train state that only timing exposes — chiefly the memory
-	// dependence predictors, which learn from violations — so without it
-	// every segment would start with a cold MDPT and overstate
-	// misspeculation. Defaults to TimingInsts (one window's worth, re-run
-	// over the tail of the preceding functional region); -1 disables the
-	// warm-up entirely. Part of the fixed decomposition: it never varies
-	// with the worker count.
-	WarmupInsts int64
 	// Workers bounds this run's concurrent segment workers (default
 	// GOMAXPROCS). The caller's goroutine is always one of them.
 	Workers int
@@ -148,16 +137,16 @@ func (o Options) segmentPeriods() int64 {
 	return DefaultSegmentPeriods
 }
 
-func (o Options) warmup() int64 {
-	switch {
-	case o.WarmupInsts < 0:
-		return 0
-	case o.WarmupInsts > 0:
-		return o.WarmupInsts
-	default:
-		return o.TimingInsts
-	}
-}
+// warmup is the detailed (timing-mode, unmeasured) warm-up each
+// mid-stream segment runs immediately before its first timing window:
+// one timing window's worth, re-run over the tail of the preceding
+// functional region. Functional fast-forward warms caches and the
+// branch predictor but cannot train state that only timing exposes —
+// chiefly the memory dependence predictors, which learn from
+// violations — so without it every segment would start with a cold
+// MDPT and overstate misspeculation. Part of the fixed decomposition:
+// it never varies with the worker count.
+func (o Options) warmup() int64 { return o.TimingInsts }
 
 // CheckpointSeqs is the warm-state checkpoint schedule of this run's
 // decomposition: one position at each mid-stream segment's warm-up

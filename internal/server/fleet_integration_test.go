@@ -22,7 +22,7 @@ import (
 	"mdspec/internal/stats"
 )
 
-// saturate fills a Workers=1/QueueDepth=1 server: one cell occupies
+// saturate fills a Parallel=1/QueueDepth=1 server: one cell occupies
 // the worker (blocked on release), one occupies the queue slot. Any
 // further single-cell request is refused with 503.
 // firePost submits a cell from a goroutine (raw http.Post: t.Fatal is
@@ -65,8 +65,8 @@ func TestClientRetriesOn503(t *testing.T) {
 		return fakeStats(bench, cfg), nil
 	}
 	defer unblock()
-	opt := experiments.Options{Insts: 5000}
-	s, ts := newTestServer(t, Config{Options: opt, Workers: 1, QueueDepth: 1}, sim)
+	opt := experiments.Options{Insts: 5000, Parallel: 1}
+	s, ts := newTestServer(t, Config{Options: opt, QueueDepth: 1}, sim)
 	saturate(t, ts.URL, s, release, entered)
 
 	c := NewClient(ts.URL, opt)
@@ -111,8 +111,8 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 		return fakeStats(bench, cfg), nil
 	}
 	defer close(release)
-	opt := experiments.Options{Insts: 5000}
-	s, ts := newTestServer(t, Config{Options: opt, Workers: 1, QueueDepth: 1}, sim)
+	opt := experiments.Options{Insts: 5000, Parallel: 1}
+	s, ts := newTestServer(t, Config{Options: opt, QueueDepth: 1}, sim)
 	saturate(t, ts.URL, s, release, entered)
 
 	c := NewClient(ts.URL, opt)
@@ -206,7 +206,7 @@ func TestCloseTimeoutSnapshotsStuckCells(t *testing.T) {
 		return fakeStats(bench, cfg), nil
 	}
 	defer close(release)
-	s, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 1}, sim)
+	s, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000, Parallel: 1}}, sim)
 
 	firePost(ts.URL, RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)})
 	<-entered

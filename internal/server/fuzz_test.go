@@ -56,7 +56,7 @@ func FuzzRunRequest(f *testing.F) {
 		return fakeStats(bench, cfg), nil
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := New(Config{Options: experiments.Options{Insts: 5000}, Workers: 1, QueueDepth: 1})
+		s := New(Config{Options: experiments.Options{Insts: 5000, Parallel: 1}, QueueDepth: 1})
 		s.Runner().UseBackend(sim)
 		defer s.Close()
 
@@ -128,7 +128,7 @@ func FuzzSweepRequest(f *testing.F) {
 		return fakeStats(bench, cfg), nil
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := New(Config{Options: experiments.Options{Insts: 5000}, Workers: 1, QueueDepth: 1})
+		s := New(Config{Options: experiments.Options{Insts: 5000, Parallel: 1}, QueueDepth: 1})
 		s.Runner().UseBackend(sim)
 		defer s.Close()
 

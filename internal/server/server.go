@@ -30,12 +30,10 @@ type Config struct {
 	// Options fixes the provenance tuple every cell this server
 	// simulates shares: instruction budget, sampling windows, retry
 	// policy, journal. Hooks may be set for logging; the scheduler adds
-	// its own accounting independently.
+	// its own accounting independently. Parallel (GOMAXPROCS when 0)
+	// also sizes the scheduler pool, which only stages work: actual
+	// simulation parallelism is bounded by the runner's semaphore.
 	Options experiments.Options
-	// Workers sizes the scheduler pool (default: Options.Parallel, or
-	// GOMAXPROCS). The pool only stages work — actual simulation
-	// parallelism is still bounded by the runner's semaphore.
-	Workers int
 	// QueueDepth bounds queued-but-unstarted cells (default
 	// DefaultQueueDepth). Beyond it, POST /v1/runs answers 503 for a
 	// cell that needs a simulation; cached, journal-primed and
@@ -50,14 +48,15 @@ type Config struct {
 // scheduler and a JSON API. Create with New, serve via ServeHTTP (it
 // is an http.Handler), and Close after the HTTP server has drained.
 type Server struct {
-	cfg    Config
-	fp     experiments.Fingerprint
-	runner *experiments.Runner
-	sched  *scheduler
-	mux    *http.ServeMux
-	start  time.Time
-	eps    map[string]*endpointStats
-	fleet  Fleet // nil when running single-process
+	cfg     Config
+	workers int // scheduler pool size
+	fp      experiments.Fingerprint
+	runner  *experiments.Runner
+	sched   *scheduler
+	mux     *http.ServeMux
+	start   time.Time
+	eps     map[string]*endpointStats
+	fleet   Fleet // nil when running single-process
 
 	// bodies holds the response of every cell answered from the memo,
 	// encoded on its first hit and written again on each later one.
@@ -104,18 +103,16 @@ type endpointStats struct {
 // cfg.Options (open it, prime the returned server's Runner with the
 // replayed records, close it after Close).
 func New(cfg Config) *Server {
-	if cfg.Workers <= 0 {
-		if cfg.Options.Parallel > 0 {
-			cfg.Workers = cfg.Options.Parallel
-		} else {
-			cfg.Workers = runtime.GOMAXPROCS(0)
-		}
+	workers := cfg.Options.Parallel
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
 	s := &Server{
 		cfg:     cfg,
+		workers: workers,
 		fp:      cfg.Options.Fingerprint(),
 		runner:  experiments.NewRunner(cfg.Options),
 		mux:     http.NewServeMux(),
@@ -124,7 +121,7 @@ func New(cfg Config) *Server {
 		bodies:  make(map[cellKey]*memoRun),
 		digests: make(map[[sha256.Size]byte]*memoRun),
 	}
-	s.sched = newScheduler(s.runner, cfg.Workers, cfg.QueueDepth)
+	s.sched = newScheduler(s.runner, workers, cfg.QueueDepth)
 	s.route("GET /v1/healthz", s.handleHealthz)
 	s.route("GET /v1/options", s.handleOptions)
 	s.route("GET /v1/metrics", s.handleMetrics)
@@ -141,8 +138,8 @@ func (s *Server) Runner() *experiments.Runner { return s.runner }
 // before serving: the healthz and metrics handlers read it unlocked.
 func (s *Server) AttachFleet(f Fleet) { s.fleet = f }
 
-// Workers reports the scheduler pool size after defaulting.
-func (s *Server) Workers() int { return s.cfg.Workers }
+// Workers reports the scheduler pool size.
+func (s *Server) Workers() int { return s.workers }
 
 // ServeHTTP dispatches to the API routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -257,7 +254,7 @@ func (s *Server) handleOptions(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, OptionsResponse{
 		Fingerprint: s.fp,
 		Benchmarks:  workload.Names(),
-		Workers:     s.cfg.Workers,
+		Workers:     s.workers,
 		QueueDepth:  s.cfg.QueueDepth,
 	})
 }

@@ -92,7 +92,7 @@ func TestRunDedupAcrossConcurrentClients(t *testing.T) {
 		<-release
 		return fakeStats(bench, cfg), nil
 	}
-	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 4}, sim)
+	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000, Parallel: 4}}, sim)
 
 	req := RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
 	type result struct {
@@ -295,7 +295,7 @@ func TestRunQueueFull(t *testing.T) {
 	}
 	defer close(release)
 	s, ts := newTestServer(t, Config{
-		Options: experiments.Options{Insts: 5000}, Workers: 1, QueueDepth: 1,
+		Options: experiments.Options{Insts: 5000, Parallel: 1}, QueueDepth: 1,
 	}, sim)
 
 	fire := func(p config.Policy, ch chan<- int) {
@@ -349,7 +349,7 @@ func TestSweepStreamsNDJSON(t *testing.T) {
 	sim := func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
 		return fakeStats(bench, cfg), nil
 	}
-	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 2}, sim)
+	_, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000, Parallel: 2}}, sim)
 
 	body, _ := json.Marshal(SweepRequest{
 		Benches: []string{"126.gcc", "102.swim"},
@@ -541,7 +541,7 @@ func TestConcurrentCacheHitsShareOneEncoding(t *testing.T) {
 	sim := func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
 		return fakeStats(bench, cfg), nil
 	}
-	s, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000}, Workers: 2}, sim)
+	s, ts := newTestServer(t, Config{Options: experiments.Options{Insts: 5000, Parallel: 2}}, sim)
 	req := RunRequest{Bench: "126.gcc", Config: cfgWith(config.Sync)}
 	if resp, body := postRun(t, ts.URL, req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first run: status %d: %s", resp.StatusCode, body)
@@ -806,7 +806,7 @@ func TestCloseDrainsQueuedWork(t *testing.T) {
 		finished.Add(1)
 		return fakeStats(bench, cfg), nil
 	}
-	s := New(Config{Options: experiments.Options{Insts: 5000}, Workers: 1, QueueDepth: 4})
+	s := New(Config{Options: experiments.Options{Insts: 5000, Parallel: 1}, QueueDepth: 4})
 	s.Runner().UseBackend(sim)
 
 	done := make(chan taskResult, 2)
