@@ -229,7 +229,7 @@ func main() {
 	if *serverAddr != "" && *resumeDir != "" {
 		fatal(errors.New("-server and -resume are mutually exclusive: the daemon owns the checkpoint journal"))
 	}
-	var replayed []experiments.RunRecord
+	var replayed []experiments.JournalCell
 	if *resumeDir != "" {
 		j, recs, err := experiments.OpenJournal(*resumeDir, opt)
 		if err != nil {

@@ -39,8 +39,9 @@
 // answered, and is simulated again after the restart. A second writer
 // on the directory, such as an mdexp -resume, is refused. The restart
 // logs "re-primed N finished cell(s) from D in T (F file(s), K
-// frame(s))". GET /v1/metrics exposes
-// the runner's lifetime counters, per-endpoint request/latency
+// frame(s))": N cells indexed, in T, from the K run frames of F files;
+// each cell's record is decoded on its first request. GET /v1/metrics
+// exposes the runner's lifetime counters, per-endpoint request/latency
 // accounting, and queue occupancy; GET /v1/options the provenance
 // tuple (clients check it before sweeping — see mdexp -server).
 //
@@ -131,7 +132,7 @@ func main() {
 	// The daemon locks the directory's journal and re-primes from it and
 	// from any journal file an older build left there.
 	var journal *experiments.Journal
-	var replayed []experiments.RunRecord
+	var replayed []experiments.JournalCell
 	if *journalDir != "" {
 		var err error
 		journal, replayed, err = experiments.OpenJournal(*journalDir, opt)

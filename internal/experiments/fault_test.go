@@ -97,11 +97,11 @@ func TestInjectedJournalAppendError(t *testing.T) {
 	// The first cell's entry was lost (degraded resumability); the
 	// second was journaled normally.
 	j.Close()
-	_, recs, err := OpenJournal(dir, Options{Insts: 1000})
+	_, cells, err := OpenJournal(dir, Options{Insts: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Config != "NAS/SYNC" {
+	if recs := cellRecords(t, cells); len(recs) != 1 || recs[0].Config != "NAS/SYNC" {
 		t.Fatalf("journal replayed %+v, want only the NAS/SYNC cell", recs)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -41,6 +40,14 @@ import (
 // written — and a torn tail (truncated frame or checksum mismatch) is
 // detected on the next open and truncated away, never parsed into the
 // cache.
+//
+// Replay does not decode run entries: it checks each frame's CRC and
+// reads the cell's key from the prefix json.Marshal always writes,
+// {"run":{"bench":"…","config":"…","config_hash":"…", and the runner
+// decodes a cell's entry on the cell's first request (Runner.Prime).
+// The meta entry, and any frame without that prefix or whose key
+// strings need unescaping, is decoded at once; one that does not parse
+// ends the valid prefix, like a torn frame.
 //
 // A directory has one writer at a time: the journal file holds an
 // exclusive kernel lock (lockFile) from OpenJournal to Close. The
@@ -125,8 +132,8 @@ func (e *ErrJournalLocked) Error() string {
 }
 
 // OpenJournal opens (or creates) the journal of dir, runs.0.journal,
-// for a sweep running with opt, and returns the run records replayed
-// from dir (ReplayJournalDir). The file stays locked until Close; while
+// for a sweep running with opt, and returns the cells replayed from
+// dir (ReplayJournalDir). The file stays locked until Close; while
 // another open journal holds it, OpenJournal fails with
 // *ErrJournalLocked. Under the lock, a torn tail left by a crash is
 // truncated, and a file with no intact meta entry (fresh, or torn
@@ -135,7 +142,7 @@ func (e *ErrJournalLocked) Error() string {
 // sampling windows, runner version) is refused untouched: its cells
 // belong to a different sweep. No other file is created, locked or
 // written.
-func OpenJournal(dir string, opt Options) (*Journal, []RunRecord, error) {
+func OpenJournal(dir string, opt Options) (*Journal, []JournalCell, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
@@ -145,42 +152,64 @@ func OpenJournal(dir string, opt Options) (*Journal, []RunRecord, error) {
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
 	j := &Journal{f: f, path: path}
-	recs, err := j.lockAndRepair(dir, opt)
+	cells, err := j.lockAndRepair(dir, opt)
 	if err != nil {
 		f.Close() //md:errok cleanup on an already-failing open; closing also drops the lock
 		return nil, nil, err
 	}
-	return j, recs, nil
+	return j, cells, nil
 }
 
 // OpenJournalSegment is OpenJournal; the id and the duration are
 // ignored. It is kept for bench/probe.go until the probe calls
 // OpenJournal.
-func OpenJournalSegment(dir, _ string, opt Options, _ time.Duration) (*Journal, []RunRecord, error) {
+func OpenJournalSegment(dir, _ string, opt Options, _ time.Duration) (*Journal, []JournalCell, error) {
 	return OpenJournal(dir, opt)
 }
 
 // ReplayJournalDir is OpenJournal's replay without the lock or any
-// write: the run records of the valid prefix of every journal file in
-// dir, the files older builds left first (by name) and the journal's
-// own last, keeping the last copy of each cell in the order of first
+// write: the cells of the valid prefix of every journal file in dir,
+// the files older builds left first (by name) and the journal's own
+// last, keeping the last copy of each cell in the order of first
 // appearance (cells are deterministic, so any copy is the cell). A
 // file written under another provenance fingerprint is an error.
-func ReplayJournalDir(dir string, opt Options) ([]RunRecord, error) {
-	recs, _, _, err := replayDir(dir, opt.Fingerprint())
-	return recs, err
+func ReplayJournalDir(dir string, opt Options) ([]JournalCell, error) {
+	cells, _, _, err := replayDir(dir, opt.Fingerprint())
+	return cells, err
+}
+
+// JournalCell is one finished cell of a replayed journal: its key, read
+// from its frame without decoding it, and the frame's payload, a slice
+// of the buffer its file was read into, which Record decodes.
+type JournalCell struct {
+	Bench      string
+	ConfigHash string
+	payload    []byte
+}
+
+// Record decodes the cell's run record. It fails when the payload does
+// not parse, holds no run, or names another cell than its key.
+func (c JournalCell) Record() (RunRecord, error) {
+	var e journalEntry
+	if err := json.Unmarshal(c.payload, &e); err != nil {
+		return RunRecord{}, fmt.Errorf("journal: cell %s %s: %w", c.Bench, c.ConfigHash, err)
+	}
+	if e.Run == nil || e.Run.Bench != c.Bench || e.Run.ConfigHash != c.ConfigHash {
+		return RunRecord{}, fmt.Errorf("journal: the frame of cell %s %s holds no run of it", c.Bench, c.ConfigHash)
+	}
+	return *e.Run, nil
 }
 
 // ReplayStats describes the replay of one OpenJournal.
 type ReplayStats struct {
 	Files   int           // journal files read
-	Frames  int           // run frames decoded from their valid prefixes
-	Elapsed time.Duration // reading, decoding and merging them
+	Frames  int           // run frames indexed from their valid prefixes
+	Elapsed time.Duration // reading, indexing and merging them
 }
 
 // replayDir is ReplayJournalDir that also returns the byte length of
 // the journal file's valid prefix and the replay's stats.
-func replayDir(dir string, want Fingerprint) (merged []RunRecord, ownLen int64, st ReplayStats, err error) {
+func replayDir(dir string, want Fingerprint) (merged []JournalCell, ownLen int64, st ReplayStats, err error) {
 	start := time.Now()
 	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
@@ -195,24 +224,24 @@ func replayDir(dir string, want Fingerprint) (merged []RunRecord, ownLen int64, 
 	}
 	files = append(files, journalPath(dir))
 	var order []runKeyID
-	byKey := make(map[runKeyID]RunRecord)
+	byKey := make(map[runKeyID]JournalCell)
 	for _, path := range files {
-		recs, validLen, err := replayJournal(path, want)
+		cells, validLen, err := replayJournal(path, want)
 		if err != nil {
 			return nil, 0, st, err
 		}
 		ownLen = validLen // the journal's own file is the last
 		st.Files++
-		st.Frames += len(recs)
-		for _, rec := range recs {
-			k := runKeyID{rec.Bench, rec.ConfigHash}
+		st.Frames += len(cells)
+		for _, c := range cells {
+			k := runKeyID{c.Bench, c.ConfigHash}
 			if _, seen := byKey[k]; !seen {
 				order = append(order, k)
 			}
-			byKey[k] = rec
+			byKey[k] = c
 		}
 	}
-	merged = make([]RunRecord, 0, len(order))
+	merged = make([]JournalCell, 0, len(order))
 	for _, k := range order {
 		merged = append(merged, byKey[k])
 	}
@@ -229,7 +258,7 @@ func replayDir(dir string, want Fingerprint) (merged []RunRecord, ownLen int64, 
 // sweep is refused untouched.
 //
 //md:nolock single-owner: OpenJournal calls lockAndRepair before the Journal is published to any other goroutine
-func (j *Journal) lockAndRepair(dir string, opt Options) ([]RunRecord, error) {
+func (j *Journal) lockAndRepair(dir string, opt Options) ([]JournalCell, error) {
 	if err := lockFile(j.f); err != nil {
 		return nil, err
 	}
@@ -237,7 +266,7 @@ func (j *Journal) lockAndRepair(dir string, opt Options) ([]RunRecord, error) {
 		return nil, err
 	}
 	want := opt.Fingerprint()
-	recs, validLen, st, err := replayDir(dir, want)
+	cells, validLen, st, err := replayDir(dir, want)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +282,7 @@ func (j *Journal) lockAndRepair(dir string, opt Options) ([]RunRecord, error) {
 			return nil, err
 		}
 	}
-	return recs, nil
+	return cells, nil
 }
 
 // ReplayStats reports the replay the journal's open performed.
@@ -311,14 +340,13 @@ func (j *Journal) Close() error {
 // is treated as corruption rather than allocated.
 const maxJournalEntry = 64 << 20
 
-// replayJournal scans path and returns the run records of its valid
-// prefix, in file order, and the prefix's byte length. A torn or
-// corrupt tail ends the scan at the last intact frame — every entry
-// before it is replayed, nothing after it is trusted. The length is 0
-// when the file holds no intact meta entry: it is missing, empty, or
-// was torn before its header became durable, and OpenJournal
-// re-initializes it.
-func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
+// replayJournal scans path and returns the cells of its valid prefix,
+// in file order, and the prefix's byte length. A torn or corrupt tail
+// ends the scan at the last intact frame — every entry before it is
+// replayed, nothing after it is trusted. The length is 0 when the file
+// holds no intact meta entry: it is missing, empty, or was torn before
+// its header became durable, and OpenJournal re-initializes it.
+func replayJournal(path string, want Fingerprint) ([]JournalCell, int64, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, 0, nil
@@ -332,11 +360,23 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 	if !bytes.HasPrefix(data, []byte(journalMagic)) {
 		return nil, 0, fmt.Errorf("journal: %s is not a journal (bad magic)", path)
 	}
-	bounds := frameBounds(data)
-	entries := decodeFrames(data, bounds, min(runtime.GOMAXPROCS(0), (len(bounds)-1)/minFramesPerDecoder))
+	off := int64(len(journalMagic))
 	sawMeta := false
-	var recs []RunRecord
-	for _, e := range entries {
+	var cells []JournalCell
+	for {
+		payload, next, ok := nextFrame(data, off)
+		if !ok {
+			break
+		}
+		if bench, hash, ok := cellKey(payload); ok {
+			cells = append(cells, JournalCell{bench, hash, payload})
+			off = next
+			continue
+		}
+		var e journalEntry
+		if json.Unmarshal(payload, &e) != nil {
+			break
+		}
 		switch {
 		case e.Meta != nil:
 			if *e.Meta != want {
@@ -346,89 +386,66 @@ func replayJournal(path string, want Fingerprint) ([]RunRecord, int64, error) {
 			}
 			sawMeta = true
 		case e.Run != nil && e.Run.Stats != nil:
-			recs = append(recs, *e.Run)
+			cells = append(cells, JournalCell{e.Run.Bench, e.Run.ConfigHash, payload})
 		}
+		off = next
 	}
 	if !sawMeta {
-		if len(recs) > 0 {
+		if len(cells) > 0 {
 			return nil, 0, fmt.Errorf("journal: %s has run entries but no meta header", path)
 		}
 		return nil, 0, nil
 	}
-	return recs, bounds[len(entries)], nil
+	return cells, off, nil
 }
 
-// frameBounds walks the length prefixes after the magic line and
-// returns where each frame starts, then where the last one ends: frame
-// i spans bounds[i] to bounds[i+1]. The walk stops at the first frame
-// whose length is implausible or whose bytes are not all present; CRCs
-// and payloads are left to decodeFrames.
-func frameBounds(data []byte) []int64 {
-	bounds := []int64{int64(len(journalMagic))}
-	for {
-		off := bounds[len(bounds)-1]
-		rest := data[off:]
-		if len(rest) < 8 {
-			return bounds
-		}
-		n := int64(binary.BigEndian.Uint32(rest[0:4]))
-		if n == 0 || n > maxJournalEntry || int64(len(rest)) < 8+n {
-			return bounds
-		}
-		bounds = append(bounds, off+8+n)
+// nextFrame returns the payload of the frame at off and where the next
+// frame starts. ok is false unless the bytes from off hold a whole
+// frame of plausible length whose CRC matches.
+func nextFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
+	rest := data[off:]
+	if len(rest) < 8 {
+		return nil, 0, false
 	}
+	n := int64(binary.BigEndian.Uint32(rest[0:4]))
+	if n == 0 || n > maxJournalEntry || int64(len(rest)) < 8+n {
+		return nil, 0, false
+	}
+	payload = rest[8 : 8+n]
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(rest[4:8]) {
+		return nil, 0, false
+	}
+	return payload, off + 8 + n, true
 }
 
-// minFramesPerDecoder is the fewest frames worth a decoding goroutine;
-// smaller files decode inline.
-const minFramesPerDecoder = 64
+// keyFields is what json.Marshal writes before each string of a run
+// entry's key: its bench, config name and config hash, in that order.
+var keyFields = [3]string{`{"run":{"bench":"`, `","config":"`, `","config_hash":"`}
 
-// decodeFrames checks and parses the frames between bounds and returns
-// the entries of the intact prefix: decoding stops at the first frame
-// whose CRC fails or whose payload does not parse. The frames are split
-// into contiguous runs decoded on that many goroutines, each frame into
-// its own slot, so the prefix is the one a sequential reader finds.
-func decodeFrames(data []byte, bounds []int64, workers int) []journalEntry {
-	frames := len(bounds) - 1
-	entries := make([]journalEntry, frames)
-	if workers = min(workers, frames); workers <= 1 {
-		return entries[:decodeRange(data, bounds, entries, 0, frames)]
-	}
-	// stop[w] is where worker w's run ended: its first bad frame, or the
-	// end of its run.
-	stop := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := range stop {
-		lo, hi := w*frames/workers, (w+1)*frames/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stop[w] = decodeRange(data, bounds, entries, lo, hi)
-		}()
-	}
-	wg.Wait()
-	for w, n := range stop {
-		if hi := (w + 1) * frames / workers; n < hi {
-			return entries[:n]
+// cellKey reads a run entry's bench and config hash from the prefix
+// json.Marshal writes, without decoding the entry. ok is false when the
+// payload does not begin with that prefix, or when a key string holds a
+// backslash, a control byte or a non-ASCII byte, whose raw bytes need
+// not be the decoded string.
+func cellKey(payload []byte) (bench, configHash string, ok bool) {
+	var key [3][]byte
+	rest := payload
+	for i, field := range keyFields {
+		if rest, ok = bytes.CutPrefix(rest, []byte(field)); !ok {
+			return "", "", false
+		}
+		n := bytes.IndexByte(rest, '"')
+		if n < 0 {
+			return "", "", false
+		}
+		key[i], rest = rest[:n], rest[n:]
+		for _, c := range key[i] {
+			if c == '\\' || c < 0x20 || c >= 0x80 {
+				return "", "", false
+			}
 		}
 	}
-	return entries
-}
-
-// decodeRange decodes frames [lo, hi) into entries and returns the
-// index of the first one that fails, or hi.
-func decodeRange(data []byte, bounds []int64, entries []journalEntry, lo, hi int) int {
-	for i := lo; i < hi; i++ {
-		off := bounds[i]
-		payload := data[off+8 : bounds[i+1]]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[off+4:off+8]) {
-			return i
-		}
-		if err := json.Unmarshal(payload, &entries[i]); err != nil {
-			return i
-		}
-	}
-	return hi
+	return string(key[0]), string(key[2]), true
 }
 
 // runKeyID keys journal entries the way -resume matches them: by

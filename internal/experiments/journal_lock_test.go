@@ -108,11 +108,12 @@ func TestJournalLockAcrossProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = cmd.Wait() // "signal: killed"
-	j, recs, err := OpenJournal(dir, opt)
+	j, cells, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatalf("open right after the holder was killed: %v", err)
 	}
 	defer j.Close()
+	recs := cellRecords(t, cells)
 	if len(recs) != 1 || recs[0].Provenance != cell.Provenance || *recs[0].Stats != *cell.Stats {
 		t.Fatalf("replayed %+v, want the killed helper's cell", recs)
 	}

@@ -9,8 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,16 +32,30 @@ func journalRecord(bench string, cfg config.Machine, insts int64) RunRecord {
 	return rec
 }
 
+// cellRecords decodes every cell, failing tb if one does not decode.
+func cellRecords(tb testing.TB, cells []JournalCell) []RunRecord {
+	tb.Helper()
+	recs := make([]RunRecord, len(cells))
+	for i, c := range cells {
+		rec, err := c.Record()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs[i] = rec
+	}
+	return recs
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt") // created by the open
 	opt := Options{Insts: 1000}
 
-	j, recs, err := OpenJournal(dir, opt)
+	j, cells, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(recs))
+	if len(cells) != 0 {
+		t.Fatalf("fresh journal replayed %d records", len(cells))
 	}
 	want := []RunRecord{
 		journalRecord("126.gcc", nas(config.Naive), 1000),
@@ -55,11 +71,12 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := OpenJournal(dir, opt)
+	j2, cells, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
+	recs := cellRecords(t, cells)
 	if len(recs) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(recs), len(want))
 	}
@@ -100,11 +117,11 @@ func TestJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := OpenJournal(dir, opt)
+	j2, cells, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Config != "NAS/NAV" {
+	if recs := cellRecords(t, cells); len(recs) != 1 || recs[0].Config != "NAS/NAV" {
 		t.Fatalf("after torn tail replayed %v, want just NAS/NAV", recs)
 	}
 	// The journal must stay appendable after truncation.
@@ -113,12 +130,12 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	j2.Close()
 
-	_, recs, err = OpenJournal(dir, opt)
+	_, cells, err = OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("after append-past-torn-tail replayed %d records, want 2", len(recs))
+	if len(cells) != 2 {
+		t.Fatalf("after append-past-torn-tail replayed %d records, want 2", len(cells))
 	}
 }
 
@@ -151,12 +168,12 @@ func TestJournalChecksumCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, recs, err := OpenJournal(dir, opt)
+	j2, cells, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if len(recs) != 1 || recs[0].Config != "NAS/NAV" {
+	if recs := cellRecords(t, cells); len(recs) != 1 || recs[0].Config != "NAS/NAV" {
 		t.Fatalf("after corruption replayed %v, want just the intact NAS/NAV entry", recs)
 	}
 }
@@ -241,10 +258,11 @@ func TestJournalDedup(t *testing.T) {
 	}
 	j.Close()
 
-	_, recs, err := OpenJournal(dir, opt)
+	_, cells, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := cellRecords(t, cells)
 	if len(recs) != 1 {
 		t.Fatalf("replayed %d records, want 1 after dedup", len(recs))
 	}
@@ -320,12 +338,12 @@ func TestReplayJournalDirMerges(t *testing.T) {
 	writeOlderFile(t, dir, "runs.w0.journal", w0[:len(w0)-30]) // e torn mid-frame
 	older := snapshotDir(t, dir)
 
-	j, recs, err := OpenJournal(dir, opt)
+	j, cells, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, rec := range recs {
+	for _, rec := range cellRecords(t, cells) {
 		got = append(got, fmt.Sprintf("%s %s %g", rec.Bench, rec.Config, rec.WallSeconds))
 	}
 	want := []string{"126.gcc NAS/NAV 2", "126.gcc NAS/SYNC 0.123", "102.swim NAS/NAV 0.123", "102.swim NAS/SYNC 0.123"}
@@ -360,20 +378,20 @@ func TestReplayJournalDirMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	j, recs, err = OpenJournal(dir, opt)
+	j, cells, err = OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if len(recs) != 4 || recs[0].WallSeconds != 3 {
+	if recs := cellRecords(t, cells); len(recs) != 4 || recs[0].WallSeconds != 3 {
 		t.Fatalf("reopen replayed %+v, want the journal's copy of the first cell", recs)
 	}
 	replayed, err := ReplayJournalDir(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(replayed, recs) {
-		t.Errorf("ReplayJournalDir beside a live journal: %+v, want what the open replayed: %+v", replayed, recs)
+	if !reflect.DeepEqual(replayed, cells) {
+		t.Errorf("ReplayJournalDir beside a live journal: %+v, want what the open replayed: %+v", replayed, cells)
 	}
 	j.Close()
 
@@ -405,19 +423,19 @@ func TestReplayJournalDirSkipsForeignTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReplayJournalDir(dir, opt)
+	cells, err := ReplayJournalDir(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Config != "NAS/NAV" {
+	if recs := cellRecords(t, cells); len(recs) != 1 || recs[0].Config != "NAS/NAV" {
 		t.Fatalf("replay past torn tails gave %v, want just NAS/NAV", recs)
 	}
-	j, recs, err := OpenJournal(dir, opt)
+	j, cells, err := OpenJournal(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if len(recs) != 1 || recs[0].Config != "NAS/NAV" {
+	if recs := cellRecords(t, cells); len(recs) != 1 || recs[0].Config != "NAS/NAV" {
 		t.Fatalf("open past torn tails replayed %v, want just NAS/NAV", recs)
 	}
 	if data, err := os.ReadFile(filepath.Join(dir, "runs.w0.journal")); err != nil || !bytes.Equal(data, torn) {
@@ -475,23 +493,23 @@ func TestJournalSegmentTornHeaderReinitialized(t *testing.T) {
 			if err := os.WriteFile(path, torn, 0o666); err != nil {
 				t.Fatal(err)
 			}
-			j, recs, err := OpenJournal(dir, opt)
+			j, cells, err := OpenJournal(dir, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(recs) != 0 {
-				t.Fatalf("torn header replayed %d records", len(recs))
+			if len(cells) != 0 {
+				t.Fatalf("torn header replayed %d records", len(cells))
 			}
 			if err := j.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 			j.Close()
-			j2, recs, err := OpenJournal(dir, opt)
+			j2, cells, err := OpenJournal(dir, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			j2.Close()
-			if len(recs) != 1 || recs[0].Provenance != rec.Provenance {
+			if recs := cellRecords(t, cells); len(recs) != 1 || recs[0].Provenance != rec.Provenance {
 				t.Fatalf("reopen replayed %+v, want the cell appended after the torn header", recs)
 			}
 			data, err := os.ReadFile(path)
@@ -507,10 +525,11 @@ func TestJournalSegmentTornHeaderReinitialized(t *testing.T) {
 
 // replayJournalReference is the sequential reader the tests hold
 // replayJournal to: one frame at a time from the magic line to the
-// first torn, CRC-broken or unparsable frame, under replayJournal's
-// contract (run records of the valid prefix in file order, and the
+// first torn or CRC-broken frame, or the first one that neither begins
+// with a plain run key (refKey) nor parses, under replayJournal's
+// contract (the cells of the valid prefix in file order, and the
 // prefix's length).
-func replayJournalReference(data []byte, want Fingerprint) ([]RunRecord, int64, error) {
+func replayJournalReference(data []byte, want Fingerprint) ([]JournalCell, int64, error) {
 	if len(data) < len(journalMagic) && strings.HasPrefix(journalMagic, string(data)) {
 		return nil, 0, nil
 	}
@@ -519,82 +538,97 @@ func replayJournalReference(data []byte, want Fingerprint) ([]RunRecord, int64, 
 	}
 	off := int64(len(journalMagic))
 	sawMeta := false
-	var recs []RunRecord
+	var cells []JournalCell
 	for {
-		entry, next, ok := readFrame(data, off)
+		payload, next, ok := readFrame(data, off)
 		if !ok {
 			break
 		}
-		switch {
-		case entry.Meta != nil:
-			if *entry.Meta != want {
-				return nil, 0, fmt.Errorf("written with %+v", *entry.Meta)
+		if m := refKey.FindSubmatch(payload); m != nil {
+			cells = append(cells, JournalCell{string(m[1]), string(m[2]), payload})
+		} else {
+			var entry journalEntry
+			if json.Unmarshal(payload, &entry) != nil {
+				break
 			}
-			sawMeta = true
-		case entry.Run != nil && entry.Run.Stats != nil:
-			recs = append(recs, *entry.Run)
+			switch {
+			case entry.Meta != nil:
+				if *entry.Meta != want {
+					return nil, 0, fmt.Errorf("written with %+v", *entry.Meta)
+				}
+				sawMeta = true
+			case entry.Run != nil && entry.Run.Stats != nil:
+				cells = append(cells, JournalCell{entry.Run.Bench, entry.Run.ConfigHash, payload})
+			}
 		}
 		off = next
 	}
 	if !sawMeta {
-		if len(recs) > 0 {
+		if len(cells) > 0 {
 			return nil, 0, fmt.Errorf("run entries but no meta header")
 		}
 		return nil, 0, nil
 	}
-	return recs, off, nil
+	return cells, off, nil
 }
 
-// readFrame decodes the frame at off. ok is false when the remaining
-// bytes do not contain one intact, checksum-clean, parsable frame.
-func readFrame(data []byte, off int64) (e journalEntry, next int64, ok bool) {
+// refKey matches the key prefix json.Marshal writes for a run entry
+// whose key strings are printable ASCII without quotes or backslashes:
+// those a replay indexes without decoding. It captures the bench and
+// the config hash.
+var refKey = regexp.MustCompile(`^\{"run":\{"bench":"([\x20\x21\x23-\x5b\x5d-\x7f]*)","config":"[\x20\x21\x23-\x5b\x5d-\x7f]*","config_hash":"([\x20\x21\x23-\x5b\x5d-\x7f]*)"`)
+
+// readFrame returns the payload of the frame at off. ok is false when
+// the remaining bytes do not contain one intact, checksum-clean frame.
+func readFrame(data []byte, off int64) (payload []byte, next int64, ok bool) {
 	rest := data[off:]
 	if len(rest) < 8 {
-		return e, 0, false
+		return nil, 0, false
 	}
 	n := int64(binary.BigEndian.Uint32(rest[0:4]))
 	sum := binary.BigEndian.Uint32(rest[4:8])
 	if n <= 0 || n > maxJournalEntry || int64(len(rest)) < 8+n {
-		return e, 0, false
+		return nil, 0, false
 	}
-	payload := rest[8 : 8+n]
+	payload = rest[8 : 8+n]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return e, 0, false
+		return nil, 0, false
 	}
-	if err := json.Unmarshal(payload, &e); err != nil {
-		return e, 0, false
-	}
-	return e, off + 8 + n, true
+	return payload, off + 8 + n, true
 }
 
 // checkAgainstReference fails t unless replayJournal over path, which
 // holds data, agrees with the sequential reference, and unless every
-// split of the frames across decoders finds the single decoder's
-// prefix.
+// cell it indexed decodes exactly when its payload parses to a run of
+// that cell, into that run. A cell whose payload is the bytes
+// json.Marshal writes for its run must carry that run's key.
 func checkAgainstReference(t *testing.T, path string, data []byte, want Fingerprint) {
 	t.Helper()
-	recs, validLen, err := replayJournal(path, want)
-	refRecs, refLen, refErr := replayJournalReference(data, want)
-	if (err != nil) != (refErr != nil) || validLen != refLen || !reflect.DeepEqual(recs, refRecs) {
-		t.Fatalf("replayJournal: %d records, length %d, err %v; reference: %d records, length %d, err %v",
-			len(recs), validLen, err, len(refRecs), refLen, refErr)
+	cells, validLen, err := replayJournal(path, want)
+	refCells, refLen, refErr := replayJournalReference(data, want)
+	if (err != nil) != (refErr != nil) || validLen != refLen || !reflect.DeepEqual(cells, refCells) {
+		t.Fatalf("replayJournal: %d cells, length %d, err %v; reference: %d cells, length %d, err %v",
+			len(cells), validLen, err, len(refCells), refLen, refErr)
 	}
-	if !bytes.HasPrefix(data, []byte(journalMagic)) {
-		return
-	}
-	bounds := frameBounds(data)
-	one := decodeFrames(data, bounds, 1)
-	for _, workers := range []int{2, 3, 7} {
-		if got := decodeFrames(data, bounds, workers); !reflect.DeepEqual(got, one) {
-			t.Fatalf("%d decoders kept %d of %d frames, one decoder %d", workers, len(got), len(bounds)-1, len(one))
+	for _, c := range cells {
+		rec, err := c.Record()
+		var e journalEntry
+		parsed := json.Unmarshal(c.payload, &e) == nil && e.Run != nil
+		if ok := parsed && e.Run.Bench == c.Bench && e.Run.ConfigHash == c.ConfigHash; ok != (err == nil) {
+			t.Fatalf("cell %q %q: Record error %v; the payload parses to a run of this cell: %v", c.Bench, c.ConfigHash, err, ok)
+		} else if ok && !reflect.DeepEqual(rec, *e.Run) {
+			t.Fatalf("cell %q %q: Record gave %+v, the payload parses to %+v", c.Bench, c.ConfigHash, rec, *e.Run)
+		}
+		if canon, merr := json.Marshal(e); parsed && merr == nil && bytes.Equal(canon, c.payload) && err != nil {
+			t.Fatalf("a frame json.Marshal wrote was indexed as %q %q, not as its run's key", c.Bench, c.ConfigHash)
 		}
 	}
 }
 
 // TestReplayJournalDamagedFrame: in a 5,000-frame journal, frame 3,000
-// torn, failing its CRC, or CRC-valid but not JSON ends the valid
-// prefix where the sequential reader ends it, however many CPUs decode
-// the frames, and the open truncates the journal there.
+// torn, failing its CRC, or CRC-valid but neither JSON nor keyed ends
+// the valid prefix where the sequential reader ends it, however many
+// CPUs the process has, and the open truncates the journal there.
 func TestReplayJournalDamagedFrame(t *testing.T) {
 	const frames, bad = 5000, 3000
 	opt := Options{Insts: 1000}
@@ -665,11 +699,143 @@ func TestReplayJournalDamagedFrame(t *testing.T) {
 	}
 }
 
+// TestJournalIndexesWithoutDecoding: run frames whose key prefix is
+// intact but whose CRC-valid bodies do not parse, or parse to another
+// cell, are indexed, not decoded, so they do not end the valid prefix.
+// A runner primed from them simulates each such cell once, however
+// many requests race for it, bit-identically to a clean runner, and
+// journals it; the next open serves every cell from the journal.
+func TestJournalIndexesWithoutDecoding(t *testing.T) {
+	opt := Options{Insts: 2000}
+	jobs := []job{{"129.compress", nas(config.Naive)}, {"129.compress", nas(config.Sync)}}
+	ref := runSweep(t, NewRunner(opt), jobs)
+
+	// Journal the cells, then break each run frame's body after its key
+	// and frame it again: the first no longer parses, the second repeats
+	// "bench" with another name.
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt1 := opt
+	opt1.Journal = j
+	runSweep(t, NewRunner(opt1), jobs)
+	j.Close()
+	path := journalPath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damage := []struct {
+		cut int
+		add string
+	}{{1, "x"}, {2, `,"bench":"102.swim"}}`}}
+	damaged := bytes.Clone(data[:len(journalMagic)])
+	for off := int64(len(journalMagic)); off < int64(len(data)); {
+		payload, next, ok := readFrame(data, off)
+		if !ok {
+			t.Fatalf("no intact frame at byte %d", off)
+		}
+		if bytes.HasPrefix(payload, []byte(`{"run":`)) {
+			payload = append(bytes.Clone(payload[:len(payload)-damage[0].cut]), damage[0].add...)
+			damage = damage[1:]
+		}
+		damaged = binary.BigEndian.AppendUint32(damaged, uint32(len(payload)))
+		damaged = binary.BigEndian.AppendUint32(damaged, crc32.ChecksumIEEE(payload))
+		damaged = append(damaged, payload...)
+		off = next
+	}
+	if err := os.WriteFile(path, damaged, 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, cells, err := OpenJournal(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != len(jobs) {
+		t.Fatalf("open indexed %d cells, want %d", len(cells), len(jobs))
+	}
+	for i, c := range cells {
+		if _, err := c.Record(); err == nil || json.Valid(c.payload) != (i == 1) {
+			t.Fatalf("cell %s %s: Record error %v from a damaged body (valid JSON: %v)", c.Bench, c.ConfigHash, err, json.Valid(c.payload))
+		}
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != int64(len(damaged)) {
+		t.Fatalf("open truncated a journal whose frames are all indexed (err %v)", err)
+	}
+	opt2 := opt
+	opt2.Journal = j2
+	r2 := NewRunner(opt2)
+	if n := r2.Prime(cells); n != len(jobs) {
+		t.Fatalf("Prime indexed %d cells, want %d", n, len(jobs))
+	}
+	runConcurrently(t, r2, jobs, ref, SourceSimulated)
+	if c := r2.Counters(); c.JobsStarted != int64(len(jobs)) || c.Replayed != 0 {
+		t.Errorf("counters %+v, want %d jobs started and none replayed", c, len(jobs))
+	}
+	if err := r2.JournalErr(); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	// The fresh copies, appended after the damaged frames, win.
+	j3, cells, err := OpenJournal(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	opt3 := opt
+	opt3.Journal = j3
+	r3 := NewRunner(opt3)
+	r3.Prime(cells)
+	runConcurrently(t, r3, jobs, ref, SourceJournal)
+	if c := r3.Counters(); c.JobsStarted != 0 || c.Replayed != int64(len(jobs)) {
+		t.Errorf("counters %+v after reopen, want no job started and %d cells replayed", c, len(jobs))
+	}
+}
+
+// runConcurrently requests every job from four goroutines at once and
+// fails t unless each answer has ref's stats and, for each job, one
+// answer came from first (the others joining it or hitting the memo).
+func runConcurrently(t *testing.T, r *Runner, jobs []job, ref map[runKeyID]*stats.Run, first RunSource) {
+	t.Helper()
+	const callers = 4
+	srcs := make([]RunSource, len(jobs)*callers)
+	var wg sync.WaitGroup
+	for i := range srcs {
+		jb := jobs[i/callers]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, src, err := r.RunWithSource(bg, jb.bench, jb.cfg)
+			if want := ref[runKeyID{jb.bench, jb.cfg.Hash()}]; err != nil || !reflect.DeepEqual(res, want) {
+				t.Errorf("%s under %s: stats %+v (err %v), want %+v", jb.bench, jb.cfg.Name(), res, err, want)
+			}
+			srcs[i] = src
+		}()
+	}
+	wg.Wait()
+	for k, jb := range jobs {
+		n := 0
+		for _, src := range srcs[k*callers : (k+1)*callers] {
+			if src == first {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%s under %s: sources %v, want one %q", jb.bench, jb.cfg.Name(), srcs[k*callers:(k+1)*callers], first)
+		}
+	}
+}
+
 // FuzzJournalSegment: whatever bytes a journal file holds, opening it
 // either fails or yields a journal whose appended cell replays after a
 // reopen. It never panics, and it allocates in proportion to the file,
-// never to a length prefix read from it. The parallel decoder agrees
-// with the sequential reference on every input.
+// never to a length prefix read from it. The replay agrees with the
+// sequential reference on every input, and every cell it indexes
+// decodes, or fails to, as checkAgainstReference requires.
 func FuzzJournalSegment(f *testing.F) {
 	opt := Options{Insts: 1000}
 	header := journalBytes(f, opt)
@@ -717,19 +883,19 @@ func FuzzJournalSegment(f *testing.F) {
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		j2, recs, err := OpenJournal(dir, opt)
+		j2, cells, err := OpenJournal(dir, opt)
 		if err != nil {
 			t.Fatalf("reopen after an append: %v", err)
 		}
 		defer j2.Close()
-		for _, rec := range recs {
-			if rec.Bench == want.Bench && rec.ConfigHash == want.ConfigHash {
-				if rec.Provenance != want.Provenance || *rec.Stats != *want.Stats {
-					t.Fatalf("appended cell replayed as %+v, want %+v", rec, want)
+		for _, c := range cells {
+			if c.Bench == want.Bench && c.ConfigHash == want.ConfigHash {
+				if rec, err := c.Record(); err != nil || rec.Provenance != want.Provenance || *rec.Stats != *want.Stats {
+					t.Fatalf("appended cell replayed as %+v (%v), want %+v", rec, err, want)
 				}
 				return
 			}
 		}
-		t.Fatalf("appended cell missing from the %d replayed records", len(recs))
+		t.Fatalf("appended cell missing from the %d replayed cells", len(cells))
 	})
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -231,10 +230,12 @@ func TestCrashRecoveryKeepsOlderFiles(t *testing.T) {
 	}
 }
 
-// TestPrimeSkipsForeignRecords: records from a different runner version
-// or budget must not prime the cache.
+// TestPrimeSkipsForeignRecords: journaled records from a different
+// runner version or budget, without stats, or of the retired serial
+// sampled fallback are indexed and primed, but never served: each is
+// simulated on its first request.
 func TestPrimeSkipsForeignRecords(t *testing.T) {
-	r := NewRunner(Options{Insts: 1000})
+	opt := Options{Insts: 1000}
 	good := journalRecord("126.gcc", nas(config.Naive), 1000)
 	wrongInsts := journalRecord("126.gcc", nas(config.Sync), 2000)
 	wrongRunner := journalRecord("102.swim", nas(config.Naive), 1000)
@@ -244,21 +245,30 @@ func TestPrimeSkipsForeignRecords(t *testing.T) {
 	// The retired serial sampled fallback computed another estimator.
 	retired := journalRecord("099.go", nas(config.Naive), 1000)
 	retired.Fallback = "serial-sampled"
-
-	if n := r.Prime([]RunRecord{good, wrongInsts, wrongRunner, noStats, retired}); n != 1 {
-		t.Fatalf("Prime accepted %d records, want 1", n)
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), journalBytes(t, opt, good, wrongInsts, wrongRunner, noStats, retired), 0o666); err != nil {
+		t.Fatal(err)
 	}
-
-	// The primed cell is served without simulation...
-	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-		return nil, errors.New("should not simulate a primed cell")
-	}
-	res, err := r.Run(bg, "126.gcc", nas(config.Naive))
+	cells, err := ReplayJournalDir(dir, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *res != *good.Stats {
-		t.Errorf("primed cell returned %+v, want the journaled stats", res)
+
+	r := NewRunner(opt)
+	if n := r.Prime(cells); n != 5 {
+		t.Fatalf("Prime indexed %d cells, want 5", n)
+	}
+	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		return &stats.Run{Workload: bench, Config: cfg.Name(), Cycles: 7, Committed: 1}, nil
+	}
+
+	// The primed cell is served without simulation...
+	res, src, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src != SourceJournal || *res != *good.Stats {
+		t.Errorf("primed cell returned %+v from %s, want the journaled stats", res, src)
 	}
 	if r.Counters().Replayed != 1 {
 		t.Errorf("Replayed = %d, want 1", r.Counters().Replayed)
@@ -269,11 +279,13 @@ func TestPrimeSkipsForeignRecords(t *testing.T) {
 		t.Errorf("Records() = %+v, want the journaled record verbatim", recs)
 	}
 
-	// The rejected cells would simulate (and here, fail).
-	if _, err := r.Run(bg, "126.gcc", nas(config.Sync)); err == nil {
-		t.Error("cell with mismatched budget was served from the journal")
+	// The foreign cells are simulated, never served from the journal.
+	for _, c := range []job{{"126.gcc", nas(config.Sync)}, {"102.swim", nas(config.Naive)}, {"102.swim", nas(config.Sync)}, {"099.go", nas(config.Naive)}} {
+		if res, src, err := r.RunWithSource(bg, c.bench, c.cfg); err != nil || src != SourceSimulated || res.Cycles != 7 {
+			t.Errorf("%s under %s: %+v from %q (%v), want a simulation", c.bench, c.cfg.Name(), res, src, err)
+		}
 	}
-	if _, err := r.Run(bg, "099.go", nas(config.Naive)); err == nil {
-		t.Error("cell of the retired serial sampled fallback was served from the journal")
+	if c := r.Counters(); c.JobsStarted != 4 || c.Replayed != 1 {
+		t.Errorf("counters %+v, want 4 jobs started and 1 cell replayed", c)
 	}
 }

@@ -224,7 +224,7 @@ type Runner struct {
 	hashes     map[config.Machine]string //md:guardedby mu
 	inflight   map[runKey]*call          //md:guardedby mu
 	records    []RunRecord               //md:guardedby mu
-	primed     map[runKeyID]RunRecord    //md:guardedby mu
+	primed     map[runKeyID]JournalCell  //md:guardedby mu
 	abandoned  []AbandonedCell           //md:guardedby mu
 	abandonSet map[runKeyID]bool         //md:guardedby mu
 	journalErr error                     //md:guardedby mu
@@ -294,7 +294,7 @@ func NewRunner(opt Options) *Runner {
 		memo:       make(map[runKey]int),
 		hashes:     make(map[config.Machine]string),
 		inflight:   make(map[runKey]*call),
-		primed:     make(map[runKeyID]RunRecord),
+		primed:     make(map[runKeyID]JournalCell),
 		abandonSet: make(map[runKeyID]bool),
 		sem:        parsim.NewSem(opt.parallel()),
 	}
@@ -358,26 +358,22 @@ func (r *Runner) JournalErr() error {
 	return r.journalErr
 }
 
-// Prime seeds the memo cache with runs replayed from a journal: a
+// Prime seeds the memo cache with cells replayed from a journal: a
 // primed cell is served without re-simulation, appears in Records (with
-// its original provenance), and is not re-journaled. Entries from a
-// different runner version or instruction budget are skipped — they
-// belong to a sweep whose cells are not this sweep's cells — and so are
-// entries of the retired serial sampled fallback, whose statistics came
-// from another estimator. Returns how many records were accepted.
-func (r *Runner) Prime(recs []RunRecord) int {
+// its original provenance), and is not re-journaled. A cell's record is
+// decoded on the cell's first request. A record that does not decode,
+// names another cell, comes from a different runner version or
+// instruction budget (a sweep whose cells are not this sweep's cells),
+// has no stats, or was made by the retired serial sampled fallback
+// (another estimator) is dropped then, and the cell is simulated like
+// any other miss. Returns how many cells were primed.
+func (r *Runner) Prime(cells []JournalCell) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
-	for _, rec := range recs {
-		if rec.Runner != RunnerVersion || rec.Insts != r.opt.Insts || rec.Stats == nil ||
-			rec.Fallback == fallbackSerialSampled {
-			continue
-		}
-		r.primed[runKeyID{rec.Bench, rec.ConfigHash}] = rec
-		n++
+	for _, c := range cells {
+		r.primed[runKeyID{c.Bench, c.ConfigHash}] = c
 	}
-	return n
+	return len(cells)
 }
 
 // Records returns a copy of the provenance records of every simulation
@@ -962,20 +958,25 @@ func (r *Runner) lookup(ctx context.Context, key runKey, claim bool) (RunRecord,
 		return rec, SourceCache, nil, nil
 	}
 	if len(r.primed) > 0 {
-		// A cell replayed from a resumed journal: promote it into the
-		// memo cache and the provenance records, skipping the simulation
-		// entirely (its stats are bit-identical to re-running by the
-		// determinism contract).
+		// A cell replayed from a resumed journal: decode its record and,
+		// if Prime's filter passes it, promote it into the memo cache and
+		// the provenance records, skipping the simulation entirely (its
+		// stats are bit-identical to re-running by the determinism
+		// contract). A cell that fails is simulated as a miss.
 		id := runKeyID{key.bench, r.cfgHashLocked(key.cfg)}
-		if rec, ok := r.primed[id]; ok {
+		if cell, ok := r.primed[id]; ok {
 			delete(r.primed, id)
-			r.rememberLocked(key, rec)
-			r.mu.Unlock()
-			r.replayed.Add(1)
-			if r.opt.Hooks.CacheHit != nil {
-				r.opt.Hooks.CacheHit(rec.Bench, rec.Config)
+			rec, err := cell.Record()
+			if err == nil && rec.Runner == RunnerVersion && rec.Insts == r.opt.Insts && rec.Stats != nil &&
+				rec.Fallback != fallbackSerialSampled {
+				r.rememberLocked(key, rec)
+				r.mu.Unlock()
+				r.replayed.Add(1)
+				if r.opt.Hooks.CacheHit != nil {
+					r.opt.Hooks.CacheHit(rec.Bench, rec.Config)
+				}
+				return rec, SourceJournal, nil, nil
 			}
-			return rec, SourceJournal, nil, nil
 		}
 	}
 	if c, ok := r.inflight[key]; ok {
