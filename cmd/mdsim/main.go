@@ -124,7 +124,7 @@ func main() {
 		// -recdir.
 		rec := emu.NewRecording(emu.New(p))
 		popt := parsim.Options{TotalTiming: *n, TimingInsts: tw, FunctionalInsts: fw, Workers: *par}
-		if popt.Checkpoints, err = ckpt.Build(cfg, rec, emu.ProgramFingerprint(p), popt.CheckpointSeqs()); err != nil {
+		if popt.Checkpoints, err = ckpt.Build(cfg, rec, rec.Fingerprint(), popt.CheckpointSeqs()); err != nil {
 			fatal(err)
 		}
 		if r, err = parsim.Run(context.Background(), cfg, rec, popt); err != nil {

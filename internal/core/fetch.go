@@ -18,6 +18,17 @@ const maxFetchBlocks = 4
 // streams before it would realistically have filled its fetch buffers.
 const wrongPathBlockBudget = 8
 
+// ReadAhead bounds how far past its instruction budget any run of a
+// configuration Validate accepts reads the stream. A run stops once
+// commit reaches the budget, and one cycle can commit at most the
+// window, so commit overshoots by less than config.MaxWindow; fetch, in
+// both fetch and fetchSplit, never runs more than Window ahead of
+// commit. Wrong-path fetch touches only the I-cache, and refetch after
+// a squash reads older positions. A sampled run reads below the end of
+// its last period plus the same bound, since its functional windows
+// skip only up to a period boundary.
+const ReadAhead = 2 * config.MaxWindow
+
 // fetch implements the continuous-window front end: instructions are
 // fetched strictly in program order; a mispredicted branch stalls fetch
 // until the branch executes.

@@ -190,9 +190,13 @@ func (m *Memory) Footprint() int {
 	return n
 }
 
-// Machine executes a program functionally.
+// Machine executes a program functionally. It keeps the program's code
+// table and fingerprint, not the program: the initial data image lives
+// only in the machine's memory, so a machine (and a Recording over it)
+// does not pin the caller's copy.
 type Machine struct {
-	prog   *prog.Program
+	code   []isa.Inst
+	fp     uint64 // ProgramFingerprint of the program
 	mem    *Memory
 	regs   [isa.NumRegs]int64
 	pc     uint32
@@ -205,10 +209,12 @@ type Machine struct {
 }
 
 // New returns a Machine at the program entry with the program's initial
-// data image loaded and SP set to the stack base.
+// data image copied into its memory and SP set to the stack base. The
+// machine holds no reference to p.Data afterwards.
 func New(p *prog.Program) *Machine {
 	m := &Machine{
-		prog: p,
+		code: p.Code,
+		fp:   progFingerprint(p),
 		mem:  NewMemory(),
 		pc:   p.Entry,
 	}
@@ -240,9 +246,6 @@ func (m *Machine) Reg(r isa.Reg) int64 {
 // Mem returns the memory image (shared, not a copy).
 func (m *Machine) Mem() *Memory { return m.mem }
 
-// Program returns the program being executed.
-func (m *Machine) Program() *prog.Program { return m.prog }
-
 func (m *Machine) setReg(r isa.Reg, v int64) {
 	if r == isa.NoReg || r == isa.R0 {
 		return
@@ -257,11 +260,12 @@ func (m *Machine) Step(d *DynInst) bool {
 	if m.halted {
 		return false
 	}
-	in, ok := m.prog.At(m.pc)
-	if !ok {
+	i := int(m.pc-prog.TextBase) / isa.InstBytes
+	if m.pc < prog.TextBase || i >= len(m.code) {
 		m.halted = true
 		return false
 	}
+	in := &m.code[i]
 
 	// Field by field: a composite-literal assignment would copy the
 	// whole pointer-bearing record through the write barrier.

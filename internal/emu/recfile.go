@@ -148,7 +148,7 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 	if !done {
 		return 0, fmt.Errorf("emu: WriteTo on an incomplete recording (%d insts, not halted)", n)
 	}
-	return writeRecording(w, r.prog, chunks, n, tail, recFlagDone)
+	return writeRecording(w, r.fp, chunks, n, tail, recFlagDone)
 }
 
 // WriteSealedTo serializes whatever has been recorded so far. A halted
@@ -163,10 +163,10 @@ func (r *Recording) WriteSealedTo(w io.Writer) (int64, error) {
 	if !done {
 		flags |= recFlagPrefix
 	}
-	return writeRecording(w, r.prog, chunks, n, tail, flags)
+	return writeRecording(w, r.fp, chunks, n, tail, flags)
 }
 
-func writeRecording(w io.Writer, p *prog.Program, chunks []*recChunk, n int64, tail uint32, flags uint32) (int64, error) {
+func writeRecording(w io.Writer, fp uint64, chunks []*recChunk, n int64, tail uint32, flags uint32) (int64, error) {
 	if !hostLittleEndian() {
 		return 0, fmt.Errorf("emu: recording files require a little-endian host")
 	}
@@ -202,7 +202,7 @@ func writeRecording(w io.Writer, p *prog.Program, chunks []*recChunk, n int64, t
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
 	binary.LittleEndian.PutUint32(hdr[16:], tail)
 	binary.LittleEndian.PutUint32(hdr[20:], flags)
-	binary.LittleEndian.PutUint64(hdr[24:], progFingerprint(p))
+	binary.LittleEndian.PutUint64(hdr[24:], fp)
 	binary.LittleEndian.PutUint32(hdr[32:], uint32(nChunks))
 	binary.LittleEndian.PutUint32(hdr[36:], crc.Sum32())
 
@@ -256,7 +256,8 @@ type FileRecording struct {
 	n      int64
 	tail   uint32
 	code   []isa.Inst
-	prefix bool // sealed prefix of a longer program
+	fp     uint64 // ProgramFingerprint of the recorded program
+	prefix bool   // sealed prefix of a longer program
 
 	data    []byte // backing bytes; keeps the mapping alive
 	unmap   func() error
@@ -269,6 +270,9 @@ func (f *FileRecording) Prefix() bool { return f.prefix }
 
 // Len returns the recorded program length.
 func (f *FileRecording) Len() int64 { return f.n }
+
+// Fingerprint returns the ProgramFingerprint of the recorded program.
+func (f *FileRecording) Fingerprint() uint64 { return f.fp }
 
 // SizeBytes returns the byte size of the mapped column payload.
 func (f *FileRecording) SizeBytes() int64 { return int64(len(f.data)) }
@@ -358,7 +362,7 @@ func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
 		return nil, fmt.Errorf("%w: truncated directory", ErrCorruptRecording)
 	}
 	dir, payload := rest[:dirLen], rest[dirLen:]
-	f := &FileRecording{n: n, tail: tail, code: p.Code, data: data,
+	f := &FileRecording{n: n, tail: tail, code: p.Code, fp: hash, data: data,
 		prefix: flags&recFlagPrefix != 0, chunks: make([]*recChunk, nChunks)}
 	sr := &sectionReader{payload: payload}
 	// valsRead[i] is how many value-table entries decode reads for

@@ -284,7 +284,7 @@ func mutatedRecording(t testing.TB, p *prog.Program, mutate func(testing.TB, *re
 	}
 	mutate(t, chunks[0], p.Code)
 	var buf bytes.Buffer
-	if _, err := writeRecording(&buf, p, chunks, n, tail, recFlagDone); err != nil {
+	if _, err := writeRecording(&buf, rec.fp, chunks, n, tail, recFlagDone); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -177,7 +177,7 @@ type Recording struct {
 	scratch DynInst    //md:guardedby mu
 
 	code []isa.Inst // static code table; pcIdx columns index into it
-	prog *prog.Program
+	fp   uint64     // ProgramFingerprint of the program, for the file header
 
 	chunksMu sync.RWMutex // guards growth of the chunk slice header
 	chunks   []*recChunk  //md:guardedby chunksMu
@@ -191,12 +191,11 @@ type Recording struct {
 // NewRecording returns a Recording over m. The machine must not be
 // stepped directly once it is owned by a Recording.
 func NewRecording(m *Machine) *Recording {
-	return &Recording{m: m, code: m.Program().Code, prog: m.Program(), tail: m.PC()}
+	return &Recording{m: m, code: m.code, fp: m.fp, tail: m.PC()}
 }
 
-// Program returns the static program the recording replays (nil for
-// recordings mapped from disk, which carry only its fingerprint).
-func (r *Recording) Program() *prog.Program { return r.prog }
+// Fingerprint returns the ProgramFingerprint of the recorded program.
+func (r *Recording) Fingerprint() uint64 { return r.fp }
 
 // length returns the published prefix length and whether the program has
 // ended within it.
@@ -317,8 +316,11 @@ func (r *Recording) extend(seq int64) {
 
 // ReplaySource is anything that can hand out replay cursors over a
 // shared recorded stream: a live *Recording or a mapped *FileRecording.
+// Fingerprint names the recorded program (ProgramFingerprint), so state
+// derived from the stream, such as checkpoint sets, can be keyed by it.
 type ReplaySource interface {
 	NewReplay() *Replay
+	Fingerprint() uint64
 }
 
 // Replay is a read cursor over a Recording, satisfying Stream. Each

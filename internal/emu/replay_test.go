@@ -2,8 +2,10 @@ package emu
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"mdspec/internal/isa"
 	"mdspec/internal/prog"
@@ -99,5 +101,34 @@ func TestReplayConcurrentCursors(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestRecordingDoesNotPinProgram: a machine and a recording over it
+// keep the program's code table and fingerprint, not the program, so
+// the caller's copy (with its data image) is collected while the
+// recording is still live and replaying.
+func TestRecordingDoesNotPinProgram(t *testing.T) {
+	p := loopProgram(3000)
+	fp := ProgramFingerprint(p)
+	freed := make(chan struct{})
+	runtime.SetFinalizer(p, func(*prog.Program) { close(freed) })
+	rec := NewRecording(New(p))
+	rec.Record(10_000)
+	p = nil
+	collected := false
+	for i := 0; i < 20 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Fatal("the program was not collected while its recording is live")
+	}
+	if rec.NewReplay().At(9_999) == nil || rec.Fingerprint() != fp {
+		t.Error("the recording lost its stream or its fingerprint")
 	}
 }

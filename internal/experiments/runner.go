@@ -211,9 +211,8 @@ type Counters struct {
 type Runner struct {
 	opt Options
 
-	// Per-benchmark set-up, each built once outside mu: programs,
-	// replay sources, warm-state checkpoint sets, and phase plans.
-	progs buildOnce[string, *prog.Program]
+	// Per-benchmark set-up, each built once outside mu: recordings,
+	// warm-state checkpoint sets, and phase plans.
 	recs  buildOnce[string, emu.ReplaySource]
 	ckpts buildOnce[ckptKey, *ckpt.Set]
 	plans buildOnce[string, []ckpt.WeightedSegment]
@@ -452,19 +451,16 @@ func (o *buildOnce[K, V]) build(key K, ch chan struct{}, build func() (V, error)
 	return v, err
 }
 
-func (r *Runner) program(bench string) (*prog.Program, error) {
-	return r.progs.get(bench, func() (*prog.Program, error) { return workload.Build(bench) })
-}
-
 // recording returns the shared dynamic-instruction replay source for
 // bench, creating it on first use. Every configuration of a sweep
 // replays the same recording, so the architectural stream is emulated
 // exactly once per benchmark regardless of how many configurations run
 // over it. With RecordingDir set, the recording additionally persists
-// across processes as an mmapped column file.
+// across processes as an mmapped column file. The program is built
+// here and dropped: only its code table outlives the build.
 func (r *Runner) recording(bench string) (emu.ReplaySource, error) {
 	return r.recs.get(bench, func() (emu.ReplaySource, error) {
-		p, err := r.program(bench)
+		p, err := workload.Build(bench)
 		if err != nil {
 			return nil, err
 		}
@@ -515,10 +511,9 @@ func (r *Runner) fileRecording(bench string, p *prog.Program) emu.ReplaySource {
 
 // captureHorizon bounds the stream prefix any simulation under these
 // options can touch, so a sealed recording file covers every replay. A
-// full timing run consumes Insts committed instructions plus the
-// window's fetch-ahead; a sampled run additionally streams through the
-// functional windows between timing windows. The pad covers warmup,
-// the largest window ablation, and squash refetch slack.
+// full timing run stops committing at Insts, and a sampled run at the
+// end of its last period; either reads at most core.ReadAhead past that
+// point, whatever the configuration.
 func (o Options) captureHorizon() int64 {
 	h := o.Insts
 	if o.Sampled {
@@ -526,7 +521,7 @@ func (o Options) captureHorizon() int64 {
 		periods := (o.Insts + tw - 1) / tw
 		h = periods * (tw + fw)
 	}
-	return h + 1<<17
+	return h + core.ReadAhead
 }
 
 // Close releases resources held by the runner's replay sources (mmapped
@@ -575,18 +570,13 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 	if err != nil {
 		return nil
 	}
-	p, err := r.program(bench)
-	if err != nil {
-		return nil
-	}
-	recFP := emu.ProgramFingerprint(p)
 	warm := ckpt.WarmConfigOf(cfg)
 
 	path := ""
 	if r.opt.RecordingDir != "" {
 		path = filepath.Join(r.opt.RecordingDir,
 			fmt.Sprintf("%s-%016x.mdckpt", bench, warm.Hash()))
-		s, err := ckpt.OpenFile(path, recFP, warm.Hash())
+		s, err := ckpt.OpenFile(path, rec.Fingerprint(), warm.Hash())
 		if err == nil && covers(s.Seqs(), seqs, rec) {
 			r.ckptHits.Add(1)
 			r.ckptBytes.Add(s.SizeBytes())
@@ -599,7 +589,7 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 		}
 	}
 	r.ckptMisses.Add(1)
-	s, err := ckpt.Build(cfg, rec, recFP, seqs)
+	s, err := ckpt.Build(cfg, rec, rec.Fingerprint(), seqs)
 	if err != nil {
 		return nil
 	}

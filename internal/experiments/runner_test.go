@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"mdspec/internal/config"
-	"mdspec/internal/prog"
+	"mdspec/internal/emu"
 	"mdspec/internal/stats"
 )
 
@@ -151,13 +151,13 @@ func TestRunnerSharesRecordingAcrossConfigs(t *testing.T) {
 }
 
 // TestRunnerFirstUseBuildsOnce starts several configurations of one
-// benchmark at once on a fresh runner: the program and the recording are
-// built outside the runner lock, yet still exactly once.
+// benchmark at once on a fresh runner: the recording is built outside
+// the runner lock, yet still exactly once.
 func TestRunnerFirstUseBuildsOnce(t *testing.T) {
 	r := NewRunner(Options{Insts: 2000, RecordingDir: t.TempDir()})
 	defer r.Close()
 	cfgs := []config.Machine{nas(config.NoSpec), nas(config.Naive), nas(config.Sync), nas(config.Oracle)}
-	progs := make([]*prog.Program, len(cfgs))
+	recs := make([]emu.ReplaySource, len(cfgs))
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i, cfg := range cfgs {
@@ -168,18 +168,18 @@ func TestRunnerFirstUseBuildsOnce(t *testing.T) {
 			if _, err := r.Run(bg, "129.compress", cfg); err != nil {
 				t.Error(err)
 			}
-			p, err := r.program("129.compress")
+			rec, err := r.recording("129.compress")
 			if err != nil {
 				t.Error(err)
 			}
-			progs[i] = p
+			recs[i] = rec
 		}(i, cfg)
 	}
 	close(start)
 	wg.Wait()
-	for i := range progs {
-		if progs[i] != progs[0] {
-			t.Errorf("caller %d saw a different program than caller 0", i)
+	for i := range recs {
+		if recs[i] != recs[0] {
+			t.Errorf("caller %d saw a different recording than caller 0", i)
 		}
 	}
 	if c := r.Counters(); c.RecordingMisses != 1 || c.RecordingHits != 0 {

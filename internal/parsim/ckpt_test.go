@@ -13,10 +13,9 @@ import (
 // buildSet captures the checkpoint schedule matching opt over rec.
 func buildSet(t testing.TB, cfg config.Machine, rec *emu.Recording, opt Options) *ckpt.Set {
 	t.Helper()
-	p := rec.Program()
 	seqs := ckpt.Positions(opt.TotalTiming, opt.TimingInsts, opt.FunctionalInsts,
 		opt.segmentPeriods(), opt.warmup())
-	set, err := ckpt.Build(cfg, rec, emu.ProgramFingerprint(p), seqs)
+	set, err := ckpt.Build(cfg, rec, rec.Fingerprint(), seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
