@@ -142,7 +142,6 @@ func main() {
 	sampled := flag.String("sampled", "", "sampled simulation with windows T:F instructions (e.g. 5000:10000); -n becomes the total timing budget")
 	resumeDir := flag.String("resume", "", "checkpoint directory: journal finished cells there and replay them on restart")
 	recDir := flag.String("recdir", "", "recording and warm-state cache directory: reuse per-benchmark columnar recordings and warmed checkpoint sets across processes (shareable with mdserve)")
-	phases := flag.Int("phases", 0, "with -sampled, simulate only this many phase-representative segments per benchmark (BBV k-means), weighted by cluster size; 0 = all segments")
 	serverAddr := flag.String("server", "", "mdserve daemon address: request simulations from it instead of running locally")
 	retries := flag.Int("retries", 0, "attempts per cell before a transient failure abandons it (default 3)")
 	flag.Usage = func() {
@@ -207,12 +206,6 @@ func main() {
 		}
 		opt.Sampled = true
 		opt.TimingWindow, opt.FunctionalWindow = tw, fw
-	}
-	if *phases > 0 {
-		if !opt.Sampled {
-			fatal(errors.New("-phases requires -sampled"))
-		}
-		opt.Phases = *phases
 	}
 	if *benchList != "" {
 		benches, err := workload.ParseNames(*benchList)

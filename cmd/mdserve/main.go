@@ -82,7 +82,6 @@ func main() {
 	queue := flag.Int("queue", server.DefaultQueueDepth, "bounded work-queue depth; beyond it, cells that need a simulation get 503")
 	journalDir := flag.String("journal", "", "checkpoint directory: journal finished cells and re-prime the cache from it on restart")
 	recDir := flag.String("recdir", "", "recording and warm-state cache directory: mmap per-benchmark columnar recordings and share warmed checkpoint sets across server processes")
-	phases := flag.Int("phases", 0, "with -sampled, simulate only this many phase-representative segments per benchmark (BBV k-means), weighted by cluster size; 0 = all segments")
 	retries := flag.Int("retries", 0, "attempts per cell before a transient failure abandons it (default 3)")
 	cellBudget := flag.Duration("cell-budget", 0, "with -workers, per-cell wall-clock budget on a worker; a worker exceeding it is presumed wedged and recycled (0 = unlimited)")
 	drain := flag.Duration("drain", time.Minute, "maximum time to wait for in-flight requests on shutdown")
@@ -117,12 +116,6 @@ func main() {
 		}
 		opt.Sampled = true
 		opt.TimingWindow, opt.FunctionalWindow = tw, fw
-	}
-	if *phases > 0 {
-		if !opt.Sampled {
-			fatal(fmt.Errorf("-phases requires -sampled"))
-		}
-		opt.Phases = *phases
 	}
 
 	// The journal persists the cache across restarts. It must be opened
@@ -251,7 +244,7 @@ func main() {
 // supervisor-only flags (-workers, -addr, -journal, -drain-timeout)
 // are not forwarded; each worker sizes its scheduler pool from -par.
 func workerArgs(fs *flag.FlagSet, drain time.Duration) func(slot int, socket string) []string {
-	inherit := []string{"n", "sampled", "par", "queue", "recdir", "phases", "retries", "quiet"}
+	inherit := []string{"n", "sampled", "par", "queue", "recdir", "retries", "quiet"}
 	var base []string
 	for _, name := range inherit {
 		f := fs.Lookup(name)

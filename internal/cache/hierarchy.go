@@ -9,6 +9,11 @@ type Hierarchy struct {
 	Mem *MainMemory
 }
 
+// DCacheBanks is the Table 2 D-cache's bank count. Each bank starts one
+// access per cycle, so it also bounds the memory ports that add
+// bandwidth: config.Machine.Validate refuses more ports than banks.
+const DCacheBanks = 4
+
 // Table2 builds the default hierarchy:
 //
 //	I-cache: 64K, 2-way, 8 banks, 32B blocks, 2-cycle hit
@@ -29,7 +34,7 @@ func Table2() *Hierarchy {
 		PrimaryMSHRs: 2, SecondaryPerPrimary: 1,
 	}, l2)
 	dcache := New(Config{
-		Name: "D", SizeBytes: 32 << 10, Assoc: 2, BlockBytes: 32, Banks: 4,
+		Name: "D", SizeBytes: 32 << 10, Assoc: 2, BlockBytes: 32, Banks: DCacheBanks,
 		HitLatency: 2, MissExtra: 0,
 		PrimaryMSHRs: 8, SecondaryPerPrimary: 8,
 	}, l2)

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"mdspec/internal/bpred"
+	"mdspec/internal/cache"
 	"mdspec/internal/mdp"
 )
 
@@ -238,7 +239,8 @@ func (m Machine) WithSplitWindow(units int) Machine {
 // experiment and every cell the benchmark serves (window 256, 16,384
 // predictor entries, scheduler latency 2, front-end depth 4, squash
 // overhead 6); they exist so that a request cannot size an allocation,
-// or stall the machine, without bound. LSQSize is capped at MaxWindow.
+// or stall the machine, without bound. LSQSize is capped at MaxWindow,
+// and MemPorts at cache.DCacheBanks.
 const (
 	MaxWindow           = 4096
 	MaxPredictorEntries = 1 << 18
@@ -263,6 +265,10 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: fetch must accept at least one branch per cycle")
 	case m.MemPorts <= 0:
 		return fmt.Errorf("config: need at least one memory port")
+	case m.MemPorts > cache.DCacheBanks:
+		// A port beyond the banks adds no bandwidth, only a bank queue
+		// that squashed loads keep booked.
+		return fmt.Errorf("config: %d memory ports exceed the D-cache's %d banks", m.MemPorts, cache.DCacheBanks)
 	case m.IntALUs <= 0 || m.FPUnits <= 0 || m.IntMulDivs <= 0:
 		return fmt.Errorf("config: need at least one of each functional unit")
 	case m.SchedulerLatency < 0:

@@ -95,6 +95,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		bad(func(m *Machine) { m.Window = 0 }),
 		bad(func(m *Machine) { m.IssueWidth = 0 }),
 		bad(func(m *Machine) { m.MemPorts = 0 }),
+		bad(func(m *Machine) { m.MemPorts = 5 }), // more ports than D-cache banks
 		bad(func(m *Machine) { m.FPUnits = 0 }),
 		bad(func(m *Machine) { m.SchedulerLatency = -1 }),
 		Default128().WithSplitWindow(1),

@@ -7,12 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mdspec/internal/ckpt"
 	"mdspec/internal/config"
 	"mdspec/internal/emu"
 	"mdspec/internal/parsim"
+	"mdspec/internal/stats"
 	"mdspec/internal/workload"
 )
 
@@ -206,52 +208,50 @@ func TestRunnerRecapturesMispositionedFrames(t *testing.T) {
 	}
 }
 
-// TestRunnerPhaseSampled: phase-sampled sweeps (Phases > 0) are
-// deterministic across runners, simulate at most Phases representative
-// segments per benchmark, and carry the phase count in the journal
-// fingerprint so phase-weighted journals never prime exhaustive sweeps.
-func TestRunnerPhaseSampled(t *testing.T) {
-	const bench = "102.swim"
+// TestCheckpointFilePerSchedule: a checkpoint file is named by its
+// capture schedule. Sweeps over geometry A, then B, then A again share
+// one recording directory; B keeps its own file, so the return to A
+// reopens A's file instead of re-capturing it, with A's first stats. A
+// geometry C with other windows but A's schedule shares A's file.
+func TestCheckpointFilePerSchedule(t *testing.T) {
+	const bench = "129.compress"
 	cfg := nas(config.Sync)
-	opt := ckptOpt()
-	opt.Phases = 2
-
-	a := NewRunner(opt)
-	res1, err := a.Run(bg, bench, cfg)
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	run := func(opt Options) (*stats.Run, Counters) {
+		t.Helper()
+		opt.RecordingDir = dir
+		r := NewRunner(opt)
+		defer r.Close()
+		res, err := r.Run(bg, bench, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, r.Counters()
 	}
-	plan := a.phasePlan(bench)
-	if len(plan) == 0 || len(plan) > opt.Phases {
-		t.Fatalf("plan = %v, want 1..%d representatives", plan, opt.Phases)
-	}
-	var weight int64
-	for _, ws := range plan {
-		weight += ws.Weight
-	}
-	// 8 periods at 2 periods/segment → 4 segments to cover.
-	if weight != 4 {
-		t.Errorf("plan weights sum to %d, want 4 (every segment accounted for)", weight)
-	}
-	// The weighted estimate still spans the full budget.
-	if res1.Committed < opt.Insts {
-		t.Errorf("phase-weighted Committed = %d, want >= %d", res1.Committed, opt.Insts)
+	a := ckptOpt() // positions 15,000, 33,000, 51,000
+	b := a
+	b.TimingWindow, b.FunctionalWindow = 2_000, 4_000
+	c := Options{Insts: 12_000, Sampled: true, TimingWindow: 3_000, FunctionalWindow: 15_000, SegmentPeriods: 1}
+	if !slices.Equal(a.sampling().CheckpointSeqs(), c.sampling().CheckpointSeqs()) {
+		t.Fatal("geometries A and C must share one schedule")
 	}
 
-	res2, err := NewRunner(opt).Run(bg, bench, cfg)
-	if err != nil {
-		t.Fatal(err)
+	first, _ := run(a)
+	if _, cb := run(b); cb.CheckpointMisses != 1 {
+		t.Errorf("geometry B: counters = %+v, want its own capture", cb)
 	}
-	if !reflect.DeepEqual(res1, res2) {
-		t.Error("phase-sampled results differ across runners — the plan must be deterministic")
+	again, ca := run(a)
+	if ca.CheckpointMisses != 0 || ca.CheckpointHits != 1 {
+		t.Errorf("geometry A after B: counters = %+v, want A's file reopened", ca)
 	}
-
-	if fp := opt.Fingerprint(); fp.Phases != 2 {
-		t.Errorf("Fingerprint.Phases = %d, want 2", fp.Phases)
+	if !reflect.DeepEqual(first, again) {
+		t.Error("geometry A's stats changed after geometry B ran")
 	}
-	plain := ckptOpt()
-	if fp := plain.Fingerprint(); fp.Phases != 0 {
-		t.Errorf("non-phase Fingerprint.Phases = %d, want 0", fp.Phases)
+	if _, cc := run(c); cc.CheckpointMisses != 0 || cc.CheckpointHits != 1 {
+		t.Errorf("geometry C: counters = %+v, want A's file reopened", cc)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*.mdckpt")); len(files) != 2 {
+		t.Errorf("checkpoint files = %v, want one per schedule", files)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mdspec/internal/cache"
 	"mdspec/internal/config"
 	"mdspec/internal/emu"
 	"mdspec/internal/stats"
@@ -21,15 +22,17 @@ func horizonConfigs(t *testing.T) []config.Machine {
 	wide.IssueWidth = 4 * config.MaxWindow
 	wide.CommitWidth = 4 * config.MaxWindow
 	wide.BranchesPerCycle = config.MaxWindow
-	wide.MemPorts, wide.IntALUs, wide.IntMulDivs, wide.FPUnits = 64, 64, 64, 64
-	// Under NAV with squash recovery this machine misspeculates ever
-	// more often on 145.fpppp until the watchdog stops it short of
-	// 8,192 instructions, so wrong-path fetch rides on ORACLE.
-	wrongPath := wide.WithPolicy(config.Oracle)
+	wide.IntALUs, wide.IntMulDivs, wide.FPUnits = 64, 64, 64
+	// Ports stop at the D-cache's banks, the most Validate accepts: a
+	// port beyond them adds only a bank queue. At that cap NAV runs here
+	// with and without wrong-path fetch.
+	wide.MemPorts = cache.DCacheBanks
+	wrongPath := wide.WithPolicy(config.Naive)
 	wrongPath.WrongPathFetch = true
 	cfgs := []config.Machine{
 		config.Default128().WithPolicy(config.Naive),
 		wide,
+		wide.WithPolicy(config.Naive),
 		wide.WithPolicy(config.Oracle),
 		wide.WithPolicy(config.Sync),
 		wide.WithPolicy(config.Naive).WithRecovery(config.RecoverySelective),

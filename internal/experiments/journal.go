@@ -84,9 +84,11 @@ type Fingerprint struct {
 	TimingWindow     int64  `json:"timing_window,omitempty"`
 	FunctionalWindow int64  `json:"functional_window,omitempty"`
 	SegmentPeriods   int    `json:"segment_periods,omitempty"`
-	// Phases is the phase cluster count of a phase-sampled sweep (0 when
-	// phase selection is off): phase-weighted cells are not the cells of
-	// an exhaustive sampled sweep, so the two must not prime each other.
+	// Phases is never set by this build. Older builds wrote their
+	// phase-weighted sweeps' cluster count here, and those cells are not
+	// an exhaustive sweep's cells: a meta frame is decoded with plain
+	// json.Unmarshal, so without the field such a journal would equal
+	// this build's fingerprint and prime its sweep.
 	Phases int `json:"phases,omitempty"`
 }
 
@@ -98,7 +100,6 @@ func (opt Options) Fingerprint() Fingerprint {
 		m.TimingWindow = opt.timingWindow()
 		m.FunctionalWindow = opt.functionalWindow()
 		m.SegmentPeriods = opt.SegmentPeriods
-		m.Phases = opt.Phases
 	}
 	return m
 }

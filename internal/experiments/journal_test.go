@@ -202,22 +202,34 @@ func TestJournalMetaMismatch(t *testing.T) {
 		t.Fatal("journal with mismatched sampling accepted")
 	}
 
-	// Only the phase count differs: the message must show both counts,
-	// or the two sides read the same.
-	phased := Options{Insts: 1000, Sampled: true, Phases: 4}
-	pdir := t.TempDir()
-	j, _, err = OpenJournal(pdir, phased)
+	// Older builds wrote "phases":4 into the meta frame of a sweep run
+	// with -phases 4. Its cells are phase-weighted estimates, not this
+	// build's sampled cells, so the directory is refused untouched. The
+	// frame is written as raw bytes, the way such a build wrote it.
+	sampled := Options{Insts: 1000, Sampled: true}
+	fp, err := json.Marshal(sampled.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
-	phased.Phases = 8
-	_, _, err = OpenJournal(pdir, phased)
-	if err == nil {
-		t.Fatal("journal with mismatched phases accepted")
+	payload := append([]byte(`{"meta":`), fp[:len(fp)-1]...)
+	payload = append(payload, `,"phases":4}}`...)
+	phased := []byte(journalMagic)
+	phased = binary.BigEndian.AppendUint32(phased, uint32(len(payload)))
+	phased = binary.BigEndian.AppendUint32(phased, crc32.ChecksumIEEE(payload))
+	phased = append(phased, payload...)
+	pdir := t.TempDir()
+	writeOlderFile(t, pdir, journalName, phased)
+	if _, err := ReplayJournalDir(pdir, sampled); err == nil {
+		t.Error("replay accepted the journal of a phase-weighted sweep")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "Phases:4") || !strings.Contains(msg, "Phases:8") {
-		t.Errorf("mismatch error should show both phase counts: %v", err)
+	if j, _, err := OpenJournal(pdir, sampled); err == nil {
+		j.Close()
+		t.Error("the journal of a phase-weighted sweep opened")
+	} else if !strings.Contains(err.Error(), "Phases:4") {
+		t.Errorf("mismatch error should show the phase count: %v", err)
+	}
+	if got, err := os.ReadFile(journalPath(pdir)); err != nil || !bytes.Equal(got, phased) {
+		t.Errorf("the refused open changed the journal file (%v)", err)
 	}
 
 	// A file an older build left under other options refuses the

@@ -82,10 +82,10 @@ func TestRecordingDirCachesAndReplays(t *testing.T) {
 
 // TestRecordingDirServesMixedBudgets runs a small and a large budget
 // over one recording directory, in both orders, with full timing and
-// with (phase-)sampling. A file captured for the smaller budget is
-// sealed short of the larger budget's horizon, so the larger budget must
-// re-capture it once instead of replaying past its end; a larger file
-// serves the smaller budget as is. Checkpoint sets follow the same
+// with sampling. A file captured for the smaller budget is sealed short
+// of the larger budget's horizon, so the larger budget must re-capture
+// it once instead of replaying past its end; a larger file serves the
+// smaller budget as is. Checkpoint sets follow the same
 // rule: the larger budget re-captures a set captured for the smaller
 // one, and the smaller budget reuses the larger set. Every run's
 // statistics must equal a runner's without a cache, and no cell may be
@@ -113,7 +113,7 @@ func TestRecordingDirServesMixedBudgets(t *testing.T) {
 		return out, r.Counters()
 	}
 	sampled := func(insts int64) Options {
-		return Options{Insts: insts, Sampled: true, TimingWindow: 1_000, FunctionalWindow: 2_000, SegmentPeriods: 4, Phases: 2}
+		return Options{Insts: insts, Sampled: true, TimingWindow: 1_000, FunctionalWindow: 2_000, SegmentPeriods: 4}
 	}
 	for _, mode := range []struct {
 		name         string

@@ -263,36 +263,33 @@ func TestSampledFallbackCanceled(t *testing.T) {
 }
 
 // TestSampledFallbackEqualsPrimary: the degraded attempt runs the
-// primary's estimator — the same segments and phase plan, one after
-// another and without checkpoints — so a sampled or phase-sampled cell
-// has one value whether or not its parallel attempts failed.
+// primary's estimator — the same segments, one after another and
+// without checkpoints — so a sampled cell has one value whether or not
+// its parallel attempts failed.
 func TestSampledFallbackEqualsPrimary(t *testing.T) {
 	const bench = "129.compress"
 	cfg := nas(config.Naive)
-	for _, phases := range []int{0, 2} {
-		opt := ckptOpt()
-		opt.Phases = phases
-		opt.Retry = retry.Policy{MaxAttempts: 2}
-		want, err := NewRunner(opt).Run(bg, bench, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	opt := ckptOpt()
+	opt.Retry = retry.Policy{MaxAttempts: 2}
+	want, err := NewRunner(opt).Run(bg, bench, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		r := NewRunner(opt)
-		r.sleep = instantSleep
-		r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-			return nil, &parsim.PanicError{Segment: 1, Value: "engine fault"}
-		}
-		got, err := r.Run(bg, bench, cfg)
-		if err != nil {
-			t.Fatalf("phases %d: fallback should rescue the cell: %v", phases, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("phases %d: degraded stats differ from a clean runner's:\nwant %+v\ngot  %+v", phases, want, got)
-		}
-		if recs := r.Records(); len(recs) != 1 || recs[0].Fallback != FallbackSerialSegments {
-			t.Errorf("phases %d: records = %+v, want one marked %q", phases, recs, FallbackSerialSegments)
-		}
+	r := NewRunner(opt)
+	r.sleep = instantSleep
+	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		return nil, &parsim.PanicError{Segment: 1, Value: "engine fault"}
+	}
+	got, err := r.Run(bg, bench, cfg)
+	if err != nil {
+		t.Fatalf("fallback should rescue the cell: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("degraded stats differ from a clean runner's:\nwant %+v\ngot  %+v", want, got)
+	}
+	if recs := r.Records(); len(recs) != 1 || recs[0].Fallback != FallbackSerialSegments {
+		t.Errorf("records = %+v, want one marked %q", recs, FallbackSerialSegments)
 	}
 }
 

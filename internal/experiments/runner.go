@@ -67,16 +67,6 @@ type Options struct {
 	// periods (default parsim.DefaultSegmentPeriods). It fixes the
 	// decomposition, so results are independent of Parallel.
 	SegmentPeriods int
-	// Phases, when positive, narrows a sampled sweep to
-	// phase-representative segments: each benchmark's segments are
-	// summarized by basic-block vectors, clustered into Phases groups
-	// with deterministic seeded k-means, and only one representative per
-	// cluster is simulated, its statistics weighted by the cluster
-	// population (SimPoint-style). It bounds, not fixes, how many
-	// segments per benchmark are simulated — benchmarks with fewer
-	// segments than Phases run them all. Requires Sampled; full-timing
-	// and split-window cells are unaffected.
-	Phases int
 	// Retry bounds how often a cell whose simulation fails transiently
 	// (worker panic, watchdog deadlock report) is re-attempted before
 	// the sweep degrades. The zero value selects retry.Default; the
@@ -104,10 +94,6 @@ func DefaultOptions() Options {
 	return Options{Insts: 150_000}
 }
 
-// phaseSeed fixes the k-means initialization so phase plans — and the
-// sweep results built on them — are reproducible across processes.
-const phaseSeed = 0x6d647370
-
 func (o Options) benchmarks() []string {
 	if len(o.Benchmarks) > 0 {
 		return o.Benchmarks
@@ -134,13 +120,6 @@ func (o Options) functionalWindow() int64 {
 		return o.FunctionalWindow
 	}
 	return 2 * o.timingWindow()
-}
-
-func (o Options) segmentPeriods() int {
-	if o.SegmentPeriods > 0 {
-		return o.SegmentPeriods
-	}
-	return parsim.DefaultSegmentPeriods
 }
 
 // sampling is the fixed interval-parallel decomposition of every
@@ -211,11 +190,10 @@ type Counters struct {
 type Runner struct {
 	opt Options
 
-	// Per-benchmark set-up, each built once outside mu: recordings,
-	// warm-state checkpoint sets, and phase plans.
+	// Per-benchmark set-up, each built once outside mu: recordings and
+	// warm-state checkpoint sets.
 	recs  buildOnce[string, emu.ReplaySource]
 	ckpts buildOnce[ckptKey, *ckpt.Set]
-	plans buildOnce[string, []ckpt.WeightedSegment]
 
 	mu sync.Mutex
 	// memo maps each finished cell to the index of its record.
@@ -556,13 +534,17 @@ func (r *Runner) checkpointSet(bench string, cfg config.Machine) *ckpt.Set {
 
 // buildCheckpointSet opens, validates, or re-captures one checkpoint
 // set. With RecordingDir set the set persists as
-// <bench>-<warmhash>.mdckpt next to the benchmark's recording, shared
-// by concurrent mdserve workers and resumed mdexp sweeps; a corrupt,
-// mismatched, or non-covering file is silently re-captured and
-// rewritten. Every failure path degrades to a smaller or nil set, never
-// an error.
+// <bench>-<warmhash>-<first>-<spacing>.mdckpt next to the benchmark's
+// recording, shared by concurrent mdserve workers and resumed mdexp
+// sweeps. The name carries the capture schedule's grid
+// (parsim.Options.CheckpointGrid), so sweeps under other windows keep
+// their own files, and sweeps that share a file differ only in budget,
+// which covers settles. A corrupt, mismatched, or non-covering file is
+// silently re-captured and rewritten. Every failure path degrades to a
+// smaller or nil set, never an error.
 func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set {
-	seqs := r.opt.sampling().CheckpointSeqs()
+	popt := r.opt.sampling()
+	seqs := popt.CheckpointSeqs()
 	if len(seqs) == 0 {
 		return nil // single-segment decomposition: nothing to resume
 	}
@@ -574,8 +556,9 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 
 	path := ""
 	if r.opt.RecordingDir != "" {
+		first, spacing := popt.CheckpointGrid()
 		path = filepath.Join(r.opt.RecordingDir,
-			fmt.Sprintf("%s-%016x.mdckpt", bench, warm.Hash()))
+			fmt.Sprintf("%s-%016x-%d-%d.mdckpt", bench, warm.Hash(), first, spacing))
 		s, err := ckpt.OpenFile(path, rec.Fingerprint(), warm.Hash())
 		if err == nil && covers(s.Seqs(), seqs, rec) {
 			r.ckptHits.Add(1)
@@ -606,43 +589,14 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 // checkpoint files, like recordings, only grow. A set captured for this
 // or a larger budget holds want as a prefix. A shorter set serves only
 // if ckpt.Build would capture no more frames: the recording ends before
-// the first missing position. Anything else (a smaller budget, another
-// window geometry) is re-captured.
+// the first missing position. Anything else (a smaller budget, frames
+// off the schedule) is re-captured.
 func covers(got, want []int64, rec emu.ReplaySource) bool {
 	n := min(len(got), len(want))
 	if !slices.Equal(got[:n], want[:n]) {
 		return false
 	}
 	return n == len(want) || rec.NewReplay().At(want[n]-1) == nil
-}
-
-// phasePlan returns bench's phase-representative segment selection,
-// computed at most once per benchmark (one streaming BBV pass plus
-// k-means). A nil plan means every segment is simulated unweighted.
-func (r *Runner) phasePlan(bench string) []ckpt.WeightedSegment {
-	plan, _ := r.plans.get(bench, func() ([]ckpt.WeightedSegment, error) {
-		return r.buildPhasePlan(bench), nil
-	})
-	return plan
-}
-
-// buildPhasePlan computes per-segment basic-block vectors over the
-// sweep's sampling horizon and clusters them into the configured
-// number of phases. The segment size mirrors parsim's decomposition
-// exactly, so plan indices are parsim segment indices.
-func (r *Runner) buildPhasePlan(bench string) []ckpt.WeightedSegment {
-	rec, err := r.recording(bench)
-	if err != nil {
-		return nil
-	}
-	tw, fw := r.opt.timingWindow(), r.opt.functionalWindow()
-	periods := (r.opt.Insts + tw - 1) / tw
-	segInsts := int64(r.opt.segmentPeriods()) * (tw + fw)
-	vecs, err := ckpt.SegmentBBVs(rec, periods*(tw+fw), segInsts, ckpt.BBVDims)
-	if err != nil || len(vecs) < 2 {
-		return nil
-	}
-	return ckpt.Plan(vecs, r.opt.Phases, phaseSeed)
 }
 
 // simulate is the real simulation backend behind Run. With
@@ -674,8 +628,8 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine)
 }
 
 // simulateSerialSegments is the graceful-degradation backend for
-// sampled cells: the primary's decomposition and phase plan, with every
-// segment on the calling goroutine and no checkpoint set, so it leans
+// sampled cells: the primary's decomposition, with every segment on the
+// calling goroutine and no checkpoint set, so it leans
 // on no cached bytes but the CRC-checked recording. Worker count and
 // checkpoints change parsim's wall time only, so its statistics equal
 // the primary's; without checkpoints each segment fast-forwards from
@@ -686,15 +640,11 @@ func (r *Runner) simulateSerialSegments(ctx context.Context, bench string, cfg c
 	return r.simulateSampled(ctx, bench, cfg, popt)
 }
 
-// simulateSampled runs one sampled cell over popt and bench's phase
-// plan.
+// simulateSampled runs one sampled cell over popt.
 func (r *Runner) simulateSampled(ctx context.Context, bench string, cfg config.Machine, popt parsim.Options) (*stats.Run, error) {
 	rec, err := r.recording(bench)
 	if err != nil {
 		return nil, err
-	}
-	if r.opt.Phases > 0 {
-		popt.Select = r.phasePlan(bench)
 	}
 	res, err := parsim.Run(ctx, cfg, rec, popt)
 	if err != nil {

@@ -121,13 +121,6 @@ type Options struct {
 	// may never change results. CheckpointSeqs is the schedule to
 	// capture it at.
 	Checkpoints *ckpt.Set
-	// Select, when non-empty, simulates only the named segments of the
-	// fixed decomposition, scaling each result by its weight before the
-	// in-order merge (phase-aware sampling: one representative segment
-	// stands in for its cluster). Indices must be unique and in range,
-	// weights positive. An empty Select simulates every segment with
-	// weight 1.
-	Select []ckpt.WeightedSegment
 }
 
 func (o Options) segmentPeriods() int64 {
@@ -153,6 +146,15 @@ func (o Options) warmup() int64 { return o.TimingInsts }
 // start, so a segment restored from its frame fast-forwards no residue.
 func (o Options) CheckpointSeqs() []int64 {
 	return ckpt.Positions(o.TotalTiming, o.TimingInsts, o.FunctionalInsts, o.segmentPeriods(), o.warmup())
+}
+
+// CheckpointGrid returns the first position and the spacing of the
+// CheckpointSeqs schedule. Every budget under one grid captures a
+// prefix of the same sequence, so the grid names a schedule apart from
+// its length.
+func (o Options) CheckpointGrid() (first, spacing int64) {
+	spacing = o.segmentPeriods() * (o.TimingInsts + o.FunctionalInsts)
+	return spacing - o.warmup(), spacing
 }
 
 func (o Options) workers() int {
@@ -223,34 +225,6 @@ func Run(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, opt Opti
 		return nil, fmt.Errorf("parsim: sampling is not supported with a split window")
 	}
 	segs := opt.segments()
-	// Weight of each segment in the merge: 1 everywhere by default, or
-	// the phase plan's cluster populations with unselected segments at 0
-	// (skipped entirely).
-	weights := make([]int64, len(segs))
-	if len(opt.Select) == 0 {
-		for i := range weights {
-			weights[i] = 1
-		}
-	} else {
-		for _, ws := range opt.Select {
-			if ws.Index < 0 || ws.Index >= len(segs) {
-				return nil, fmt.Errorf("parsim: selected segment %d out of range [0, %d)", ws.Index, len(segs))
-			}
-			if ws.Weight <= 0 {
-				return nil, fmt.Errorf("parsim: segment %d has non-positive weight %d", ws.Index, ws.Weight)
-			}
-			if weights[ws.Index] != 0 {
-				return nil, fmt.Errorf("parsim: segment %d selected twice", ws.Index)
-			}
-			weights[ws.Index] = ws.Weight
-		}
-	}
-	work := make([]int, 0, len(segs))
-	for i := range segs {
-		if weights[i] > 0 {
-			work = append(work, i)
-		}
-	}
 	// A checkpoint set captured under a different warm configuration
 	// would restore the wrong cache/predictor geometry; drop it rather
 	// than let it near the results. (Recording identity was verified
@@ -266,7 +240,7 @@ func Run(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, opt Opti
 	worker := func() {
 		for {
 			n := int(next.Add(1) - 1)
-			if n >= len(work) {
+			if n >= len(segs) {
 				return
 			}
 			// Claim segments in descending stream order: a segment's
@@ -274,15 +248,12 @@ func Run(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, opt Opti
 			// so the expensive late segments go first and the cheap early
 			// ones fill the schedule's tail. The claim order changes only
 			// wall-clock time — results are merged by segment index.
-			i := work[len(work)-1-n]
+			i := len(segs) - 1 - n
 			if err := ctx.Err(); err != nil {
 				errs[i] = err
 				continue
 			}
 			results[i], errs[i] = runSegment(ctx, cfg, rec, i, segs[i], opt)
-			if w := weights[i]; w > 1 {
-				results[i] = stats.Scale(results[i], w)
-			}
 		}
 	}
 
