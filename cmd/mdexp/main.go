@@ -34,10 +34,11 @@
 // an uninterrupted run. The journal stays locked while the sweep runs,
 // so a second writer on the directory (another mdexp -resume, or
 // mdserve -journal) is refused. Transient cell
-// failures (worker panics, watchdog deadlock reports) are retried up to
-// -retries attempts with capped exponential backoff; a sampled cell
-// that keeps failing gets one last attempt that runs its segments one
-// after another without checkpoints (same statistics), and a cell
+// failures (worker panics) are retried up to -retries attempts with
+// capped exponential backoff; a watchdog deadlock report is
+// deterministic and not retried. A sampled cell that keeps failing or
+// deadlocks gets one last attempt that runs its segments one after
+// another without checkpoints (same statistics), and a cell
 // that cannot be completed at all is listed in the artifact's
 // partial-results envelope instead of aborting the sweep. See README.md
 // ("Robustness & operations").

@@ -102,13 +102,7 @@ func New(cfg Config) *Predictor {
 		btb:      make([]btbEntry, cfg.BTBEntries),
 		ras:      make([]uint32, cfg.RASEntries),
 	}
-	// Initialize to weakly taken: loops dominate our workloads and real
-	// predictors warm up fast; this avoids a long cold-start transient.
-	for i := range p.bimodal {
-		p.bimodal[i] = 2
-		p.gselect[i] = 2
-		p.selector[i] = 1
-	}
+	p.Reset()
 	return p
 }
 

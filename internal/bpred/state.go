@@ -116,3 +116,21 @@ func (p *Predictor) RestoreState(b []byte) (int, error) {
 	p.TargetMisses = binary.LittleEndian.Uint64(b[off+32:])
 	return off + bpTailBytes, nil
 }
+
+// Reset returns the predictor to the state New builds: untrained
+// tables, empty history, BTB and return stack, zero counters.
+func (p *Predictor) Reset() {
+	// Initialize to weakly taken: loops dominate our workloads and real
+	// predictors warm up fast; this avoids a long cold-start transient.
+	for i := range p.bimodal {
+		p.bimodal[i] = 2
+		p.gselect[i] = 2
+		p.selector[i] = 1
+	}
+	p.history = 0
+	clear(p.btb)
+	p.btbWay = 0
+	clear(p.ras)
+	p.rasTop = 0
+	p.Lookups, p.DirMisses, p.TargetMisses = 0, 0, 0
+}

@@ -149,3 +149,25 @@ func (h *Hierarchy) RestoreState(b []byte) (int, error) {
 	n, err := h.Mem.RestoreState(b[off:])
 	return off + n, err
 }
+
+// Reset returns the cache to the state New builds: every way invalid,
+// every bank and MSHR free, the LRU clock and the statistics at zero.
+// The next level is not touched; Hierarchy.Reset resets every level.
+func (c *Cache) Reset() {
+	clear(c.ways)
+	for i := range c.banks {
+		c.banks[i].free = 0
+		clear(c.banks[i].mshrs)
+	}
+	c.clock = 0
+	c.Stats = Stats{}
+}
+
+// Reset returns every level to the state Table2 or Perfect builds, so a
+// hierarchy can serve another simulation instead of being reallocated.
+func (h *Hierarchy) Reset() {
+	h.I.Reset()
+	h.D.Reset()
+	h.L2.Reset()
+	h.Mem.Accesses = 0
+}

@@ -238,15 +238,23 @@ func (m Machine) WithSplitWindow(units int) Machine {
 // Caps on what one configuration may ask for. Each sits far above every
 // experiment and every cell the benchmark serves (window 256, 16,384
 // predictor entries, scheduler latency 2, front-end depth 4, squash
-// overhead 6); they exist so that a request cannot size an allocation,
-// or stall the machine, without bound. LSQSize is capped at MaxWindow,
-// and MemPorts at cache.DCacheBanks.
+// overhead 6, 4 split-window units); they exist so that a request
+// cannot size an allocation, or stall the machine, without bound.
+// LSQSize is capped at MaxWindow, and MemPorts at cache.DCacheBanks.
+//
+// MaxSplitUnits bounds what a split window costs: each cycle walks
+// every unit, and under AS/NAV more units issue more loads ahead of
+// unresolved stores. At window MaxWindow under AS/NAV, 8,192
+// instructions of the slowest of the 18 benchmarks took 0.16 s at 64
+// units, 0.80 s at 128 and 3.6 s at 256; 129.compress took 26 s at
+// 4,096.
 const (
 	MaxWindow           = 4096
 	MaxPredictorEntries = 1 << 18
 	MaxSchedulerLatency = 64
 	MaxFrontEndDepth    = 64
 	MaxSquashOverhead   = 64
+	MaxSplitUnits       = 64
 )
 
 // Validate reports configuration errors: every configuration it
@@ -295,6 +303,8 @@ func (m Machine) Validate() error {
 		return fmt.Errorf("config: LSQ size %d exceeds the cap of %d", m.LSQSize, MaxWindow)
 	case m.SplitWindow && (m.SplitUnits < 2 || m.Window%m.SplitUnits != 0):
 		return fmt.Errorf("config: split window needs >= 2 units evenly dividing the window")
+	case m.SplitWindow && m.SplitUnits > MaxSplitUnits:
+		return fmt.Errorf("config: %d split-window units exceed the cap of %d", m.SplitUnits, MaxSplitUnits)
 	case m.SplitWindow && m.LSQSize != 0 && m.LSQSize < m.Window:
 		// Younger tasks dispatch first and can fill a smaller LSQ while
 		// the oldest task waits for a slot: the machine deadlocks.

@@ -119,6 +119,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		bad(func(m *Machine) { m.Policy, m.SquashOverhead = Naive, 1<<40 }), // ends in the deadlock watchdog
 		bad(func(m *Machine) { m.LSQSize = MaxWindow + 1 }),
 		bad(func(m *Machine) { *m = m.WithSplitWindow(2); m.LSQSize = 16 }), // younger tasks fill the LSQ
+		bad(func(m *Machine) { m.Window = MaxWindow; *m = m.WithSplitWindow(2 * MaxSplitUnits) }),
+		bad(func(m *Machine) { m.Window = MaxWindow; *m = m.WithSplitWindow(MaxWindow) }), // one-entry units
 	}
 	for i, m := range cases {
 		if err := m.Validate(); err == nil {
@@ -132,6 +134,11 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	atCaps.FrontEndDepth, atCaps.SquashOverhead, atCaps.LSQSize = MaxFrontEndDepth, MaxSquashOverhead, MaxWindow
 	if err := atCaps.Validate(); err != nil {
 		t.Errorf("config at the caps should validate: %v", err)
+	}
+	atCaps = Default128().WithPolicy(Naive).WithAddressScheduler(0).WithSplitWindow(MaxSplitUnits)
+	atCaps.Window = MaxWindow
+	if err := atCaps.Validate(); err != nil {
+		t.Errorf("split window at the caps should validate: %v", err)
 	}
 }
 

@@ -38,6 +38,7 @@ func FuzzValidatedConfigRuns(f *testing.F) {
 		{128, 8, 4, 4, false, 0, int(config.NoSpec), 4096, 2, 0, 1 << 40, so, 0}, // nothing reaches dispatch
 		{128, 8, 4, 4, false, 0, int(config.Naive), 4096, 2, 0, fe, 1 << 40, 0},  // fetch never resumes after a squash
 		{128, 8, 4, 4, false, 0, int(config.NoSpec), 4096, 2, 2, fe, so, 16},     // younger split tasks fill the LSQ
+		{config.MaxWindow, 64, 4, 4, true, 0, int(config.Naive), 4096, 2, config.MaxSplitUnits, fe, so, 0},
 	} {
 		f.Add(s.window, s.issue, s.branches, s.ports, s.as, s.latency, s.policy, s.entries, s.assoc, s.units, s.frontEnd, s.squash, s.lsq)
 	}

@@ -319,12 +319,14 @@ type Pipeline struct {
 	san mdsanState
 }
 
-// New builds a pipeline over the given dynamic instruction stream.
+// New builds a pipeline over the given dynamic instruction stream. Its
+// cache hierarchy and branch predictor may be ones another pipeline
+// handed back (Recycle), reset to exactly what New would build.
 func New(cfg config.Machine, trace emu.Stream) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h, bp := newWarmState(cfg.PerfectCaches, cfg.BranchPredictor)
+	h, bp := takeWarmState(cfg.PerfectCaches, cfg.BranchPredictor)
 	p := &Pipeline{
 		cfg:             cfg,
 		trace:           trace,
@@ -387,9 +389,6 @@ func New(cfg config.Machine, trace emu.Stream) (*Pipeline, error) {
 	p.res.Config = cfg.Name()
 	return p, nil
 }
-
-// Hierarchy exposes the memory system (for inspection in tests/examples).
-func (p *Pipeline) Hierarchy() *cache.Hierarchy { return p.hier }
 
 // windowHas reports whether seq is currently dispatched and in-flight.
 func (p *Pipeline) windowHas(seq int64) bool {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"sync"
 
 	"mdspec/internal/bpred"
 	"mdspec/internal/cache"
@@ -45,6 +46,56 @@ func newWarmState(perfectCaches bool, kind bpred.Kind) (*cache.Hierarchy, *bpred
 	bpCfg := bpred.Default()
 	bpCfg.Kind = kind
 	return h, bpred.New(bpCfg)
+}
+
+// warmKey names a warm configuration: the two fields newWarmState reads.
+type warmKey struct {
+	perfectCaches bool
+	kind          bpred.Kind
+}
+
+// warmState is one recycled cache hierarchy and branch predictor.
+type warmState struct {
+	hier *cache.Hierarchy
+	bp   *bpred.Predictor
+}
+
+// warmPools holds the warm states pipelines handed back (Recycle), one
+// *sync.Pool per warmKey. Every pooled state is reset to what
+// newWarmState builds, so New cannot tell a recycled state from a fresh
+// one; the pools let the GC drop what no simulation reuses.
+var warmPools sync.Map
+
+// takeWarmState returns a recycled warm state for the configuration, or
+// a fresh one when none is pooled.
+func takeWarmState(perfectCaches bool, kind bpred.Kind) (*cache.Hierarchy, *bpred.Predictor) {
+	if pool, ok := warmPools.Load(warmKey{perfectCaches, kind}); ok {
+		if s, ok := pool.(*sync.Pool).Get().(*warmState); ok {
+			return s.hier, s.bp
+		}
+	}
+	return newWarmState(perfectCaches, kind)
+}
+
+// Recycle hands the pipeline's cache hierarchy and branch predictor
+// back, reset to the state New builds, for a later New under the same
+// warm configuration: a sampled run's segments (internal/parsim) reuse
+// one warm state each instead of allocating about a megabyte apiece.
+// The pipeline no longer holds the state and must not be used after.
+func (p *Pipeline) Recycle() {
+	if p.hier == nil {
+		return
+	}
+	p.hier.Reset()
+	p.bp.Reset()
+	key := warmKey{p.cfg.PerfectCaches, p.cfg.BranchPredictor}
+	pool, ok := warmPools.Load(key)
+	if !ok {
+		pool, _ = warmPools.LoadOrStore(key, new(sync.Pool))
+	}
+	pool.(*sync.Pool).Put(&warmState{p.hier, p.bp})
+	p.hier, p.bp = nil, nil
+	p.warm.hier, p.warm.bp = nil, nil
 }
 
 // NewMachineWarmer returns a standalone Warmer over the cache hierarchy

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mdspec/internal/bpred"
 	"mdspec/internal/config"
 	"mdspec/internal/emu"
 	"mdspec/internal/workload"
@@ -153,5 +154,41 @@ func TestRestoreWarmRejects(t *testing.T) {
 	}
 	if _, err := pl3.RunSampledInterval(500, 1_500, 100, 200, 0); err == nil {
 		t.Fatal("restore past warm-up start should error")
+	}
+}
+
+// TestRecycleResetsToFresh is the reuse contract of Pipeline.Recycle:
+// for every warm configuration, the cache hierarchy and branch
+// predictor a run has dirtied come back equal to what newWarmState
+// builds, and the pipeline that handed them back holds neither.
+func TestRecycleResetsToFresh(t *testing.T) {
+	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
+	for _, perfect := range []bool{false, true} {
+		for _, kind := range []bpred.Kind{bpred.Combined, bpred.GShare, bpred.Bimodal, bpred.StaticTaken} {
+			cfg := config.Default128().WithPolicy(config.Naive)
+			cfg.PerfectCaches, cfg.BranchPredictor = perfect, kind
+			pl, err := New(cfg, rec.NewReplay())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pl.Run(20_000); err != nil {
+				t.Fatal(err)
+			}
+			h, bp := pl.hier, pl.bp
+			freshH, freshBP := newWarmState(perfect, kind)
+			if reflect.DeepEqual(h, freshH) || reflect.DeepEqual(bp, freshBP) {
+				t.Fatalf("perfect=%v %v: the run left the warm state fresh; the test dirties nothing", perfect, kind)
+			}
+			pl.Recycle()
+			if pl.hier != nil || pl.bp != nil || pl.warm.hier != nil || pl.warm.bp != nil {
+				t.Errorf("perfect=%v %v: the pipeline still reaches the state it handed back", perfect, kind)
+			}
+			if !reflect.DeepEqual(h, freshH) {
+				t.Errorf("perfect=%v %v: reset hierarchy differs from a fresh one", perfect, kind)
+			}
+			if !reflect.DeepEqual(bp, freshBP) {
+				t.Errorf("perfect=%v %v: reset predictor differs from a fresh one", perfect, kind)
+			}
+		}
 	}
 }

@@ -288,6 +288,20 @@ func (f *FileRecording) NewReplay() *Replay {
 	return &Replay{chunks: f.chunks, n: f.n, tail: f.tail, done: true, sealed: f.prefix, code: f.code, cur: -1}
 }
 
+// DropPages gives the mapping's resident pages back to the kernel while
+// keeping the mapping: every replay cursor, open or new, stays valid and
+// faults the pages it reads back in from the page cache. A batch calls
+// it once it is done with a benchmark, so a sweep's resident recordings
+// are those it is replaying, not every one it has opened. It does
+// nothing for a file the fallback read into memory, nor on platforms
+// other than Linux.
+func (f *FileRecording) DropPages() error {
+	if !f.mmapped || len(f.data) == 0 {
+		return nil
+	}
+	return dropPages(f.data)
+}
+
 // Close releases the mapping. Replay cursors must not be used after
 // Close.
 func (f *FileRecording) Close() error {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -122,25 +123,65 @@ func TestPanicBecomesTypedError(t *testing.T) {
 	}
 }
 
-// TestDeadlockErrorRetried: a watchdog deadlock report is transient
-// (often a symptom of a poisoned shared structure a fresh pipeline
-// avoids) and must be retried.
-func TestDeadlockErrorRetried(t *testing.T) {
-	r := NewRunner(Options{Insts: 1000, Retry: retry.Policy{MaxAttempts: 3}})
-	r.sleep = instantSleep
-	var calls atomic.Int64
-	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-		if calls.Add(1) == 1 {
-			return nil, &core.DeadlockError{Config: cfg.Name(), Phase: "run", Cycles: 999}
-		}
-		return okRun(bench, cfg), nil
+// TestDeadlockErrorNotRetried: a watchdog deadlock report is
+// deterministic (a replay of a read-only recording on a private
+// pipeline deadlocks again), so it is never retried. A full-timing cell
+// fails after one attempt; a sampled cell goes straight to the
+// serial-segments fallback.
+func TestDeadlockErrorNotRetried(t *testing.T) {
+	deadlocked := func(cfg config.Machine) error {
+		return &core.DeadlockError{Config: cfg.Name(), Phase: "run", Cycles: 999}
 	}
+	for _, sampled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sampled=%v", sampled), func(t *testing.T) {
+			var hooked atomic.Int64
+			opt := Options{Insts: 1000, Sampled: sampled, Retry: retry.Policy{MaxAttempts: 3}}
+			opt.Hooks.JobRetried = func(string, string, int, error) { hooked.Add(1) }
+			r := NewRunner(opt)
+			r.sleep = instantSleep
+			var calls, serialCalls atomic.Int64
+			r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+				calls.Add(1)
+				return nil, deadlocked(cfg)
+			}
+			r.simSerial = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+				serialCalls.Add(1)
+				return okRun(bench, cfg), nil
+			}
 
-	if _, err := r.Run(bg, "126.gcc", nas(config.Naive)); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("deadlocked cell attempted %d times, want retry to attempt 2", calls.Load())
+			_, err := r.Run(bg, "126.gcc", nas(config.Naive))
+			if calls.Load() != 1 {
+				t.Errorf("deadlocked cell attempted %d times, want 1", calls.Load())
+			}
+			if c := r.Counters(); c.JobsRetried != 0 {
+				t.Errorf("jobs_retried = %d, want 0", c.JobsRetried)
+			}
+			if hooked.Load() != 0 {
+				t.Errorf("JobRetried fired %d times, want never", hooked.Load())
+			}
+			if !sampled {
+				var dl *core.DeadlockError
+				if !errors.As(err, &dl) {
+					t.Fatalf("err = %v, want the *core.DeadlockError", err)
+				}
+				if ab := r.Abandoned(); len(ab) != 1 || ab[0].Attempts != 1 {
+					t.Errorf("Abandoned() = %+v, want one entry with 1 attempt", ab)
+				}
+				if serialCalls.Load() != 0 {
+					t.Errorf("full-timing cell ran the sampled fallback %d times", serialCalls.Load())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("fallback should rescue the sampled cell: %v", err)
+			}
+			if serialCalls.Load() != 1 {
+				t.Errorf("serial fallback ran %d times, want 1", serialCalls.Load())
+			}
+			if recs := r.Records(); len(recs) != 1 || recs[0].Attempts != 2 || recs[0].Fallback != FallbackSerialSegments {
+				t.Errorf("records = %+v, want one with Attempts=2 and Fallback=%q", recs, FallbackSerialSegments)
+			}
+		})
 	}
 }
 

@@ -68,10 +68,11 @@ type Options struct {
 	// decomposition, so results are independent of Parallel.
 	SegmentPeriods int
 	// Retry bounds how often a cell whose simulation fails transiently
-	// (worker panic, watchdog deadlock report) is re-attempted before
-	// the sweep degrades. The zero value selects retry.Default; the
-	// budget is counted in attempts, and the backoff schedule is a pure
-	// function of the attempt number.
+	// (a worker panic) is re-attempted before the sweep degrades; a
+	// watchdog deadlock report is deterministic and not retried. The
+	// zero value selects retry.Default; the budget is counted in
+	// attempts, and the backoff schedule is a pure function of the
+	// attempt number.
 	Retry retry.Policy
 	// RecordingDir, when set, caches each benchmark's columnar recording
 	// on disk (<bench>.mdrec): a valid file is mmapped read-only, so
@@ -411,6 +412,26 @@ func (o *buildOnce[K, V]) get(key K, build func() (V, error)) (V, error) {
 	}
 }
 
+// lookup returns key's memoized value, if one is built.
+func (o *buildOnce[K, V]) lookup(key K) (V, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	v, ok := o.done[key]
+	return v, ok
+}
+
+// forget drops every memoized value whose key matches, so the next get
+// of such a key builds it again. A build in progress is not affected.
+func (o *buildOnce[K, V]) forget(match func(K) bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for k := range o.done { //md:orderindependent deletes each matching key
+		if match(k) {
+			delete(o.done, k)
+		}
+	}
+}
+
 // build runs the claimant's build, publishes a successful result, and
 // releases the waiters.
 func (o *buildOnce[K, V]) build(key K, ch chan struct{}, build func() (V, error)) (v V, err error) {
@@ -517,6 +538,25 @@ func (r *Runner) Close() error {
 		delete(r.recs.done, bench)
 	}
 	return firstErr
+}
+
+// release gives back what the runner holds for bench once a batch has
+// run its last cell of bench (runAll): the recording file's resident
+// pages, and the benchmark's checkpoint sets, which a later batch reads
+// from their files again. The recording stays mapped, so cursors of
+// concurrent callers stay valid. Without RecordingDir nothing is
+// released: a live recording or an in-memory checkpoint set could only
+// come back by re-capture.
+func (r *Runner) release(bench string) {
+	if r.opt.RecordingDir == "" {
+		return
+	}
+	if src, ok := r.recs.lookup(bench); ok {
+		if f, ok := src.(*emu.FileRecording); ok {
+			f.DropPages() //md:errok residency only: the mapping and the bytes it reads are unchanged either way
+		}
+	}
+	r.ckpts.forget(func(k ckptKey) bool { return k.bench == bench })
 }
 
 // checkpointSet returns the warmed-state checkpoint set for bench
@@ -629,11 +669,12 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine)
 
 // simulateSerialSegments is the graceful-degradation backend for
 // sampled cells: the primary's decomposition, with every segment on the
-// calling goroutine and no checkpoint set, so it leans
-// on no cached bytes but the CRC-checked recording. Worker count and
-// checkpoints change parsim's wall time only, so its statistics equal
-// the primary's; without checkpoints each segment fast-forwards from
-// the stream start, which makes it slower.
+// calling goroutine and no checkpoint set, so it leans on no cached
+// bytes but the CRC-checked recording. Worker count and checkpoints
+// change parsim's wall time only, so its statistics equal the
+// primary's. One worker without checkpoints walks the segments in
+// stream order behind one functional warmer, so the attempt reads the
+// stream about twice, not once per segment.
 func (r *Runner) simulateSerialSegments(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
 	popt := r.opt.sampling()
 	popt.Workers = 1
@@ -670,14 +711,23 @@ func (e *RunPanicError) Error() string {
 }
 
 // transientError classifies failures worth retrying: a recovered panic
-// (job- or segment-level) or a watchdog deadlock report. Context
-// cancellation and plain errors (unknown benchmark, invalid config) are
-// permanent.
+// (job- or segment-level). Context cancellation and plain errors
+// (unknown benchmark, invalid config) are permanent, and so is a
+// watchdog deadlock report (see deadlockError).
 func transientError(err error) bool {
 	var jobPanic *RunPanicError
 	var segPanic *parsim.PanicError
+	return errors.As(err, &jobPanic) || errors.As(err, &segPanic)
+}
+
+// deadlockError reports a watchdog deadlock. A replay of a read-only,
+// CRC-checked recording on a private pipeline is deterministic, so a
+// retry would deadlock again: a full-timing cell fails after one
+// attempt, and a sampled cell goes straight to the serial-segments
+// fallback, which restores no checkpoint frame.
+func deadlockError(err error) bool {
 	var deadlock *core.DeadlockError
-	return errors.As(err, &jobPanic) || errors.As(err, &segPanic) || errors.As(err, &deadlock)
+	return errors.As(err, &deadlock)
 }
 
 // runProtected is one simulation attempt with panic isolation: a panic
@@ -700,15 +750,17 @@ func (r *Runner) runProtected(ctx context.Context, bench string, cfg config.Mach
 // failure, or a degraded success: transient failures are re-attempted
 // up to the retry policy's budget (with its deterministic capped
 // exponential backoff between attempts), and a sampled cell whose
-// interval-parallel runs keep failing gets one last attempt that runs
-// its segments one after another (simSerial). It returns the attempts
-// consumed and the fallback marker for the cell's provenance record.
+// interval-parallel runs keep failing, or deadlock, gets one last
+// attempt that runs its segments one after another (simSerial). It
+// returns the attempts consumed and the fallback marker for the cell's
+// provenance record.
 func (r *Runner) runWithRecovery(ctx context.Context, bench string, cfg config.Machine, cfgName string) (res *stats.Run, attempts int, fallback string, err error) {
 	pol := r.opt.Retry.WithDefaults()
 	for {
 		attempts++
 		res, err = r.runProtected(ctx, bench, cfg, cfgName, r.sim)
-		if err == nil || !transientError(err) {
+		deadlock := deadlockError(err)
+		if err == nil || !deadlock && !transientError(err) {
 			return res, attempts, "", err
 		}
 		if cerr := ctx.Err(); cerr != nil {
@@ -716,7 +768,7 @@ func (r *Runner) runWithRecovery(ctx context.Context, bench string, cfg config.M
 			// report the cancellation, not the attempt's transient failure.
 			return nil, attempts, "", cerr
 		}
-		if attempts >= pol.MaxAttempts {
+		if deadlock || attempts >= pol.MaxAttempts {
 			break
 		}
 		r.jobsRetried.Add(1)
@@ -1020,8 +1072,20 @@ type job struct {
 // errors of all failures, each naming its (bench, config) pair. When
 // ctx is canceled, jobs not yet running are abandoned and a single
 // context error is reported alongside any real failures.
+//
+// The job that returns last among a benchmark's releases the benchmark
+// (see release), so a batch queued one benchmark at a time holds about
+// Parallel benchmarks' recordings and checkpoint sets, not all of them.
+// A canceled batch releases nothing more; Close still unmaps everything.
 func (r *Runner) runAll(ctx context.Context, jobs []job) error {
 	errs := make([]error, len(jobs))
+	left := make(map[string]*atomic.Int64)
+	for _, j := range jobs {
+		if left[j.bench] == nil {
+			left[j.bench] = new(atomic.Int64)
+		}
+		left[j.bench].Add(1)
+	}
 	workers := r.opt.parallel()
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -1035,6 +1099,9 @@ func (r *Runner) runAll(ctx context.Context, jobs []job) error {
 			for i := range idx {
 				_, _, err := r.RunGuarded(ctx, jobs[i].bench, jobs[i].cfg)
 				errs[i] = err
+				if left[jobs[i].bench].Add(-1) == 0 && ctx.Err() == nil {
+					r.release(jobs[i].bench)
+				}
 			}
 		}()
 	}

@@ -104,7 +104,10 @@ type Options struct {
 	// with it the result — independently of Workers.
 	SegmentPeriods int
 	// Workers bounds this run's concurrent segment workers (default
-	// GOMAXPROCS). The caller's goroutine is always one of them.
+	// GOMAXPROCS). The caller's goroutine is always one of them. One
+	// worker without Checkpoints runs the segments in stream order behind
+	// one functional warmer, so it reads the stream about twice instead
+	// of fast-forwarding every segment from position 0.
 	Workers int
 	// Sem, when non-nil, is the shared parallelism budget: beyond the
 	// calling goroutine (whose admission the caller already arranged),
@@ -235,44 +238,11 @@ func Run(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, opt Opti
 
 	results := make([]*stats.Run, len(segs))
 	errs := make([]error, len(segs))
-
-	var next atomic.Int64
-	worker := func() {
-		for {
-			n := int(next.Add(1) - 1)
-			if n >= len(segs) {
-				return
-			}
-			// Claim segments in descending stream order: a segment's
-			// functional fast-forward cost grows with its start position,
-			// so the expensive late segments go first and the cheap early
-			// ones fill the schedule's tail. The claim order changes only
-			// wall-clock time — results are merged by segment index.
-			i := len(segs) - 1 - n
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			results[i], errs[i] = runSegment(ctx, cfg, rec, i, segs[i], opt)
-		}
+	if opt.workers() == 1 && opt.Checkpoints == nil {
+		runInOrder(ctx, cfg, rec, segs, opt, results, errs)
+	} else {
+		runPool(ctx, cfg, rec, segs, opt, results, errs)
 	}
-
-	var wg sync.WaitGroup
-	for w := 1; w < opt.workers(); w++ {
-		if opt.Sem != nil && !opt.Sem.TryAcquire() {
-			break // no spare budget: the remaining segments run inline
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if opt.Sem != nil {
-				defer opt.Sem.Release()
-			}
-			worker()
-		}()
-	}
-	worker() // the calling goroutine is always one worker
-	wg.Wait()
 
 	var failures []error
 	canceled := false
@@ -294,12 +264,97 @@ func Run(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, opt Opti
 	return stats.Merge(results), nil
 }
 
+// runPool simulates the segments on up to opt.workers() goroutines, each
+// restoring its segment's nearest checkpoint frame when opt.Checkpoints
+// holds one.
+func runPool(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, segs []segment, opt Options, results []*stats.Run, errs []error) {
+	var next atomic.Int64
+	worker := func() {
+		for {
+			n := int(next.Add(1) - 1)
+			if n >= len(segs) {
+				return
+			}
+			// Claim segments in descending stream order: a segment's
+			// functional fast-forward cost grows with its start position,
+			// so the expensive late segments go first and the cheap early
+			// ones fill the schedule's tail. The claim order changes only
+			// wall-clock time — results are merged by segment index.
+			i := len(segs) - 1 - n
+			if err := ctx.Err(); err != nil {
+				errs[i] = err
+				continue
+			}
+			var state []byte
+			if cs := opt.Checkpoints; cs != nil {
+				if f := cs.Nearest(max(segs[i].start-opt.warmup(), 0)); f != nil {
+					state = f.State
+				}
+			}
+			results[i], errs[i] = runSegment(ctx, cfg, rec, i, segs[i], opt, state)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for w := 1; w < opt.workers(); w++ {
+		if opt.Sem != nil && !opt.Sem.TryAcquire() {
+			break // no spare budget: the remaining segments run inline
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if opt.Sem != nil {
+				defer opt.Sem.Release()
+			}
+			worker()
+		}()
+	}
+	worker() // the calling goroutine is always one worker
+	wg.Wait()
+}
+
+// runInOrder simulates the segments one after another in stream order
+// on the calling goroutine, without checkpoints: one functional warmer
+// walks the stream once, and each segment restores the warmer's state
+// at its warm-up start, the state ckpt.Build would capture there. The
+// stream is read about twice instead of once per segment.
+func runInOrder(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, segs []segment, opt Options, results []*stats.Run, errs []error) {
+	w := core.NewMachineWarmer(cfg, replay(rec))
+	var buf []byte
+	for i, s := range segs {
+		if err := ctx.Err(); err != nil {
+			errs[i] = err
+			continue
+		}
+		var state []byte
+		if target := s.start - opt.warmup(); target > 0 {
+			w.AdvanceTo(target)
+			buf = w.AppendState(buf[:0])
+			state = buf
+		}
+		results[i], errs[i] = runSegment(ctx, cfg, rec, i, s, opt, state)
+	}
+}
+
+// testStreamHook, when set (tests only), wraps every replay cursor a run
+// opens.
+var testStreamHook func(emu.Stream) emu.Stream
+
+// replay opens a replay cursor over the shared recording.
+func replay(rec emu.ReplaySource) emu.Stream {
+	if testStreamHook != nil {
+		return testStreamHook(rec.NewReplay())
+	}
+	return rec.NewReplay()
+}
+
 // runSegment simulates one segment on a private pipeline over a fresh
-// replay cursor of the shared recording. A panic anywhere in the
-// segment's simulation is recovered into a *PanicError naming the
-// segment, so one poisoned segment fails its own result slot instead of
-// killing the worker pool (and with it the whole sweep).
-func runSegment(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, i int, s segment, opt Options) (res *stats.Run, err error) {
+// replay cursor of the shared recording, restored from the warm state
+// when one is given. A panic anywhere in the segment's simulation is
+// recovered into a *PanicError naming the segment, so one poisoned
+// segment fails its own result slot instead of killing the worker pool
+// (and with it the whole sweep).
+func runSegment(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, i int, s segment, opt Options, state []byte) (res *stats.Run, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = nil
@@ -315,25 +370,23 @@ func runSegment(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, i
 	if err := ctx.Err(); err != nil {
 		return nil, err // canceled while this worker held the segment
 	}
-	pl, err := core.New(cfg, rec.NewReplay())
+	pl, err := core.New(cfg, replay(rec))
 	if err != nil {
 		return nil, err
 	}
-	if cs := opt.Checkpoints; cs != nil {
-		target := s.start - opt.warmup()
-		if target < 0 {
-			target = 0
-		}
-		if f := cs.Nearest(target); f != nil {
-			if restoreErr := pl.RestoreWarm(f.State); restoreErr != nil {
-				// A failed restore may have left partial state behind;
-				// rebuild the machine and fall back to the full
-				// functional fast-forward. Slower, never wrong.
-				if pl, err = core.New(cfg, rec.NewReplay()); err != nil {
-					return nil, err
-				}
+	if state != nil {
+		if restoreErr := pl.RestoreWarm(state); restoreErr != nil {
+			// A failed restore may have left partial state behind;
+			// rebuild the machine and fall back to the full functional
+			// fast-forward. Slower, never wrong.
+			if pl, err = core.New(cfg, replay(rec)); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return pl.RunSampledInterval(s.start, s.end, opt.TimingInsts, opt.FunctionalInsts, opt.warmup())
+	res, err = pl.RunSampledInterval(s.start, s.end, opt.TimingInsts, opt.FunctionalInsts, opt.warmup())
+	// The result is a copy, so the segment's warm state can serve the
+	// next segment's New.
+	pl.Recycle()
+	return res, err
 }

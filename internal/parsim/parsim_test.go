@@ -4,11 +4,13 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"mdspec/internal/config"
 	"mdspec/internal/core"
 	"mdspec/internal/emu"
+	"mdspec/internal/stats"
 	"mdspec/internal/workload"
 )
 
@@ -21,8 +23,8 @@ func recordingOf(t testing.TB, bench string) *emu.Recording {
 
 // TestBitIdenticalAcrossWorkerCounts is the determinism contract: with
 // the decomposition fixed by the options, the worker count (and with it
-// the scheduling order) must not change a single counter of the merged
-// result.
+// the scheduling order, or with one worker the in-order walk behind one
+// warmer) must not change a single counter of the merged result.
 func TestBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	rec := recordingOf(t, "129.compress")
 	cfg := config.Default128().WithPolicy(config.Sync)
@@ -88,15 +90,23 @@ func TestFiniteProgramCovered(t *testing.T) {
 	}
 
 	rec := emu.NewRecording(emu.New(p))
-	res, err := Run(bg, config.Default128().WithPolicy(config.Naive), rec, Options{
-		TotalTiming: 1 << 20, TimingInsts: 1_000, FunctionalInsts: 500, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Committed + res.Skipped; got != full.Committed {
-		t.Errorf("parallel run covered %d instructions (committed %d + skipped %d), program has %d",
-			got, res.Committed, res.Skipped, full.Committed)
+	var first *stats.Run
+	for _, workers := range []int{4, 1} {
+		res, err := Run(bg, config.Default128().WithPolicy(config.Naive), rec, Options{
+			TotalTiming: 1 << 20, TimingInsts: 1_000, FunctionalInsts: 500, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Committed + res.Skipped; got != full.Committed {
+			t.Errorf("workers=%d: run covered %d instructions (committed %d + skipped %d), program has %d",
+				workers, got, res.Committed, res.Skipped, full.Committed)
+		}
+		if first == nil {
+			first = res
+		} else if !reflect.DeepEqual(first, res) {
+			t.Errorf("workers=%d: result differs from workers=4:\n  4: %+v\n  %d: %+v", workers, first, workers, res)
+		}
 	}
 }
 
@@ -190,5 +200,44 @@ func TestCalibrationAgainstSerialSampled(t *testing.T) {
 			t.Errorf("%s: parallel IPC %.4f vs serial %.4f (%.2f%% off, want <= 2%%)",
 				bench, par.IPC(), serial.IPC(), 100*dev)
 		}
+	}
+}
+
+// countingStream counts the instructions a cursor decodes: every read
+// of another position than the one it read last.
+type countingStream struct {
+	emu.Stream
+	n    *atomic.Int64
+	last int64
+}
+
+func (c *countingStream) At(seq int64) *emu.DynInst {
+	if seq != c.last {
+		c.n.Add(1)
+		c.last = seq
+	}
+	return c.Stream.At(seq)
+}
+
+// TestInOrderReadsStreamAboutTwice: one worker without checkpoints (the
+// runner's degraded attempt) walks the segments in stream order behind
+// one functional warmer. The warmer reads the stream once and each
+// segment its own region, plus what timing mode re-reads after a
+// squash: 2.5 times the stream here, where fast-forwarding every
+// segment from position 0 read 6.9 times it.
+func TestInOrderReadsStreamAboutTwice(t *testing.T) {
+	var reads atomic.Int64
+	testStreamHook = func(s emu.Stream) emu.Stream { return &countingStream{Stream: s, n: &reads, last: -1} }
+	defer func() { testStreamHook = nil }()
+
+	rec := recordingOf(t, "129.compress")
+	opt := Options{TotalTiming: 48_000, TimingInsts: 2_000, FunctionalInsts: 4_000, SegmentPeriods: 2, Workers: 1}
+	if _, err := Run(bg, config.Default128().WithPolicy(config.Naive), rec, opt); err != nil {
+		t.Fatal(err)
+	}
+	segs := opt.segments()
+	stream := segs[len(segs)-1].end
+	if n := reads.Load(); n > 3*stream {
+		t.Errorf("%d segments read %d instructions of a %d-instruction stream, want at most 3 times the stream", len(segs), n, stream)
 	}
 }
