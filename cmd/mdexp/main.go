@@ -201,9 +201,9 @@ func main() {
 
 	opt := experiments.Options{Insts: *insts, Parallel: *par, Retry: retry.Policy{MaxAttempts: *retries}, RecordingDir: *recDir}
 	if *sampled != "" {
-		var tw, fw int64
-		if _, err := fmt.Sscanf(*sampled, "%d:%d", &tw, &fw); err != nil {
-			fatal(fmt.Errorf("bad -sampled %q (want T:F): %v", *sampled, err))
+		tw, fw, err := experiments.ParseSampling(*sampled)
+		if err != nil {
+			fatal(fmt.Errorf("-sampled: %w", err))
 		}
 		opt.Sampled = true
 		opt.TimingWindow, opt.FunctionalWindow = tw, fw

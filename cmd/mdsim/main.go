@@ -112,8 +112,8 @@ func main() {
 	}
 	var tw, fw int64
 	if *sample != "" {
-		if _, err := fmt.Sscanf(*sample, "%d:%d", &tw, &fw); err != nil {
-			fatal(fmt.Errorf("bad -sample %q (want T:F): %v", *sample, err))
+		if tw, fw, err = experiments.ParseSampling(*sample); err != nil {
+			fatal(fmt.Errorf("-sample: %w", err))
 		}
 	}
 	var r *stats.Run

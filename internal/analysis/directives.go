@@ -159,11 +159,6 @@ func parseDirective(text string) (name, arg string, ok bool) {
 	return name, arg, true
 }
 
-func (idx directiveIndex) hasAt(file string, line int, name string) bool {
-	_, ok := idx.at[file][line][name]
-	return ok
-}
-
 // argAt returns the argument text of the named directive at file:line.
 func (idx directiveIndex) argAt(file string, line int, name string) (string, bool) {
 	arg, ok := idx.at[file][line][name]

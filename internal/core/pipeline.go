@@ -390,14 +390,6 @@ func New(cfg config.Machine, trace emu.Stream) (*Pipeline, error) {
 	return p, nil
 }
 
-// windowHas reports whether seq is currently dispatched and in-flight.
-func (p *Pipeline) windowHas(seq int64) bool {
-	if seq < p.headSeq || seq >= p.dispatchSeq {
-		return false
-	}
-	return p.rob.seq[p.slotIndex(seq)] == seq
-}
-
 // Run simulates until maxInsts instructions have committed (or the trace
 // ends) and returns the collected statistics.
 func (p *Pipeline) Run(maxInsts int64) (*stats.Run, error) {

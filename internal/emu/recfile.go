@@ -59,7 +59,7 @@ var ErrCorruptRecording = errors.New("emu: corrupt recording file")
 var ErrRecordingMismatch = errors.New("emu: recording does not match program")
 
 // hostLittleEndian reports whether typed views over the file bytes read
-// back the values WriteTo stored. The format is defined little-endian;
+// back the values WriteSealedTo stored. The format is defined little-endian;
 // big-endian hosts get a clean refusal instead of silent corruption.
 func hostLittleEndian() bool {
 	x := uint16(1)
@@ -140,19 +140,8 @@ func (c *recChunk) sections(chunkLen int64) [][]byte {
 	}
 }
 
-// WriteTo serializes the recording in format version 1. The recording
-// must be complete (Complete reported true): partial recordings have a
-// moving frontier and are not meaningful to share on disk.
-func (r *Recording) WriteTo(w io.Writer) (int64, error) {
-	chunks, n, tail, done := r.snapshot()
-	if !done {
-		return 0, fmt.Errorf("emu: WriteTo on an incomplete recording (%d insts, not halted)", n)
-	}
-	return writeRecording(w, r.fp, chunks, n, tail, recFlagDone)
-}
-
-// WriteSealedTo serializes whatever has been recorded so far. A halted
-// recording writes the same file WriteTo does; an unfinished one is
+// WriteSealedTo serializes whatever has been recorded so far in format
+// version 1. A halted recording is written whole; an unfinished one is
 // sealed at its current frontier (always a chunk boundary) and marked
 // as a prefix, so replays that run past the seal panic instead of
 // silently treating it as the program's end. Callers pre-extend with

@@ -76,14 +76,15 @@ func TestColumnarEscapeDistances(t *testing.T) {
 func recordToFile(t testing.TB, p *prog.Program, path string) *Recording {
 	t.Helper()
 	rec := NewRecording(New(p))
-	if !rec.Complete(1 << 22) {
-		t.Fatalf("program did not halt within the completion bound")
+	rec.Record(1 << 22)
+	if _, done := rec.length(); !done {
+		t.Fatalf("program did not halt within the recording bound")
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.WriteTo(f); err != nil {
+	if _, err := rec.WriteSealedTo(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -182,13 +183,6 @@ func TestRecordingFileRejectsDamage(t *testing.T) {
 			t.Errorf("wrong program: err = %v, want ErrRecordingMismatch", err)
 		}
 	})
-	t.Run("incomplete-refused", func(t *testing.T) {
-		rec := NewRecording(New(loopProgram(3000)))
-		rec.Record(100)
-		if _, err := rec.WriteTo(bytes.NewBuffer(nil)); err == nil {
-			t.Error("WriteTo accepted an incomplete recording")
-		}
-	})
 }
 
 // TestSealedPrefixRecording pins the sealed-prefix mode used by the
@@ -275,8 +269,9 @@ var badColumns = []struct {
 func mutatedRecording(t testing.TB, p *prog.Program, mutate func(testing.TB, *recChunk, []isa.Inst)) []byte {
 	t.Helper()
 	rec := NewRecording(New(p))
-	if !rec.Complete(1 << 22) {
-		t.Fatal("program did not halt within the completion bound")
+	rec.Record(1 << 22)
+	if _, done := rec.length(); !done {
+		t.Fatal("program did not halt within the recording bound")
 	}
 	chunks, n, tail, _ := rec.snapshot()
 	if len(chunks[0].escKey) != 0 {

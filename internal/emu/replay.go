@@ -162,9 +162,9 @@ func (c *recChunk) sizeBytes(n int64) int64 {
 //
 // Storage is columnar (see recChunk): ~18-21 B/inst shared by all
 // replays, unlike Trace, whose buffer is per-pipeline but stays
-// proportional to the instruction window. A completed Recording can be
-// serialized with WriteTo and mapped back with OpenRecordingFile so
-// separate processes share one on-disk copy per benchmark.
+// proportional to the instruction window. A Recording can be
+// serialized with WriteSealedTo and mapped back with OpenRecordingFile
+// so separate processes share one on-disk copy per benchmark.
 // Lock ordering: mu > chunksMu > lenMu. extend holds mu for the whole
 // extension and takes chunksMu, then lenMu, strictly nested inside it;
 // readers take chunksMu or lenMu alone and never mu — so no cycle is
@@ -241,26 +241,6 @@ func (r *Recording) SizeBytes() int64 {
 func (r *Recording) Record(n int64) {
 	if n > 0 {
 		r.extend(n - 1)
-	}
-}
-
-// Complete extends the recording until the program halts, or until limit
-// instructions have been recorded (a guard against unbounded programs;
-// limit <= 0 means no bound). It reports whether the program ended.
-func (r *Recording) Complete(limit int64) bool {
-	for {
-		n, done := r.length()
-		if done {
-			return true
-		}
-		if limit > 0 && n >= limit {
-			return false
-		}
-		next := n + int64(recChunkSize)
-		if limit > 0 && next > limit {
-			next = limit
-		}
-		r.extend(next - 1)
 	}
 }
 

@@ -43,24 +43,17 @@ func AblationMDPTSize(ctx context.Context, r *Runner) ([]MDPTSizeRow, error) {
 		cfgs = append(cfgs, c)
 	}
 	cfgs = append(cfgs, nas(config.Naive))
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, cfgs...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []MDPTSizeRow
-	for _, b := range benches {
-		nv, err := r.Run(ctx, b, nas(config.Naive))
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sizes {
-			c := nas(config.Sync)
-			c.PredictorTable.Entries = s
-			res, err := r.Run(ctx, b, c)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, MDPTSizeRow{Entries: s, Bench: b, IPC: res.IPC(),
-				Misspec: res.MisspecRate(), RelToNav: res.IPC()/nv.IPC() - 1})
+	for i, b := range benches {
+		nv := res[i][len(sizes)]
+		for j, s := range sizes {
+			x := res[i][j]
+			rows = append(rows, MDPTSizeRow{Entries: s, Bench: b, IPC: x.IPC(),
+				Misspec: x.MisspecRate(), RelToNav: x.IPC()/nv.IPC() - 1})
 		}
 	}
 	return rows, nil
@@ -94,19 +87,15 @@ func AblationFlush(ctx context.Context, r *Runner) ([]FlushRow, error) {
 		c.PredictorTable.FlushInterval = iv
 		cfgs = append(cfgs, c)
 	}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, cfgs...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []FlushRow
-	for _, b := range benches {
-		for _, iv := range intervals {
-			c := nas(config.Sync)
-			c.PredictorTable.FlushInterval = iv
-			res, err := r.Run(ctx, b, c)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, FlushRow{Interval: iv, Bench: b, IPC: res.IPC(), Misspec: res.MisspecRate()})
+	for i, b := range benches {
+		for j, iv := range intervals {
+			x := res[i][j]
+			rows = append(rows, FlushRow{Interval: iv, Bench: b, IPC: x.IPC(), Misspec: x.MisspecRate()})
 		}
 	}
 	return rows, nil
@@ -150,25 +139,16 @@ func AblationWindow(ctx context.Context, r *Runner) ([]WindowRow, error) {
 			cfgs = append(cfgs, c)
 		}
 	}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, cfgs...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []WindowRow
-	for _, b := range benches {
-		for _, w := range windows {
-			row := WindowRow{Window: w, Bench: b}
-			get := func(pol config.Policy) float64 {
-				c := nas(pol)
-				c.Window = w
-				res, err := r.Run(ctx, b, c)
-				if err != nil {
-					return 0
-				}
-				return res.IPC()
-			}
-			row.NO, row.Naive, row.Sync, row.Oracle =
-				get(config.NoSpec), get(config.Naive), get(config.Sync), get(config.Oracle)
-			rows = append(rows, row)
+	for i, b := range benches {
+		for k, w := range windows {
+			x := res[i][k*len(policies):]
+			rows = append(rows, WindowRow{Window: w, Bench: b,
+				NO: x[0].IPC(), Naive: x[1].IPC(), Sync: x[2].IPC(), Oracle: x[3].IPC()})
 		}
 	}
 	return rows, nil
@@ -197,19 +177,13 @@ type StoreSetRow struct {
 // AblationStoreSets runs the store-set extension.
 func AblationStoreSets(ctx context.Context, r *Runner) ([]StoreSetRow, error) {
 	benches := r.opt.ablationSet()
-	if err := r.prefetch(ctx, benches, nas(config.Sync), nas(config.StoreSets)); err != nil {
+	res, err := r.grid(ctx, benches, nas(config.Sync), nas(config.StoreSets))
+	if err != nil {
 		return nil, err
 	}
 	var rows []StoreSetRow
-	for _, b := range benches {
-		sy, err := r.Run(ctx, b, nas(config.Sync))
-		if err != nil {
-			return nil, err
-		}
-		ss, err := r.Run(ctx, b, nas(config.StoreSets))
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		sy, ss := res[i][0], res[i][1]
 		rows = append(rows, StoreSetRow{Bench: b, SyncIPC: sy.IPC(), StoreSetIPC: ss.IPC(),
 			SyncMisspec: sy.MisspecRate(), StoreSetMisspec: ss.MisspecRate()})
 	}
@@ -242,27 +216,19 @@ type RecoveryRow struct {
 // AblationRecovery runs the recovery-mechanism comparison.
 func AblationRecovery(ctx context.Context, r *Runner) ([]RecoveryRow, error) {
 	benches := r.opt.ablationSet()
-	sq := nas(config.Naive)
-	sel := nas(config.Naive).WithRecovery(config.RecoverySelective)
-	if err := r.prefetch(ctx, benches, sq, sel); err != nil {
+	res, err := r.grid(ctx, benches, nas(config.Naive), nas(config.Naive).WithRecovery(config.RecoverySelective))
+	if err != nil {
 		return nil, err
 	}
+	perViol := func(work, viol int64) float64 {
+		if viol == 0 {
+			return 0
+		}
+		return float64(work) / float64(viol)
+	}
 	var rows []RecoveryRow
-	for _, b := range benches {
-		a, err := r.Run(ctx, b, sq)
-		if err != nil {
-			return nil, err
-		}
-		c, err := r.Run(ctx, b, sel)
-		if err != nil {
-			return nil, err
-		}
-		perViol := func(work, viol int64) float64 {
-			if viol == 0 {
-				return 0
-			}
-			return float64(work) / float64(viol)
-		}
+	for i, b := range benches {
+		a, c := res[i][0], res[i][1]
 		rows = append(rows, RecoveryRow{
 			Bench:           b,
 			SquashIPC:       a.IPC(),
@@ -310,24 +276,14 @@ func AblationBPred(ctx context.Context, r *Runner) ([]BPredRow, error) {
 		or.BranchPredictor = k
 		cfgs = append(cfgs, no, or)
 	}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, cfgs...)
+	if err != nil {
 		return nil, err
 	}
 	var rows []BPredRow
-	for _, b := range benches {
-		for _, k := range kinds {
-			no := nas(config.NoSpec)
-			no.BranchPredictor = k
-			or := nas(config.Oracle)
-			or.BranchPredictor = k
-			rn, err := r.Run(ctx, b, no)
-			if err != nil {
-				return nil, err
-			}
-			ro, err := r.Run(ctx, b, or)
-			if err != nil {
-				return nil, err
-			}
+	for i, b := range benches {
+		for j, k := range kinds {
+			rn, ro := res[i][2*j], res[i][2*j+1]
 			rows = append(rows, BPredRow{
 				Bench: b, Kind: k.String(), IPC: ro.IPC(),
 				BMissRate: ro.BranchMissRate(),

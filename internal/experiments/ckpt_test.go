@@ -62,7 +62,7 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 
 	// In-memory checkpoints (no RecordingDir).
 	mem := NewRunner(opt)
-	res, err := mem.Run(bg, bench, cfg)
+	res, _, err := mem.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 	o.RecordingDir = dir
 	a := NewRunner(o)
 	defer a.Close()
-	res, err = a.Run(bg, bench, cfg)
+	res, _, err = a.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 	// Second runner reopens both caches.
 	b := NewRunner(o)
 	defer b.Close()
-	res, err = b.Run(bg, bench, cfg)
+	res, _, err = b.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 	}
 
 	// A policy ablation shares the same warm class: no second set.
-	if _, err := b.Run(bg, bench, nas(config.Naive)); err != nil {
+	if _, _, err := b.RunWithSource(bg, bench, nas(config.Naive)); err != nil {
 		t.Fatal(err)
 	}
 	if c := b.Counters(); c.CheckpointHits != 1 || c.CheckpointMisses != 0 {
@@ -133,7 +133,7 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 	}
 	c := NewRunner(o)
 	defer c.Close()
-	res, err = c.Run(bg, bench, cfg)
+	res, _, err = c.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 func TestRunnerRecapturesMispositionedFrames(t *testing.T) {
 	const bench = "129.compress"
 	cfg := nas(config.Sync)
-	want, err := NewRunner(ckptOpt()).Run(bg, bench, cfg)
+	want, _, err := NewRunner(ckptOpt()).RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRunnerRecapturesMispositionedFrames(t *testing.T) {
 		o := ckptOpt()
 		o.RecordingDir = t.TempDir()
 		seed := NewRunner(o)
-		if _, err := seed.Run(bg, bench, cfg); err != nil {
+		if _, _, err := seed.RunWithSource(bg, bench, cfg); err != nil {
 			t.Fatal(err)
 		}
 		seed.Close()
@@ -194,7 +194,7 @@ func TestRunnerRecapturesMispositionedFrames(t *testing.T) {
 		}
 
 		r := NewRunner(o)
-		got, err := r.Run(bg, bench, cfg)
+		got, _, err := r.RunWithSource(bg, bench, cfg)
 		r.Close()
 		if err != nil {
 			t.Fatalf("frames moved by %+d: %v", shift, err)
@@ -222,7 +222,7 @@ func TestCheckpointFilePerSchedule(t *testing.T) {
 		opt.RecordingDir = dir
 		r := NewRunner(opt)
 		defer r.Close()
-		res, err := r.Run(bg, bench, cfg)
+		res, _, err := r.RunWithSource(bg, bench, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"mdspec/internal/config"
-	"mdspec/internal/stats"
 	"mdspec/internal/workload"
 )
 
@@ -30,25 +29,18 @@ type Figure1Row struct {
 // parallelism, §3.2).
 func Figure1(ctx context.Context, r *Runner) ([]Figure1Row, error) {
 	benches := r.opt.benchmarks()
-	cfgs := []config.Machine{small(config.NoSpec), small(config.Oracle), nas(config.NoSpec), nas(config.Oracle)}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, small(config.NoSpec), small(config.Oracle), nas(config.NoSpec), nas(config.Oracle))
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure1Row, 0, len(benches))
-	for _, b := range benches {
-		var ipc [4]float64
-		for i, c := range cfgs {
-			res, err := r.Run(ctx, b, c)
-			if err != nil {
-				return nil, err
-			}
-			ipc[i] = res.IPC()
-		}
+	for i, b := range benches {
+		no64, or64, no128, or128 := res[i][0].IPC(), res[i][1].IPC(), res[i][2].IPC(), res[i][3].IPC()
 		rows = append(rows, Figure1Row{
 			Bench: b,
-			NO64:  ipc[0], Oracle64: ipc[1], NO128: ipc[2], Oracle128: ipc[3],
-			Speedup64:  ipc[1]/ipc[0] - 1,
-			Speedup128: ipc[3]/ipc[2] - 1,
+			NO64:  no64, Oracle64: or64, NO128: no128, Oracle128: or128,
+			Speedup64:  or64/no64 - 1,
+			Speedup128: or128/no128 - 1,
 		})
 	}
 	return rows, nil
@@ -68,16 +60,14 @@ type Table3Row struct {
 // Table3 reproduces Table 3 (§3.2).
 func Table3(ctx context.Context, r *Runner) ([]Table3Row, error) {
 	benches := r.opt.benchmarks()
-	if err := r.prefetch(ctx, benches, nas(config.NoSpec)); err != nil {
+	res, err := r.grid(ctx, benches, nas(config.NoSpec))
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Table3Row, 0, len(benches))
-	for _, b := range benches {
-		res, err := r.Run(ctx, b, nas(config.NoSpec))
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Table3Row{Bench: b, FD: res.FalseDepRate(), RL: res.FalseDepLatency()})
+	for i, b := range benches {
+		no := res[i][0]
+		rows = append(rows, Table3Row{Bench: b, FD: no.FalseDepRate(), RL: no.FalseDepLatency()})
 	}
 	return rows, nil
 }
@@ -95,23 +85,13 @@ type Figure2Row struct {
 // Figure2 reproduces Figure 2 (§3.3) and Table 4's NAV column.
 func Figure2(ctx context.Context, r *Runner) ([]Figure2Row, error) {
 	benches := r.opt.benchmarks()
-	if err := r.prefetch(ctx, benches, nas(config.NoSpec), nas(config.Oracle), nas(config.Naive)); err != nil {
+	res, err := r.grid(ctx, benches, nas(config.NoSpec), nas(config.Oracle), nas(config.Naive))
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure2Row, 0, len(benches))
-	for _, b := range benches {
-		no, err := r.Run(ctx, b, nas(config.NoSpec))
-		if err != nil {
-			return nil, err
-		}
-		or, err := r.Run(ctx, b, nas(config.Oracle))
-		if err != nil {
-			return nil, err
-		}
-		nv, err := r.Run(ctx, b, nas(config.Naive))
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		no, or, nv := res[i][0], res[i][1], res[i][2]
 		rows = append(rows, Figure2Row{
 			Bench: b, NO: no.IPC(), Oracle: or.IPC(), Naive: nv.IPC(),
 			NaiveMisspec: nv.MisspecRate(),
@@ -141,21 +121,15 @@ func Figure3(ctx context.Context, r *Runner) ([]Figure3Row, error) {
 	for lat := 0; lat <= 2; lat++ {
 		cfgs = append(cfgs, as(config.NoSpec, lat), as(config.Naive, lat))
 	}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, cfgs...)
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure3Row, 0, len(benches))
-	for _, b := range benches {
+	for i, b := range benches {
 		row := Figure3Row{Bench: b}
 		for lat := 0; lat <= 2; lat++ {
-			no, err := r.Run(ctx, b, as(config.NoSpec, lat))
-			if err != nil {
-				return nil, err
-			}
-			nv, err := r.Run(ctx, b, as(config.Naive, lat))
-			if err != nil {
-				return nil, err
-			}
+			no, nv := res[i][2*lat], res[i][2*lat+1]
 			row.NoIPC[lat] = no.IPC()
 			row.NavIPC[lat] = nv.IPC()
 			row.Rel[lat] = nv.IPC()/no.IPC() - 1
@@ -179,28 +153,17 @@ type Figure4Row struct {
 // Figure4 reproduces Figure 4.
 func Figure4(ctx context.Context, r *Runner) ([]Figure4Row, error) {
 	benches := r.opt.benchmarks()
-	cfgs := []config.Machine{as(config.NoSpec, 0), nas(config.Oracle),
-		as(config.Naive, 0), as(config.Naive, 1), as(config.Naive, 2)}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, as(config.NoSpec, 0), nas(config.Oracle),
+		as(config.Naive, 0), as(config.Naive, 1), as(config.Naive, 2))
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure4Row, 0, len(benches))
-	for _, b := range benches {
-		base, err := r.Run(ctx, b, as(config.NoSpec, 0))
-		if err != nil {
-			return nil, err
-		}
-		or, err := r.Run(ctx, b, nas(config.Oracle))
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		base, or := res[i][0], res[i][1]
 		row := Figure4Row{Bench: b, Oracle: or.IPC()/base.IPC() - 1}
 		for lat := 0; lat <= 2; lat++ {
-			nv, err := r.Run(ctx, b, as(config.Naive, lat))
-			if err != nil {
-				return nil, err
-			}
-			row.Nav[lat] = nv.IPC()/base.IPC() - 1
+			row.Nav[lat] = res[i][2+lat].IPC()/base.IPC() - 1
 		}
 		rows = append(rows, row)
 	}
@@ -222,28 +185,13 @@ type Figure5Row struct {
 // Figure5 reproduces Figure 5.
 func Figure5(ctx context.Context, r *Runner) ([]Figure5Row, error) {
 	benches := r.opt.benchmarks()
-	cfgs := []config.Machine{nas(config.Naive), nas(config.Selective), nas(config.StoreBarrier), nas(config.Oracle)}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, nas(config.Naive), nas(config.Selective), nas(config.StoreBarrier), nas(config.Oracle))
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure5Row, 0, len(benches))
-	for _, b := range benches {
-		nv, err := r.Run(ctx, b, nas(config.Naive))
-		if err != nil {
-			return nil, err
-		}
-		sel, err := r.Run(ctx, b, nas(config.Selective))
-		if err != nil {
-			return nil, err
-		}
-		st, err := r.Run(ctx, b, nas(config.StoreBarrier))
-		if err != nil {
-			return nil, err
-		}
-		or, err := r.Run(ctx, b, nas(config.Oracle))
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		nv, sel, st, or := res[i][0], res[i][1], res[i][2], res[i][3]
 		rows = append(rows, Figure5Row{
 			Bench: b,
 			Sel:   sel.IPC()/nv.IPC() - 1, Store: st.IPC()/nv.IPC() - 1,
@@ -271,24 +219,13 @@ type Figure6Row struct {
 // Figure6 reproduces Figure 6 and Table 4.
 func Figure6(ctx context.Context, r *Runner) ([]Figure6Row, error) {
 	benches := r.opt.benchmarks()
-	cfgs := []config.Machine{nas(config.Naive), nas(config.Sync), nas(config.Oracle)}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	res, err := r.grid(ctx, benches, nas(config.Naive), nas(config.Sync), nas(config.Oracle))
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure6Row, 0, len(benches))
-	for _, b := range benches {
-		nv, err := r.Run(ctx, b, nas(config.Naive))
-		if err != nil {
-			return nil, err
-		}
-		sy, err := r.Run(ctx, b, nas(config.Sync))
-		if err != nil {
-			return nil, err
-		}
-		or, err := r.Run(ctx, b, nas(config.Oracle))
-		if err != nil {
-			return nil, err
-		}
+	for i, b := range benches {
+		nv, sy, or := res[i][0], res[i][1], res[i][2]
 		rows = append(rows, Figure6Row{
 			Bench:       b,
 			SyncRel:     sy.IPC()/nv.IPC() - 1,
@@ -321,33 +258,26 @@ const splitUnits = 4
 // Figure7 reproduces the §3.7 discussion quantitatively.
 func Figure7(ctx context.Context, r *Runner) ([]Figure7Row, error) {
 	benches := r.opt.benchmarks()
-	cfgs := []config.Machine{
+	res, err := r.grid(ctx, benches,
 		as(config.Naive, 0),
 		as(config.Naive, 0).WithSplitWindow(splitUnits),
 		nas(config.Naive),
 		nas(config.Naive).WithSplitWindow(splitUnits),
-	}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	)
+	if err != nil {
 		return nil, err
 	}
 	rows := make([]Figure7Row, 0, len(benches))
-	for _, b := range benches {
-		var res [4]*stats.Run
-		for i, c := range cfgs {
-			x, err := r.Run(ctx, b, c)
-			if err != nil {
-				return nil, err
-			}
-			res[i] = x
-		}
+	for i, b := range benches {
+		x := res[i]
 		rows = append(rows, Figure7Row{
 			Bench:           b,
-			ContASMisspec:   res[0].MisspecRate(),
-			SplitASMisspec:  res[1].MisspecRate(),
-			ContNavMisspec:  res[2].MisspecRate(),
-			SplitNavMisspec: res[3].MisspecRate(),
-			ContASIPC:       res[0].IPC(),
-			SplitASIPC:      res[1].IPC(),
+			ContASMisspec:   x[0].MisspecRate(),
+			SplitASMisspec:  x[1].MisspecRate(),
+			ContNavMisspec:  x[2].MisspecRate(),
+			SplitNavMisspec: x[3].MisspecRate(),
+			ContASIPC:       x[0].IPC(),
+			SplitASIPC:      x[1].IPC(),
 		})
 	}
 	return rows, nil
@@ -368,32 +298,23 @@ type SummaryRow struct {
 // the int and fp subsets).
 func Summary(ctx context.Context, r *Runner) ([]SummaryRow, error) {
 	benches := r.opt.benchmarks()
-	cfgs := []config.Machine{nas(config.NoSpec), nas(config.Naive), nas(config.Sync),
-		nas(config.Oracle), as(config.NoSpec, 0), as(config.Naive, 0)}
-	if err := r.prefetch(ctx, benches, cfgs...); err != nil {
+	const nasNO, nasNAV, nasSYNC, nasORACLE, asNO, asNAV = 0, 1, 2, 3, 4, 5
+	res, err := r.grid(ctx, benches, nas(config.NoSpec), nas(config.Naive), nas(config.Sync),
+		nas(config.Oracle), as(config.NoSpec, 0), as(config.Naive, 0))
+	if err != nil {
 		return nil, err
 	}
-	ipc := func(b string, c config.Machine) float64 {
-		res, err := r.Run(ctx, b, c)
-		if err != nil {
-			return 0
-		}
-		return res.IPC()
-	}
-	speedup := func(num, den config.Machine) func(string) float64 {
-		return func(b string) float64 { return ipc(b, num)/ipc(b, den) - 1 }
-	}
 	var rows []SummaryRow
-	add := func(name string, f func(string) float64, intPaper, fpPaper float64) {
-		im, fm := meansByClass(benches, f)
+	add := func(name string, num, den int, intPaper, fpPaper float64) {
+		im, fm := meansByClass(benches, func(i int) float64 { return res[i][num].IPC()/res[i][den].IPC() - 1 })
 		rows = append(rows, SummaryRow{Finding: name, IntMeasured: im, FPMeasured: fm,
 			IntPaper: intPaper, FPPaper: fpPaper})
 	}
-	add("NAS/ORACLE over NAS/NO", speedup(nas(config.Oracle), nas(config.NoSpec)), 0.55, 1.54)
-	add("NAS/NAV over NAS/NO", speedup(nas(config.Naive), nas(config.NoSpec)), 0.29, 1.13)
-	add("AS/NAV over AS/NO (0-cycle)", speedup(as(config.Naive, 0), as(config.NoSpec, 0)), 0.046, 0.053)
-	add("NAS/SYNC over NAS/NAV", speedup(nas(config.Sync), nas(config.Naive)), 0.197, 0.191)
-	add("NAS/ORACLE over NAS/NAV", speedup(nas(config.Oracle), nas(config.Naive)), 0.209, 0.204)
+	add("NAS/ORACLE over NAS/NO", nasORACLE, nasNO, 0.55, 1.54)
+	add("NAS/NAV over NAS/NO", nasNAV, nasNO, 0.29, 1.13)
+	add("AS/NAV over AS/NO (0-cycle)", asNAV, asNO, 0.046, 0.053)
+	add("NAS/SYNC over NAS/NAV", nasSYNC, nasNAV, 0.197, 0.191)
+	add("NAS/ORACLE over NAS/NAV", nasORACLE, nasNAV, 0.209, 0.204)
 	return rows, nil
 }
 

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mdspec/internal/config"
+	"mdspec/internal/stats"
 )
 
 // testRunner uses a small subset and budget so the whole file stays fast.
@@ -17,18 +20,18 @@ func testRunner() *Runner {
 
 func TestRunnerMemoizes(t *testing.T) {
 	r := testRunner()
-	a, err := r.Run(bg, "126.gcc", nas(config.NoSpec))
+	a, _, err := r.RunWithSource(bg, "126.gcc", nas(config.NoSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(bg, "126.gcc", nas(config.NoSpec))
+	b, _, err := r.RunWithSource(bg, "126.gcc", nas(config.NoSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("identical runs should return the memoized result")
 	}
-	c, err := r.Run(bg, "126.gcc", nas(config.Oracle))
+	c, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Oracle))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +42,7 @@ func TestRunnerMemoizes(t *testing.T) {
 
 func TestRunnerUnknownBenchmark(t *testing.T) {
 	r := testRunner()
-	if _, err := r.Run(bg, "999.bogus", nas(config.NoSpec)); err == nil {
+	if _, _, err := r.RunWithSource(bg, "999.bogus", nas(config.NoSpec)); err == nil {
 		t.Fatal("unknown benchmark should error")
 	}
 }
@@ -208,6 +211,38 @@ func TestSummaryAllFindings(t *testing.T) {
 	}
 }
 
+// TestGeneratorsCountOnlyRealAnswers: a generator reads the grid it
+// ran, so a fresh Figure 2 counts no cache hit, and a Summary after it
+// counts exactly the three cells per benchmark they share (NAS/NO,
+// NAS/NAV, NAS/ORACLE), in the counter and in the CacheHit hook alike.
+func TestGeneratorsCountOnlyRealAnswers(t *testing.T) {
+	benches := []string{"129.compress", "126.gcc", "102.swim", "107.mgrid"}
+	n := int64(len(benches))
+	var hooked atomic.Int64
+	r := NewRunner(Options{Insts: 1000, Benchmarks: benches,
+		Hooks: Hooks{CacheHit: func(string, string) { hooked.Add(1) }}})
+	r.UseBackend(func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		return okRun(bench, cfg), nil
+	})
+	for _, step := range []struct {
+		name       string
+		run        func(context.Context, *Runner) error
+		jobs, hits int64
+	}{
+		{"Figure2", func(ctx context.Context, r *Runner) error { _, err := Figure2(ctx, r); return err }, 3 * n, 0},
+		{"Summary", func(ctx context.Context, r *Runner) error { _, err := Summary(ctx, r); return err }, 6 * n, 3 * n},
+	} {
+		if err := step.run(bg, r); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		c := r.Counters()
+		if c.JobsStarted != step.jobs || c.CacheHits != step.hits || hooked.Load() != step.hits {
+			t.Errorf("after %s: jobs_started %d, cache_hits %d, CacheHit hook calls %d; want %d, %d, %d",
+				step.name, c.JobsStarted, c.CacheHits, hooked.Load(), step.jobs, step.hits, step.hits)
+		}
+	}
+}
+
 func TestAblationsRun(t *testing.T) {
 	r := NewRunner(Options{Insts: 10_000, Benchmarks: []string{"129.compress"}})
 	if rows, err := AblationMDPTSize(bg, r); err != nil || len(rows) == 0 {
@@ -246,17 +281,6 @@ func TestWindowAblationGrowsOracleGain(t *testing.T) {
 	// the window.
 	if gain[256] < gain[32] {
 		t.Errorf("oracle gain should grow with window: 32=%+.3f 256=%+.3f", gain[32], gain[256])
-	}
-}
-
-func TestPaperOrder(t *testing.T) {
-	in := []string{"102.swim", "099.go", "147.vortex"}
-	out := paperOrder(in)
-	want := []string{"099.go", "147.vortex", "102.swim"}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("paperOrder = %v, want %v", out, want)
-		}
 	}
 }
 

@@ -42,7 +42,7 @@ func TestInjectedJobPanicRetried(t *testing.T) {
 		}
 	}
 
-	res, err := r.Run(bg, "126.gcc", nas(config.Naive))
+	res, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive))
 	if err != nil {
 		t.Fatalf("retry should absorb the one-shot injected panic: %v", err)
 	}
@@ -81,10 +81,10 @@ func TestInjectedJournalAppendError(t *testing.T) {
 	})
 	defer faultinject.Disarm()
 
-	if _, err := r.Run(bg, "126.gcc", nas(config.Naive)); err != nil {
+	if _, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive)); err != nil {
 		t.Fatalf("journal failure must not fail the cell: %v", err)
 	}
-	if _, err := r.Run(bg, "126.gcc", nas(config.Sync)); err != nil {
+	if _, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Sync)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,7 +141,7 @@ func TestInjectedRecordingWriteError(t *testing.T) {
 	const bench = "129.compress"
 	cfg := nas(config.Sync)
 	opt := Options{Insts: 5_000}
-	want, err := NewRunner(opt).Run(bg, bench, cfg)
+	want, _, err := NewRunner(opt).RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestInjectedRecordingWriteError(t *testing.T) {
 	opt.RecordingDir = dir
 	r := NewRunner(opt)
 	defer r.Close()
-	got, err := r.Run(bg, bench, cfg)
+	got, _, err := r.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatalf("atomicio.write fault must not fail the cell: %v", err)
 	}
@@ -186,7 +186,7 @@ func TestInjectedCkptWriteError(t *testing.T) {
 	cfg := nas(config.Sync)
 
 	// Ground truth from an in-memory (never-written) checkpointed run.
-	want, err := NewRunner(ckptOpt()).Run(bg, bench, cfg)
+	want, _, err := NewRunner(ckptOpt()).RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestInjectedCkptWriteError(t *testing.T) {
 
 	r := NewRunner(faultCkptOpt(dir))
 	defer r.Close()
-	got, err := r.Run(bg, bench, cfg)
+	got, _, err := r.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatalf("ckpt.write fault must not fail the cell: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestInjectedCkptWriteError(t *testing.T) {
 	faultinject.Disarm()
 	h := NewRunner(faultCkptOpt(dir))
 	defer h.Close()
-	if _, err := h.Run(bg, bench, cfg); err != nil {
+	if _, _, err := h.RunWithSource(bg, bench, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "*.mdckpt")); len(files) != 1 {
@@ -232,7 +232,7 @@ func TestInjectedCkptLoadError(t *testing.T) {
 
 	seed := NewRunner(faultCkptOpt(dir))
 	defer seed.Close()
-	want, err := seed.Run(bg, bench, cfg)
+	want, _, err := seed.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestInjectedCkptLoadError(t *testing.T) {
 
 	r := NewRunner(faultCkptOpt(dir))
 	defer r.Close()
-	got, err := r.Run(bg, bench, cfg)
+	got, _, err := r.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatalf("ckpt.load fault must not fail the cell: %v", err)
 	}
@@ -264,7 +264,7 @@ func TestInjectedCkptLoadError(t *testing.T) {
 	faultinject.Disarm()
 	h := NewRunner(faultCkptOpt(dir))
 	defer h.Close()
-	if _, err := h.Run(bg, bench, cfg); err != nil {
+	if _, _, err := h.RunWithSource(bg, bench, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if hc := h.Counters(); hc.CheckpointHits != 1 || hc.CheckpointMisses != 0 {

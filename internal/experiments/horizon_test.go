@@ -75,7 +75,7 @@ func TestCaptureHorizonCoversEveryReplay(t *testing.T) {
 				out := make(map[string]*stats.Run)
 				for _, b := range benches {
 					for _, c := range cfgs {
-						res, err := r.Run(context.Background(), b, c)
+						res, _, err := r.RunWithSource(context.Background(), b, c)
 						if err != nil {
 							t.Fatalf("%s %s: %v", b, c.Name(), err)
 						}

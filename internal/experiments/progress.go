@@ -75,8 +75,9 @@ func (p *Progress) Hooks() Hooks {
 			p.mu.Lock()
 			defer p.mu.Unlock()
 			p.hits++
-			// Cache hits arrive in bursts from render loops; only repaint
-			// when a line is already up to avoid noise before any job runs.
+			// Hits on cells an earlier experiment ran arrive in bursts;
+			// only repaint when a line is already up to avoid noise
+			// before any job runs.
 			if p.started > 0 {
 				p.render()
 			}

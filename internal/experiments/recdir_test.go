@@ -24,7 +24,7 @@ func TestRecordingDirCachesAndReplays(t *testing.T) {
 	opt := Options{Insts: 10_000, Benchmarks: []string{bench}, RecordingDir: dir}
 
 	key := func(r *Runner) string {
-		res, err := r.Run(context.Background(), bench, cfg)
+		res, _, err := r.RunWithSource(context.Background(), bench, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestRecordingDirServesMixedBudgets(t *testing.T) {
 		out := make(map[string]*stats.Run)
 		for _, b := range benches {
 			for _, c := range cfgs {
-				res, err := r.Run(context.Background(), b, c)
+				res, _, err := r.RunWithSource(context.Background(), b, c)
 				if err != nil {
 					t.Fatalf("insts %d: %v", opt.Insts, err)
 				}

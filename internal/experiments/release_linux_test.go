@@ -57,7 +57,7 @@ func TestBatchReleasesBenchmarks(t *testing.T) {
 	opt.RecordingDir = t.TempDir()
 
 	cold := NewRunner(opt) // writes the recording and checkpoint files
-	if err := cold.prefetch(bg, benches, cfgs...); err != nil {
+	if _, err := cold.grid(bg, benches, cfgs...); err != nil {
 		t.Fatal(err)
 	}
 	if err := cold.Close(); err != nil {
@@ -90,7 +90,7 @@ func TestBatchReleasesBenchmarks(t *testing.T) {
 	r = NewRunner(opt)
 	defer r.Close()
 	before := residentFileKB(t)
-	if err := r.prefetch(bg, benches, cfgs...); err != nil {
+	if _, err := r.grid(bg, benches, cfgs...); err != nil {
 		t.Fatal(err)
 	}
 	grown := residentFileKB(t) - before

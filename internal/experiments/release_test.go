@@ -45,7 +45,7 @@ func TestReleaseDuringConcurrentReplays(t *testing.T) {
 	defer ref.Close()
 	want := make(map[config.Machine]*stats.Run)
 	for _, cfg := range append(callerCfgs, batchCfgs...) {
-		res, err := ref.Run(bg, bench, cfg)
+		res, _, err := ref.RunWithSource(bg, bench, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,14 +77,11 @@ func TestReleaseDuringConcurrentReplays(t *testing.T) {
 	}
 	started.Wait()
 	for _, cfg := range batchCfgs {
-		if err := r.prefetch(bg, []string{bench}, cfg); err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run(bg, bench, cfg)
+		res, err := r.grid(bg, []string{bench}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want[cfg], res) {
+		if !reflect.DeepEqual(want[cfg], res[0][0]) {
 			t.Errorf("batch cell %s: stats differ from the unreleased runner's", cfg.Name())
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mdspec/internal/stats"
-	"mdspec/internal/workload"
 )
 
 func pct(v float64) string  { return fmt.Sprintf("%+.1f%%", 100*v) }
@@ -137,21 +136,4 @@ func RenderSummary(rows []SummaryRow) string {
 		t.Add(r.Finding, pct(r.IntMeasured), pct(r.IntPaper), pct(r.FPMeasured), pct(r.FPPaper))
 	}
 	return "Summary (§4): average speedups, measured vs paper\n" + t.String()
-}
-
-// orderRows sorts rows to the paper's Table 1 order; experiments already
-// iterate in that order, so this is a no-op guard for custom benchmark
-// subsets.
-func paperOrder(benches []string) []string {
-	idx := make(map[string]int)
-	for i, n := range workload.Names() {
-		idx[n] = i
-	}
-	out := append([]string(nil), benches...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && idx[out[j]] < idx[out[j-1]]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -27,7 +27,7 @@ func runSweep(t *testing.T, r *Runner, jobs []job) map[runKeyID]*stats.Run {
 	t.Helper()
 	out := make(map[runKeyID]*stats.Run)
 	for _, j := range jobs {
-		res, err := r.Run(bg, j.bench, j.cfg)
+		res, _, err := r.RunWithSource(bg, j.bench, j.cfg)
 		if err != nil {
 			t.Fatalf("%s under %s: %v", j.bench, j.cfg.Name(), err)
 		}
@@ -159,7 +159,7 @@ func TestCrashRecoveryKeepsOlderFiles(t *testing.T) {
 	r1 := NewRunner(opt1)
 	var sizes []int64
 	for _, jb := range jobs[2:] {
-		if _, err := r1.Run(bg, jb.bench, jb.cfg); err != nil {
+		if _, _, err := r1.RunWithSource(bg, jb.bench, jb.cfg); err != nil {
 			t.Fatalf("%s under %s: %v", jb.bench, jb.cfg.Name(), err)
 		}
 		fi, err := os.Stat(journalPath(dir))

@@ -42,7 +42,7 @@ func TestRetryTransientThenSuccess(t *testing.T) {
 	var retried atomic.Int64
 	r.opt.Hooks.JobRetried = func(bench, cfg string, attempt int, err error) { retried.Add(1) }
 
-	res, err := r.Run(bg, "126.gcc", nas(config.Naive))
+	res, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 		return nil, errors.New("permanent: bad input")
 	}
 
-	_, err := r.Run(bg, "126.gcc", nas(config.Naive))
+	_, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive))
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -107,7 +107,7 @@ func TestPanicBecomesTypedError(t *testing.T) {
 		panic("simulator bug")
 	}
 
-	_, err := r.Run(bg, "126.gcc", nas(config.Sync))
+	_, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Sync))
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -149,7 +149,7 @@ func TestDeadlockErrorNotRetried(t *testing.T) {
 				return okRun(bench, cfg), nil
 			}
 
-			_, err := r.Run(bg, "126.gcc", nas(config.Naive))
+			_, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive))
 			if calls.Load() != 1 {
 				t.Errorf("deadlocked cell attempted %d times, want 1", calls.Load())
 			}
@@ -198,12 +198,15 @@ func TestExhaustedRetriesAbandonCell(t *testing.T) {
 		return okRun(bench, cfg), nil
 	}
 
-	err := r.runAll(bg, []job{
+	res, err := r.runAll(bg, []job{
 		{"126.gcc", nas(config.Naive)},
 		{"102.swim", nas(config.Naive)},
 	})
 	if err == nil {
 		t.Fatal("sweep with an abandoned cell should report the failure")
+	}
+	if res[0] != nil || res[1] == nil {
+		t.Errorf("runAll stats = %v, want nil for the abandoned cell and the healthy cell's run", res)
 	}
 
 	ab := r.Abandoned()
@@ -239,7 +242,7 @@ func TestSampledFallbackSerial(t *testing.T) {
 		return okRun(bench, cfg), nil
 	}
 
-	res, err := r.Run(bg, "126.gcc", nas(config.Naive))
+	res, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive))
 	if err != nil {
 		t.Fatalf("fallback should rescue the cell: %v", err)
 	}
@@ -267,7 +270,7 @@ func TestSampledFallbackAlsoFails(t *testing.T) {
 		return nil, errors.New("serial fault")
 	}
 
-	_, err := r.Run(bg, "126.gcc", nas(config.Naive))
+	_, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive))
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -295,7 +298,7 @@ func TestSampledFallbackCanceled(t *testing.T) {
 		return nil, ctx.Err()
 	}
 
-	if _, err := r.Run(ctx, "126.gcc", nas(config.Naive)); !errors.Is(err, context.Canceled) {
+	if _, _, err := r.RunWithSource(ctx, "126.gcc", nas(config.Naive)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if ab := r.Abandoned(); len(ab) != 0 {
@@ -312,7 +315,7 @@ func TestSampledFallbackEqualsPrimary(t *testing.T) {
 	cfg := nas(config.Naive)
 	opt := ckptOpt()
 	opt.Retry = retry.Policy{MaxAttempts: 2}
-	want, err := NewRunner(opt).Run(bg, bench, cfg)
+	want, _, err := NewRunner(opt).RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +325,7 @@ func TestSampledFallbackEqualsPrimary(t *testing.T) {
 	r.sim = func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
 		return nil, &parsim.PanicError{Segment: 1, Value: "engine fault"}
 	}
-	got, err := r.Run(bg, bench, cfg)
+	got, _, err := r.RunWithSource(bg, bench, cfg)
 	if err != nil {
 		t.Fatalf("fallback should rescue the cell: %v", err)
 	}
@@ -347,7 +350,7 @@ func TestRetryBackoffHonorsCancellation(t *testing.T) {
 		return nil, &parsim.PanicError{Segment: 0, Value: "flaky"}
 	}
 
-	_, err := r.Run(ctx, "126.gcc", nas(config.Naive))
+	_, _, err := r.RunWithSource(ctx, "126.gcc", nas(config.Naive))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

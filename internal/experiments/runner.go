@@ -24,6 +24,8 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,6 +125,25 @@ func (o Options) functionalWindow() int64 {
 	return 2 * o.timingWindow()
 }
 
+// ParseSampling parses a sampling geometry written T:F, T timing and F
+// functional instructions per period, the form mdsim -sample, mdexp
+// -sampled and mdserve -sampled take. The whole string must be the two
+// numbers, and both must be positive: Options would silently replace a
+// zero window by its default, so one string would name two geometries.
+func ParseSampling(s string) (timing, functional int64, err error) {
+	ts, fs, ok := strings.Cut(s, ":")
+	if ok {
+		timing, err = strconv.ParseInt(ts, 10, 64)
+	}
+	if ok && err == nil {
+		functional, err = strconv.ParseInt(fs, 10, 64)
+	}
+	if !ok || err != nil || timing <= 0 || functional <= 0 {
+		return 0, 0, fmt.Errorf("bad sampling geometry %q: want T:F, two positive instruction counts", s)
+	}
+	return timing, functional, nil
+}
+
 // sampling is the fixed interval-parallel decomposition of every
 // sampled cell under these options. Each attempt at a cell runs over
 // it, so a cell has one value whichever attempt answers it.
@@ -146,8 +167,9 @@ type Hooks struct {
 	// JobFinished fires when a simulation completes, with its wall time
 	// and error (nil on success).
 	JobFinished func(bench, cfg string, d time.Duration, err error)
-	// CacheHit fires when a Run call is satisfied from the memo cache or
-	// joins an in-flight duplicate simulation.
+	// CacheHit fires when a cell is answered without a new simulation:
+	// from the memo cache, from a primed journal, or by joining an
+	// in-flight duplicate.
 	CacheHit func(bench, cfg string)
 	// JobRetried fires when a transiently-failed simulation is about to
 	// be re-attempted; attempt is the 1-based attempt that just failed
@@ -793,17 +815,10 @@ func (r *Runner) runWithRecovery(ctx context.Context, bench string, cfg config.M
 	return nil, attempts, "", err
 }
 
-// cfgHash returns cfg's provenance hash, memoized per Runner the way
-// cfgName already is per call: Hash() renders every Machine field
-// through fmt, and under mdserve the hash is consulted on every
-// request (cache key, journal key, abandoned-cell identity).
-func (r *Runner) cfgHash(cfg config.Machine) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfgHashLocked(cfg)
-}
-
-// cfgHashLocked is cfgHash for callers already holding r.mu.
+// cfgHashLocked returns cfg's provenance hash, memoized per Runner:
+// Hash() renders every Machine field through fmt, and under mdserve the
+// hash is consulted on every request (cache key, journal key,
+// abandoned-cell identity).
 //
 //md:locked mu
 func (r *Runner) cfgHashLocked(cfg config.Machine) string {
@@ -833,22 +848,16 @@ const (
 	SourceJournal RunSource = "journal"
 )
 
-// Run simulates bench under cfg. Results are memoized, and concurrent
-// calls for the same (bench, cfg) pair share a single simulation
-// (singleflight). A canceled context aborts before starting new work;
-// an already-running duplicate is abandoned (it completes and populates
-// the cache for later callers). Errors are returned naming the
-// offending (bench, config) pair and are not cached.
-func (r *Runner) Run(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-	res, _, err := r.RunWithSource(ctx, bench, cfg)
-	return res, err
-}
-
-// RunWithSource is Run, additionally reporting whether the result was
-// freshly simulated, served from the memo cache, deduplicated against
-// an in-flight duplicate, or replayed from a primed journal. mdserve
-// responses carry the source so clients can tell a cache hit from a
-// paid simulation.
+// RunWithSource simulates bench under cfg and reports whether the
+// result was freshly simulated, served from the memo cache,
+// deduplicated against an in-flight duplicate, or replayed from a
+// primed journal. Results are memoized, and concurrent calls for the
+// same (bench, cfg) pair share a single simulation (singleflight). A
+// canceled context aborts before starting new work; an already-running
+// duplicate is abandoned (it completes and populates the cache for
+// later callers). Errors are returned naming the offending (bench,
+// config) pair and are not cached. mdserve responses carry the source
+// so clients can tell a cache hit from a paid simulation.
 func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, RunSource, error) {
 	key := runKey{bench, cfg}
 	rec, src, c, err := r.lookup(ctx, key, true)
@@ -1024,7 +1033,7 @@ type SimulateFunc func(ctx context.Context, bench string, cfg config.Machine) (*
 // cache, singleflight dedup, journal priming, hooks and counters
 // in front of it. mdexp -server uses it to point experiments at a
 // remote mdserve daemon instead of simulating locally. Call it before
-// the first Run; it is not safe to swap backends mid-sweep.
+// the first simulation; it is not safe to swap backends mid-sweep.
 func (r *Runner) UseBackend(sim SimulateFunc) {
 	r.sim = sim
 	r.simSerial = sim
@@ -1040,9 +1049,9 @@ func (r *Runner) LocalSimulate(ctx context.Context, bench string, cfg config.Mac
 	return r.simulate(ctx, bench, cfg)
 }
 
-// RunGuarded is Run behind the runner's parallelism budget: a call
-// that Lookup settles — memo cache, primed journal, or joining an
-// in-flight duplicate — proceeds immediately, anything else first
+// RunGuarded is RunWithSource behind the runner's parallelism budget:
+// a call that Lookup settles — memo cache, primed journal, or joining
+// an in-flight duplicate — proceeds immediately, anything else first
 // acquires one token of Options.Parallel. It is the per-job step of the
 // bounded sweep pool (runAll) and of the mdserve scheduler's workers,
 // which must never let one queued request oversubscribe the shared
@@ -1064,20 +1073,23 @@ type job struct {
 	cfg   config.Machine
 }
 
-// runAll executes all jobs with bounded parallelism: a fixed pool of
-// at most Options.Parallel workers drains the job list, so a sweep of
-// N cells costs O(parallel) goroutines instead of N (the same pool
-// shape mdserve uses to absorb unbounded request streams). Unlike a
+// runAll executes all jobs with bounded parallelism and returns each
+// job's statistics, res[i] for jobs[i]: a fixed pool of at most
+// Options.Parallel workers drains the job list, so a sweep of N cells
+// costs O(parallel) goroutines instead of N (the same pool shape
+// mdserve uses to absorb unbounded request streams). Unlike a
 // first-error-wins sweep, it drains every job and returns the joined
 // errors of all failures, each naming its (bench, config) pair. When
 // ctx is canceled, jobs not yet running are abandoned and a single
-// context error is reported alongside any real failures.
+// context error is reported alongside any real failures. A job that
+// failed or never ran leaves a nil entry.
 //
 // The job that returns last among a benchmark's releases the benchmark
 // (see release), so a batch queued one benchmark at a time holds about
 // Parallel benchmarks' recordings and checkpoint sets, not all of them.
 // A canceled batch releases nothing more; Close still unmaps everything.
-func (r *Runner) runAll(ctx context.Context, jobs []job) error {
+func (r *Runner) runAll(ctx context.Context, jobs []job) ([]*stats.Run, error) {
+	res := make([]*stats.Run, len(jobs))
 	errs := make([]error, len(jobs))
 	left := make(map[string]*atomic.Int64)
 	for _, j := range jobs {
@@ -1097,8 +1109,7 @@ func (r *Runner) runAll(ctx context.Context, jobs []job) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				_, _, err := r.RunGuarded(ctx, jobs[i].bench, jobs[i].cfg)
-				errs[i] = err
+				res[i], _, errs[i] = r.RunGuarded(ctx, jobs[i].bench, jobs[i].cfg)
 				if left[jobs[i].bench].Add(-1) == 0 && ctx.Err() == nil {
 					r.release(jobs[i].bench)
 				}
@@ -1122,12 +1133,15 @@ submit:
 	close(idx)
 	wg.Wait()
 
+	// A job's context error collapses into the batch's only when the
+	// batch itself was canceled; a backend's own deadline is a failure
+	// like any other, so a nil error means every entry of res is set.
 	var failures []error
 	canceled := aborted
 	for _, e := range errs {
 		switch {
 		case e == nil:
-		case errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded):
+		case ctx.Err() != nil && (errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded)):
 			canceled = true // collapse the cancellation storm into one error
 		default:
 			failures = append(failures, e)
@@ -1136,26 +1150,36 @@ submit:
 	if canceled {
 		failures = append(failures, ctx.Err())
 	}
-	return errors.Join(failures...)
+	return res, errors.Join(failures...)
 }
 
-// prefetch runs the cross product of benchmarks and configs in parallel
-// so subsequent Run calls hit the memo.
-func (r *Runner) prefetch(ctx context.Context, benches []string, cfgs ...config.Machine) error {
+// grid runs the cross product of benchmarks and configs in one batch
+// and returns its statistics: res[i][j] is benches[i] under cfgs[j].
+// Jobs are queued bench-major, so the batch releases each benchmark
+// after its last cell (see runAll).
+func (r *Runner) grid(ctx context.Context, benches []string, cfgs ...config.Machine) ([][]*stats.Run, error) {
 	jobs := make([]job, 0, len(benches)*len(cfgs))
 	for _, b := range benches {
 		for _, c := range cfgs {
 			jobs = append(jobs, job{b, c})
 		}
 	}
-	return r.runAll(ctx, jobs)
+	runs, err := r.runAll(ctx, jobs)
+	if err != nil {
+		return nil, err
+	}
+	res := make([][]*stats.Run, len(benches))
+	for i := range res {
+		res[i] = runs[i*len(cfgs) : (i+1)*len(cfgs)]
+	}
+	return res, nil
 }
 
-// means computes arithmetic means of a metric over the SPECint and
-// SPECfp subsets of rows (keyed by benchmark name). Names that are in
-// neither subset (misspellings that slipped past CLI validation) are
-// skipped rather than silently classified as FP.
-func meansByClass(benches []string, metric func(bench string) float64) (intMean, fpMean float64) {
+// meansByClass computes arithmetic means of a metric over the SPECint
+// and SPECfp subsets of benches; metric(i) is benches[i]'s value. Names
+// that are in neither subset (misspellings that slipped past CLI
+// validation) are skipped rather than silently classified as FP.
+func meansByClass(benches []string, metric func(i int) float64) (intMean, fpMean float64) {
 	intSet := make(map[string]bool)
 	for _, n := range workload.IntNames() {
 		intSet[n] = true
@@ -1165,12 +1189,12 @@ func meansByClass(benches []string, metric func(bench string) float64) (intMean,
 		fpSet[n] = true
 	}
 	var iv, fv []float64
-	for _, b := range benches {
+	for i, b := range benches {
 		switch {
 		case intSet[b]:
-			iv = append(iv, metric(b))
+			iv = append(iv, metric(i))
 		case fpSet[b]:
-			fv = append(fv, metric(b))
+			fv = append(fv, metric(i))
 		}
 	}
 	return stats.Mean(iv), stats.Mean(fv)

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -28,9 +29,12 @@ func TestRunAllAggregatesAllErrors(t *testing.T) {
 		{"bogus.one", nas(config.NoSpec)},
 		{"bogus.two", nas(config.Oracle)},
 	}
-	err := r.runAll(bg, jobs)
+	res, err := r.runAll(bg, jobs)
 	if err == nil {
 		t.Fatal("runAll with two failing jobs returned nil")
+	}
+	if res[0] == nil || res[0].Workload != "126.gcc" || res[1] != nil || res[2] != nil {
+		t.Errorf("runAll stats = %v, want the healthy job's run and nil for each failure", res)
 	}
 	msg := err.Error()
 	for _, want := range []string{"bogus.one", "bogus.two", "NAS/NO", "NAS/ORACLE"} {
@@ -40,9 +44,27 @@ func TestRunAllAggregatesAllErrors(t *testing.T) {
 	}
 }
 
+// TestRunAllReportsBackendDeadline: a backend error that wraps
+// context.DeadlineExceeded while the batch's own context is live is a
+// failure of that cell, not the batch's cancellation, so a generator
+// never reads a missing cell as a result.
+func TestRunAllReportsBackendDeadline(t *testing.T) {
+	r := NewRunner(Options{Insts: 1000, Benchmarks: []string{"126.gcc", "102.swim"}})
+	r.UseBackend(func(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+		if bench == "102.swim" && cfg.Policy == config.Naive {
+			return nil, fmt.Errorf("remote request: %w", context.DeadlineExceeded)
+		}
+		return okRun(bench, cfg), nil
+	})
+	rows, err := Figure2(bg, r)
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "102.swim") || rows != nil {
+		t.Fatalf("Figure2 = %v, %v; want no rows and the 102.swim cell's deadline error", rows, err)
+	}
+}
+
 func TestRunNamesFailingPair(t *testing.T) {
 	r := NewRunner(Options{Insts: 1000})
-	_, err := r.Run(bg, "999.nope", nas(config.Sync))
+	_, _, err := r.RunWithSource(bg, "999.nope", nas(config.Sync))
 	if err == nil {
 		t.Fatal("unknown benchmark should error")
 	}
@@ -57,7 +79,7 @@ func TestRunNamesFailingPair(t *testing.T) {
 // timing run, and both land in the memo cache as usual.
 func TestRunnerSampled(t *testing.T) {
 	r := NewRunner(Options{Insts: 12_000, Sampled: true, TimingWindow: 2_000, FunctionalWindow: 4_000})
-	res, err := r.Run(bg, "129.compress", nas(config.Sync))
+	res, _, err := r.RunWithSource(bg, "129.compress", nas(config.Sync))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +93,7 @@ func TestRunnerSampled(t *testing.T) {
 		t.Errorf("Workload = %q, want 129.compress", res.Workload)
 	}
 
-	split, err := r.Run(bg, "129.compress", nas(config.Naive).WithSplitWindow(4))
+	split, _, err := r.RunWithSource(bg, "129.compress", nas(config.Naive).WithSplitWindow(4))
 	if err != nil {
 		t.Fatalf("split-window config under Sampled should fall back to full timing: %v", err)
 	}
@@ -97,7 +119,7 @@ func TestRunnerSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := r.Run(bg, "126.gcc", nas(config.Naive))
+			res, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive))
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -127,7 +149,7 @@ func TestRunnerSingleflight(t *testing.T) {
 func TestRunnerSharesRecordingAcrossConfigs(t *testing.T) {
 	r := NewRunner(Options{Insts: 3000})
 	for _, cfg := range []config.Machine{nas(config.NoSpec), nas(config.Naive), nas(config.Sync)} {
-		if _, err := r.Run(bg, "129.compress", cfg); err != nil {
+		if _, _, err := r.RunWithSource(bg, "129.compress", cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +187,7 @@ func TestRunnerFirstUseBuildsOnce(t *testing.T) {
 		go func(i int, cfg config.Machine) {
 			defer wg.Done()
 			<-start
-			if _, err := r.Run(bg, "129.compress", cfg); err != nil {
+			if _, _, err := r.RunWithSource(bg, "129.compress", cfg); err != nil {
 				t.Error(err)
 			}
 			rec, err := r.recording("129.compress")
@@ -251,11 +273,11 @@ func TestRunnerMemoizesStub(t *testing.T) {
 		sims.Add(1)
 		return &stats.Run{Workload: bench, Config: cfg.Name(), Cycles: 1, Committed: 1}, nil
 	}
-	a, err := r.Run(bg, "126.gcc", nas(config.NoSpec))
+	a, _, err := r.RunWithSource(bg, "126.gcc", nas(config.NoSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(bg, "126.gcc", nas(config.NoSpec))
+	b, _, err := r.RunWithSource(bg, "126.gcc", nas(config.NoSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +309,7 @@ func TestRunnerCancellationAbortsSweep(t *testing.T) {
 		cancel()
 	}()
 	t0 := time.Now()
-	err := r.runAll(ctx, jobs)
+	_, err := r.runAll(ctx, jobs)
 	elapsed := time.Since(t0)
 
 	if !errors.Is(err, context.Canceled) {
@@ -300,7 +322,7 @@ func TestRunnerCancellationAbortsSweep(t *testing.T) {
 		t.Errorf("%d sims started despite Parallel=2 and early cancel", n)
 	}
 	// New work after cancellation is refused immediately.
-	if _, err := r.Run(ctx, "z", nas(config.Naive)); !errors.Is(err, context.Canceled) {
+	if _, _, err := r.RunWithSource(ctx, "z", nas(config.Naive)); !errors.Is(err, context.Canceled) {
 		t.Errorf("Run on canceled ctx = %v, want context.Canceled", err)
 	}
 }
@@ -321,7 +343,7 @@ func TestRunAllPreCanceledContext(t *testing.T) {
 	cancel()
 
 	t0 := time.Now()
-	err := r.runAll(ctx, jobs)
+	_, err := r.runAll(ctx, jobs)
 	elapsed := time.Since(t0)
 
 	// Submission is ctx-aware: a sweep handed a dead context reports the
@@ -350,18 +372,18 @@ func TestRunnerDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(bg, 30*time.Millisecond)
 	defer cancel()
-	err := r.prefetch(ctx, []string{"a", "b", "c"}, nas(config.Naive))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("prefetch past deadline = %v, want DeadlineExceeded", err)
+	res, err := r.grid(ctx, []string{"a", "b", "c"}, nas(config.Naive))
+	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
+		t.Fatalf("grid past deadline = %v, %v, want DeadlineExceeded and no rows", res, err)
 	}
 }
 
 func TestRunnerRecordsProvenance(t *testing.T) {
 	r := NewRunner(Options{Insts: 5_000})
-	if _, err := r.Run(bg, "126.gcc", nas(config.Naive)); err != nil {
+	if _, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(bg, "126.gcc", nas(config.Naive)); err != nil { // cache hit: no new record
+	if _, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive)); err != nil { // cache hit: no new record
 		t.Fatal(err)
 	}
 	recs := r.Records()
@@ -430,7 +452,7 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 
 func TestResultsCSV(t *testing.T) {
 	r := NewRunner(Options{Insts: 5_000, Benchmarks: []string{"126.gcc"}})
-	if _, err := r.Run(bg, "126.gcc", nas(config.Naive)); err != nil {
+	if _, _, err := r.RunWithSource(bg, "126.gcc", nas(config.Naive)); err != nil {
 		t.Fatal(err)
 	}
 	rs := NewResults("mdexp-test", r.Options())
@@ -477,15 +499,42 @@ func TestProgressLine(t *testing.T) {
 	}
 }
 
+// TestParseSampling: a sampling geometry is the whole string, two
+// positive counts; anything else is refused rather than run under
+// another geometry.
+func TestParseSampling(t *testing.T) {
+	for _, tc := range []struct {
+		in     string
+		tw, fw int64
+		ok     bool
+	}{
+		{"2000:4000", 2000, 4000, true},
+		{"5000:10000", 5000, 10000, true},
+		{"1:1", 1, 1, true},
+		{"2000:4000x", 0, 0, false},
+		{"2000:4000:1", 0, 0, false},
+		{"2000:0", 0, 0, false},
+		{"0:4000", 0, 0, false},
+		{"-2000:4000", 0, 0, false},
+		{"2000:-1", 0, 0, false},
+		{" 2000:4000", 0, 0, false},
+		{"2000 :4000", 0, 0, false},
+		{"2000", 0, 0, false},
+		{"2000:", 0, 0, false},
+		{":4000", 0, 0, false},
+		{"", 0, 0, false},
+		{"99999999999999999999:1", 0, 0, false},
+	} {
+		tw, fw, err := ParseSampling(tc.in)
+		if (err == nil) != tc.ok || tw != tc.tw || fw != tc.fw {
+			t.Errorf("ParseSampling(%q) = %d, %d, %v; want %d, %d, ok=%v", tc.in, tw, fw, err, tc.tw, tc.fw, tc.ok)
+		}
+	}
+}
+
 func TestMeansByClassSkipsUnknownNames(t *testing.T) {
-	metric := func(b string) float64 {
-		if b == "126.gcc" {
-			return 1
-		}
-		if b == "102.swim" {
-			return 3
-		}
-		return 1000 // a misspelled name must never reach the metric
+	metric := func(i int) float64 {
+		return []float64{1, 3, 1000}[i] // a misspelled name must never reach the metric
 	}
 	im, fm := meansByClass([]string{"126.gcc", "102.swim", "126.gc"}, metric)
 	if im != 1 || fm != 3 {

@@ -752,7 +752,7 @@ func TestClientAsRemoteBackend(t *testing.T) {
 	// unchanged, every simulation deferred to the daemon.
 	local := experiments.NewRunner(opt)
 	local.UseBackend(cl.Run)
-	res, err := local.Run(context.Background(), "102.swim", cfg)
+	res, _, err := local.RunWithSource(context.Background(), "102.swim", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,7 +760,7 @@ func TestClientAsRemoteBackend(t *testing.T) {
 		t.Errorf("runner-mounted client stats differ:\ngot:  %+v\nwant: %+v", res, want)
 	}
 	// The daemon now holds both cells; the local memo dedups repeats.
-	if _, err := local.Run(context.Background(), "102.swim", cfg); err != nil {
+	if _, _, err := local.RunWithSource(context.Background(), "102.swim", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if c := local.Counters(); c.CacheHits != 1 {

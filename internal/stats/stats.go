@@ -2,14 +2,11 @@
 // the raw counters one simulation produces; helpers compute the derived
 // metrics the paper reports (IPC, misspeculation rate over committed
 // loads, false-dependence ratio and resolution latency) and the
-// arithmetic/geometric aggregates used in the paper's summary.
+// arithmetic means used in the paper's summary.
 package stats
 
 import (
 	"fmt"
-	"log"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -130,16 +127,6 @@ func (r *Run) String() string {
 		100*r.MisspecRate(), 100*r.BranchMissRate())
 }
 
-// Speedup returns the relative performance of r over base as a ratio of
-// IPCs (1.0 = parity).
-func (r *Run) Speedup(base *Run) float64 {
-	b := base.IPC()
-	if b == 0 {
-		return 0
-	}
-	return r.IPC() / b
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -150,25 +137,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs (0 for empty input). A
-// non-positive value indicates a bug upstream; rather than panicking in
-// library code, GeoMean logs a warning and returns NaN so the corrupt
-// aggregate is visible but survivable.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			log.Printf("stats: GeoMean of non-positive value %v (returning NaN)", x)
-			return math.NaN()
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Table formats rows of (label, columns...) with aligned columns; a
@@ -224,9 +192,4 @@ func (t *Table) String() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRows sorts the table rows by the first column.
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool { return t.Rows[i][0] < t.Rows[j][0] })
 }
