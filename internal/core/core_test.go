@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"mdspec/internal/config"
 	"mdspec/internal/emu"
@@ -314,6 +317,72 @@ func TestRunTwiceFails(t *testing.T) {
 	}
 	if _, err := pl.Run(1000); err == nil {
 		t.Fatal("second Run should fail")
+	}
+}
+
+// cancelAfter is a context whose Err reports Canceled from its n-th
+// call on, so a test can cancel RunContext at a known poll.
+type cancelAfter struct {
+	context.Context
+	calls, n int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunContextAlreadyCanceled: a context that is done before the run
+// stops it before the first step.
+func TestRunContextAlreadyCanceled(t *testing.T) {
+	pl, err := New(config.Default128(), emu.NewTrace(emu.New(aluLoop(100_000))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := pl.RunContext(ctx, 50_000)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("RunContext = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if pl.cycle != 0 || pl.res.Committed != 0 {
+		t.Errorf("ran %d cycles and committed %d before giving up", pl.cycle, pl.res.Committed)
+	}
+}
+
+// TestRunContextCancelMidRun cancels a run at its third poll of the
+// context: it stops there, after two intervals of ctxCheckSteps steps,
+// with the cell unfinished. A real cancel from another goroutine stops
+// a run that would otherwise take seconds.
+func TestRunContextCancelMidRun(t *testing.T) {
+	const budget = 5_000_000
+	pl, err := New(config.Default128(), emu.NewTrace(emu.New(aluLoop(budget))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &cancelAfter{Context: context.Background(), n: 3}
+	res, err := pl.RunContext(ctx, budget)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("RunContext = %v, %v; want nil, context.Canceled", res, err)
+	}
+	if ctx.calls != 3 || pl.res.Committed == 0 || pl.res.Committed >= budget {
+		t.Errorf("stopped after %d polls with %d of %d committed", ctx.calls, pl.res.Committed, budget)
+	}
+
+	pl, err = New(config.Default128(), emu.NewTrace(emu.New(aluLoop(budget))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx2, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if _, err := pl.RunContext(ctx2, budget); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext after cancel = %v, want context.Canceled", err)
+	}
+	if pl.res.Committed >= budget {
+		t.Errorf("committed all %d instructions despite the cancel", budget)
 	}
 }
 

@@ -27,6 +27,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -391,13 +392,32 @@ func New(cfg config.Machine, trace emu.Stream) (*Pipeline, error) {
 }
 
 // Run simulates until maxInsts instructions have committed (or the trace
-// ends) and returns the collected statistics.
+// ends) and returns the collected statistics. It is RunContext that
+// cannot be canceled.
 func (p *Pipeline) Run(maxInsts int64) (*stats.Run, error) {
+	return p.RunContext(context.Background(), maxInsts)
+}
+
+// ctxCheckSteps is how many steps RunContext takes between two looks at
+// its context: a few milliseconds of simulation at most, and a cost
+// per step too small to measure.
+const ctxCheckSteps = 4096
+
+// RunContext is Run that gives up with ctx's error once ctx is done,
+// so a canceled request does not hold a worker for the rest of a long
+// cell. It polls ctx before the first step and every ctxCheckSteps
+// steps after.
+func (p *Pipeline) RunContext(ctx context.Context, maxInsts int64) (*stats.Run, error) {
 	if p.cycle != 0 || p.res.Committed != 0 {
 		return nil, fmt.Errorf("core: Run called twice on one Pipeline")
 	}
 	maxCycles := maxInsts*200 + 100_000 // livelock guard (IPC < 0.005 means a bug)
-	for p.res.Committed < maxInsts {
+	for steps := 0; p.res.Committed < maxInsts; steps++ {
+		if steps%ctxCheckSteps == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		if p.traceEnded && p.headSeq >= p.traceLen {
 			break // every instruction has committed
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdspec/internal/cache"
 	"mdspec/internal/config"
 	"mdspec/internal/emu"
 	"mdspec/internal/isa"
@@ -202,6 +203,57 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 				t.Errorf("steady-state step allocates %.2f times per cycle, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestNoOverflowEventsAtCaps runs the validated machines at the
+// configuration caps that internal/experiments' capture-horizon test
+// replays (window config.MaxWindow, widths four times the window,
+// memory ports at the D-cache's banks) over an integer and a
+// floating-point benchmark, at the budget where more ports than banks
+// used to collapse a machine. No event may land past the wheel's
+// horizon: the overflow slice is scanned every cycle, and a machine
+// that fills it slows by orders of magnitude. over starts nil and only
+// push appends to it, so a non-zero capacity means an event got there.
+func TestNoOverflowEventsAtCaps(t *testing.T) {
+	wide := config.Default128()
+	wide.Window = config.MaxWindow
+	wide.FetchWidth = 4 * config.MaxWindow
+	wide.IssueWidth = 4 * config.MaxWindow
+	wide.CommitWidth = 4 * config.MaxWindow
+	wide.BranchesPerCycle = config.MaxWindow
+	wide.IntALUs, wide.IntMulDivs, wide.FPUnits = 64, 64, 64
+	wide.MemPorts = cache.DCacheBanks
+	wrongPath := wide.WithPolicy(config.Naive)
+	wrongPath.WrongPathFetch = true
+	cfgs := []config.Machine{
+		wide,
+		wide.WithPolicy(config.Oracle),
+		wide.WithPolicy(config.Sync),
+		wide.WithPolicy(config.Naive),
+		wide.WithPolicy(config.Naive).WithRecovery(config.RecoverySelective),
+		wide.WithPolicy(config.Naive).WithAddressScheduler(2),
+		wide.WithPolicy(config.Naive).WithAddressScheduler(2).WithSplitWindow(4),
+		wrongPath,
+	}
+	for _, bench := range []string{"126.gcc", "145.fpppp"} {
+		rec := emu.NewRecording(emu.New(workload.MustBuild(bench)))
+		for _, cfg := range cfgs {
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("%s: %v", cfg.Name(), err)
+			}
+			pl, err := New(cfg, rec.NewReplay())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pl.Run(8_192); err != nil {
+				t.Fatalf("%s %s: %v", bench, cfg.Name(), err)
+			}
+			if c := cap(pl.events.over); c != 0 {
+				t.Errorf("%s %s: events went past the wheel's %d-cycle horizon (overflow capacity %d)",
+					bench, cfg.Name(), wheelHorizon, c)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"unsafe"
@@ -16,37 +17,54 @@ import (
 	"mdspec/internal/prog"
 )
 
-// Recording file format (version 1). All sections are little-endian and
+// Recording file format (version 2). All sections are little-endian and
 // 8-byte aligned so a read-only mmap can be viewed in place as typed
 // column slices — multiple mdserve worker processes then share one
 // physical copy of each benchmark's recording through the page cache.
 //
-//	[0]  magic   "MDREC001"
-//	[8]  n       int64    total instructions
-//	[16] tailPC  uint32   NextPC of the last instruction
-//	[20] flags   uint32   bit 0: recording is complete
+//	[0]  magic    "MDREC002"
+//	[8]  n        int64   total instructions
+//	[16] tailPC   uint32  NextPC of the last instruction
+//	[20] flags    uint32  bit 0: recording is complete; bit 1: sealed prefix
 //	[24] progHash uint64  fingerprint of the program the columns index
-//	[32] nChunks uint32
-//	[36] crc     uint32   CRC-32 (IEEE) of directory+payload
-//	[40] directory: per chunk {chunkLen, nVals, nEsc} uint32, padded to 8
-//	then per chunk, each section padded to 8 bytes:
-//	     pcIdx[chunkLen]u32  addr[chunkLen]u32  dep1[chunkLen]u16
-//	     dep2[chunkLen]u16   prod[chunkLen]u16  valIdx[chunkLen]u16
-//	     taken[(chunkLen+63)/64]u64  vals[nVals]i64
+//	[32] nChunks  uint32
+//	[36] pcBytes  uint32  width of a pcIdx entry: 2, or 4 for programs of
+//	                      more than 65,536 static instructions
+//	[40] reserved uint32  zero
+//	[44] crc      uint32  CRC-32 (IEEE) of bytes [0,44) and [48,end)
+//	[48] directory: per chunk {chunkLen, nLoads, nStores, nEsc} uint32
+//	then per chunk, each section padded to 8 bytes (w = (chunkLen+63)/64):
+//	     pcIdx[chunkLen]u16|u32  dep1[chunkLen]u16  dep2[chunkLen]u8
+//	     taken[w]u64  load[w]u64  store[w]u64  loadRank[w]u16
+//	     storeRank[w]u16
+//	     ldAddr[nLoads]u32  ldVal[nLoads]i64  ldProd[nLoads]u16
+//	     stAddr[nStores]u32  stVal[nStores]i64  stOld[nStores]i64
 //	     escKey[nEsc]u32  escVal[nEsc]i64
 //
-// The CRC covers everything after the header, so a torn or truncated
-// file — the analogue of a torn journal tail — fails verification at
-// open instead of replaying garbage.
+// Per instruction that is 5 B and 3 bits, plus 14 B per load and 20 B
+// per store: about 12 B/inst over the suite. Files of other versions
+// are refused as corrupt, so a cache directory re-captures them once.
+//
+// The CRC covers the header and everything after it, so a torn or
+// truncated file — the analogue of a torn journal tail — fails
+// verification at open instead of replaying garbage.
 const (
-	recMagic      = "MDREC001"
-	recHeaderSize = 40
+	recMagic      = "MDREC002"
+	recHeaderSize = 48
+	recCRCOffset  = 44
+	recDirEntry   = 16
 	recFlagDone   = 1 << 0
 	// recFlagPrefix marks a sealed prefix: the file covers the first n
 	// instructions of a longer program. Replays past the seal fail
 	// loudly (they would otherwise silently simulate a shorter program).
 	recFlagPrefix = 1 << 1
 )
+
+// recCRC is the checksum a recording file's header carries: the header
+// up to the CRC field, then everything after the header.
+func recCRC(data []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(data[:recCRCOffset]), crc32.IEEETable, data[recHeaderSize:])
+}
 
 // ErrCorruptRecording wraps any structural failure found while opening a
 // recording file: bad magic, truncation, or a CRC mismatch. Callers
@@ -93,55 +111,38 @@ func progFingerprint(p *prog.Program) uint64 {
 
 func pad8(n int64) int64 { return (n + 7) &^ 7 }
 
-// u32Bytes / u16Bytes / u64Bytes / i64Bytes view a column's backing
-// array as raw bytes (no copy). Only valid on little-endian hosts.
-func u32Bytes(s []uint32) []byte {
+// column is the element type of a recording column.
+type column interface {
+	uint8 | uint16 | uint32 | uint64 | int64
+}
+
+// asBytes views a column's backing array as raw bytes (no copy). Only
+// valid on little-endian hosts.
+func asBytes[T column](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }
 
-func u16Bytes(s []uint16) []byte {
-	if len(s) == 0 {
-		return nil
+// sections lists the chunk's payload sections in file order.
+func (c *recChunk) sections() [][]byte {
+	pc := asBytes(c.pc16)
+	if c.pc16 == nil {
+		pc = asBytes(c.pc32)
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*2)
-}
-
-func u64Bytes(s []uint64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-}
-
-func i64Bytes(s []int64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*8)
-}
-
-// chunkSections lists one chunk's payload sections in file order.
-func (c *recChunk) sections(chunkLen int64) [][]byte {
-	tw := (chunkLen + 63) / 64
 	return [][]byte{
-		u32Bytes(c.pcIdx[:chunkLen]),
-		u32Bytes(c.addr[:chunkLen]),
-		u16Bytes(c.dep1[:chunkLen]),
-		u16Bytes(c.dep2[:chunkLen]),
-		u16Bytes(c.prod[:chunkLen]),
-		u16Bytes(c.valIdx[:chunkLen]),
-		u64Bytes(c.taken[:tw]),
-		i64Bytes(c.vals),
-		u32Bytes(c.escKey),
-		i64Bytes(c.escVal),
+		pc, asBytes(c.dep1), asBytes(c.dep2),
+		asBytes(c.taken), asBytes(c.load), asBytes(c.store),
+		asBytes(c.loadRank), asBytes(c.storeRank),
+		asBytes(c.ldAddr), asBytes(c.ldVal), asBytes(c.ldProd),
+		asBytes(c.stAddr), asBytes(c.stVal), asBytes(c.stOld),
+		asBytes(c.escKey), asBytes(c.escVal),
 	}
 }
 
 // WriteSealedTo serializes whatever has been recorded so far in format
-// version 1. A halted recording is written whole; an unfinished one is
+// version 2. A halted recording is written whole; an unfinished one is
 // sealed at its current frontier (always a chunk boundary) and marked
 // as a prefix, so replays that run past the seal panic instead of
 // silently treating it as the program's end. Callers pre-extend with
@@ -152,10 +153,18 @@ func (r *Recording) WriteSealedTo(w io.Writer) (int64, error) {
 	if !done {
 		flags |= recFlagPrefix
 	}
-	return writeRecording(w, r.fp, chunks, n, tail, flags)
+	return writeRecording(w, r.fp, pcBytesFor(len(r.code)), chunks[:(n+recChunkMask)>>recChunkShift], n, tail, flags)
 }
 
-func writeRecording(w io.Writer, fp uint64, chunks []*recChunk, n int64, tail uint32, flags uint32) (int64, error) {
+// pcBytesFor is the pcIdx width of a program of codeLen instructions.
+func pcBytesFor(codeLen int) uint32 {
+	if codeLen >= widePCMin {
+		return 4
+	}
+	return 2
+}
+
+func writeRecording(w io.Writer, fp uint64, pcBytes uint32, chunks []*recChunk, n int64, tail uint32, flags uint32) (int64, error) {
 	if !hostLittleEndian() {
 		return 0, fmt.Errorf("emu: recording files require a little-endian host")
 	}
@@ -164,57 +173,45 @@ func writeRecording(w io.Writer, fp uint64, chunks []*recChunk, n int64, tail ui
 		return 0, fmt.Errorf("emu: recording has %d chunks, want %d for %d insts", nChunks, want, n)
 	}
 
-	// Directory.
-	dir := make([]byte, pad8(int64(nChunks)*12))
+	// Header and directory, then the padded sections of every chunk.
+	head := make([]byte, recHeaderSize+nChunks*recDirEntry)
+	copy(head[:8], recMagic)
+	binary.LittleEndian.PutUint64(head[8:], uint64(n))
+	binary.LittleEndian.PutUint32(head[16:], tail)
+	binary.LittleEndian.PutUint32(head[20:], flags)
+	binary.LittleEndian.PutUint64(head[24:], fp)
+	binary.LittleEndian.PutUint32(head[32:], uint32(nChunks))
+	binary.LittleEndian.PutUint32(head[36:], pcBytes)
 	for ci, c := range chunks {
-		cn := chunkLenOf(n, ci)
-		binary.LittleEndian.PutUint32(dir[ci*12:], uint32(cn))
-		binary.LittleEndian.PutUint32(dir[ci*12+4:], uint32(len(c.vals)))
-		binary.LittleEndian.PutUint32(dir[ci*12+8:], uint32(len(c.escKey)))
+		e := head[recHeaderSize+ci*recDirEntry:]
+		binary.LittleEndian.PutUint32(e, uint32(chunkLenOf(n, ci)))
+		binary.LittleEndian.PutUint32(e[4:], uint32(len(c.ldAddr)))
+		binary.LittleEndian.PutUint32(e[8:], uint32(len(c.stAddr)))
+		binary.LittleEndian.PutUint32(e[12:], uint32(len(c.escKey)))
 	}
-
-	// CRC over directory + payload (sections with their padding).
-	crc := crc32.NewIEEE()
-	crc.Write(dir)
 	var zeros [8]byte
-	for ci, c := range chunks {
-		for _, s := range c.sections(chunkLenOf(n, ci)) {
-			crc.Write(s)
-			if p := pad8(int64(len(s))) - int64(len(s)); p > 0 {
-				crc.Write(zeros[:p])
-			}
-		}
-	}
-
-	var hdr [recHeaderSize]byte
-	copy(hdr[:8], recMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(n))
-	binary.LittleEndian.PutUint32(hdr[16:], tail)
-	binary.LittleEndian.PutUint32(hdr[20:], flags)
-	binary.LittleEndian.PutUint64(hdr[24:], fp)
-	binary.LittleEndian.PutUint32(hdr[32:], uint32(nChunks))
-	binary.LittleEndian.PutUint32(hdr[36:], crc.Sum32())
-
-	cw := &countWriter{w: w}
-	if _, err := cw.Write(hdr[:]); err != nil {
-		return cw.n, err
-	}
-	if _, err := cw.Write(dir); err != nil {
-		return cw.n, err
-	}
-	for ci, c := range chunks {
-		for _, s := range c.sections(chunkLenOf(n, ci)) {
-			if _, err := cw.Write(s); err != nil {
-				return cw.n, err
-			}
-			if p := pad8(int64(len(s))) - int64(len(s)); p > 0 {
-				if _, err := cw.Write(zeros[:p]); err != nil {
-					return cw.n, err
+	payload := func(emit func([]byte)) {
+		for _, c := range chunks {
+			for _, s := range c.sections() {
+				emit(s)
+				if p := pad8(int64(len(s))) - int64(len(s)); p > 0 {
+					emit(zeros[:p])
 				}
 			}
 		}
 	}
-	return cw.n, nil
+	crc := crc32.Update(crc32.ChecksumIEEE(head[:recCRCOffset]), crc32.IEEETable, head[recHeaderSize:])
+	payload(func(b []byte) { crc = crc32.Update(crc, crc32.IEEETable, b) })
+	binary.LittleEndian.PutUint32(head[recCRCOffset:], crc)
+
+	cw := &countWriter{w: w}
+	_, err := cw.Write(head)
+	payload(func(b []byte) {
+		if err == nil {
+			_, err = cw.Write(b)
+		}
+	})
+	return cw.n, err
 }
 
 func chunkLenOf(n int64, ci int) int64 {
@@ -345,118 +342,200 @@ func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
 	flags := binary.LittleEndian.Uint32(data[20:])
 	hash := binary.LittleEndian.Uint64(data[24:])
 	nChunks := int64(binary.LittleEndian.Uint32(data[32:]))
-	wantCRC := binary.LittleEndian.Uint32(data[36:])
+	pcBytes := binary.LittleEndian.Uint32(data[36:])
+	reserved := binary.LittleEndian.Uint32(data[40:])
+	if recCRC(data) != binary.LittleEndian.Uint32(data[recCRCOffset:]) {
+		return nil, fmt.Errorf("%w: CRC mismatch (torn or truncated file?)", ErrCorruptRecording)
+	}
 	if flags&recFlagDone == 0 {
 		return nil, fmt.Errorf("%w: recording not marked complete", ErrCorruptRecording)
 	}
 	if n < 0 || nChunks != (n+recChunkMask)>>recChunkShift || nChunks > int64(math.MaxInt32) {
 		return nil, fmt.Errorf("%w: inconsistent length (%d insts, %d chunks)", ErrCorruptRecording, n, nChunks)
 	}
-	rest := data[recHeaderSize:]
-	if crc32.ChecksumIEEE(rest) != wantCRC {
-		return nil, fmt.Errorf("%w: CRC mismatch (torn or truncated file?)", ErrCorruptRecording)
-	}
 	if hash != progFingerprint(p) {
 		return nil, fmt.Errorf("%w: program fingerprint %#x, file has %#x", ErrRecordingMismatch, progFingerprint(p), hash)
 	}
+	if want := pcBytesFor(len(p.Code)); pcBytes != want || reserved != 0 {
+		return nil, fmt.Errorf("%w: %d-byte pcIdx (reserved %#x), want %d bytes for %d instructions",
+			ErrCorruptRecording, pcBytes, reserved, want, len(p.Code))
+	}
 
-	dirLen := pad8(nChunks * 12)
+	rest := data[recHeaderSize:]
+	dirLen := nChunks * recDirEntry
 	if int64(len(rest)) < dirLen {
 		return nil, fmt.Errorf("%w: truncated directory", ErrCorruptRecording)
 	}
-	dir, payload := rest[:dirLen], rest[dirLen:]
+	dir := rest[:dirLen]
 	f := &FileRecording{n: n, tail: tail, code: p.Code, fp: hash, data: data,
 		prefix: flags&recFlagPrefix != 0, chunks: make([]*recChunk, nChunks)}
-	sr := &sectionReader{payload: payload}
-	// valsRead[i] is how many value-table entries decode reads for
-	// instruction i of the code table.
-	valsRead := make([]uint8, len(p.Code))
-	for i := range p.Code {
-		switch op := p.Code[i].Op; {
-		case op.IsLoad():
-			valsRead[i] = 1
-		case op.IsStore():
-			valsRead[i] = 2
-		}
-	}
+	sr := &sectionReader{payload: rest[dirLen:]}
+	kinds := opKinds(p.Code)
 	for ci := int64(0); ci < nChunks; ci++ {
-		chunkLen := int64(binary.LittleEndian.Uint32(dir[ci*12:]))
-		nVals := int64(binary.LittleEndian.Uint32(dir[ci*12+4:]))
-		nEsc := int64(binary.LittleEndian.Uint32(dir[ci*12+8:]))
-		if chunkLen != chunkLenOf(n, int(ci)) || nVals > 2*chunkLen || nEsc > 3*chunkLen {
+		e := dir[ci*recDirEntry:]
+		chunkLen := int64(binary.LittleEndian.Uint32(e))
+		nLoads := int64(binary.LittleEndian.Uint32(e[4:]))
+		nStores := int64(binary.LittleEndian.Uint32(e[8:]))
+		nEsc := int64(binary.LittleEndian.Uint32(e[12:]))
+		if chunkLen != chunkLenOf(n, int(ci)) || nLoads+nStores > chunkLen || nEsc > 3*chunkLen {
 			return nil, fmt.Errorf("%w: chunk %d directory out of range", ErrCorruptRecording, ci)
 		}
+		words := (chunkLen + 63) / 64
 		c := &recChunk{}
-		c.pcIdx = sr.u32(chunkLen)
-		c.addr = sr.u32(chunkLen)
-		c.dep1 = sr.u16(chunkLen)
-		c.dep2 = sr.u16(chunkLen)
-		c.prod = sr.u16(chunkLen)
-		c.valIdx = sr.u16(chunkLen)
-		c.taken = sr.u64((chunkLen + 63) / 64)
-		c.vals = sr.i64(nVals)
-		c.escKey = sr.u32(nEsc)
-		c.escVal = sr.i64(nEsc)
+		if pcBytes == 2 {
+			c.pc16 = view[uint16](sr, chunkLen)
+		} else {
+			c.pc32 = view[uint32](sr, chunkLen)
+		}
+		c.dep1 = view[uint16](sr, chunkLen)
+		c.dep2 = view[uint8](sr, chunkLen)
+		c.taken = view[uint64](sr, words)
+		c.load = view[uint64](sr, words)
+		c.store = view[uint64](sr, words)
+		c.loadRank = view[uint16](sr, words)
+		c.storeRank = view[uint16](sr, words)
+		c.ldAddr = view[uint32](sr, nLoads)
+		c.ldVal = view[int64](sr, nLoads)
+		c.ldProd = view[uint16](sr, nLoads)
+		c.stAddr = view[uint32](sr, nStores)
+		c.stVal = view[int64](sr, nStores)
+		c.stOld = view[int64](sr, nStores)
+		c.escKey = view[uint32](sr, nEsc)
+		c.escVal = view[int64](sr, nEsc)
 		if sr.err != nil {
 			return nil, fmt.Errorf("%w: chunk %d: %v", ErrCorruptRecording, ci, sr.err)
 		}
-		if err := c.check(ci<<recChunkShift, valsRead); err != nil {
+		if err := c.check(ci<<recChunkShift, int(chunkLen), kinds); err != nil {
 			return nil, fmt.Errorf("%w: chunk %d: %v", ErrCorruptRecording, ci, err)
 		}
 		f.chunks[ci] = c
 	}
+	if sr.off != int64(len(sr.payload)) {
+		return nil, fmt.Errorf("%w: payload is %d bytes, its chunks span %d", ErrCorruptRecording, len(sr.payload), sr.off)
+	}
 	return f, nil
 }
 
-// check validates a chunk read from a file, whose first entry is
-// instruction base, in one pass over each column; valsRead is indexed
-// like the code table. A stale or hand-edited file that passes the CRC
-// must still not index out of bounds at replay (every pcIdx inside the
-// code table, every load's and store's values inside the value table,
-// every escaped dependence with its escape-table key), nor name a
-// producer that is not strictly older than its consumer, which would
-// park the consumer until the watchdog fires. The escape table must hold
-// exactly the escaped entries' keys, strictly ascending.
-func (c *recChunk) check(base int64, valsRead []uint8) error {
-	nVals := int64(len(c.vals))
-	valIdx := c.valIdx[:len(c.pcIdx)]
-	for off, idx := range c.pcIdx {
-		if int(idx) >= len(valsRead) {
-			return fmt.Errorf("pcIdx[%d] = %d outside code table", off, idx)
-		}
-		if vi := int64(valIdx[off]); vi+int64(valsRead[idx]) > nVals {
-			return fmt.Errorf("valIdx[%d] = %d needs %d values, chunk has %d", off, vi, valsRead[idx], nVals)
+// Per static instruction, the bitmaps its dynamic instances may set,
+// as bit positions of opKinds' entries.
+const (
+	kindLoad = iota
+	kindStore
+	kindBranch
+)
+
+// opKinds classifies each instruction of the code table for check.
+func opKinds(code []isa.Inst) []uint8 {
+	kinds := make([]uint8, len(code))
+	for i := range code {
+		switch op := code[i].Op; {
+		case op.IsLoad():
+			kinds[i] = 1 << kindLoad
+		case op.IsStore():
+			kinds[i] = 1 << kindStore
+		case op.IsBranch():
+			kinds[i] = 1 << kindBranch
 		}
 	}
+	return kinds
+}
+
+// check validates a chunk of n instructions read from a file, whose
+// first entry is instruction base; kinds is opKinds of the code table.
+// A stale or hand-edited file that passes the CRC must still not index
+// out of bounds at replay, nor name a producer that is not strictly
+// older than its consumer, which would park the consumer until the
+// watchdog fires. So: every pcIdx lies inside the code table; the load
+// and store bitmaps are exactly the instructions whose opcode loads or
+// stores, and only a branch is taken; each rank counts the bits before
+// its word, and the side tables hold one entry per bit; every escaped
+// distance has its escape-table key, the table holds exactly those
+// keys, strictly ascending, and every producer is older than its
+// consumer.
+func (c *recChunk) check(base int64, n int, kinds []uint8) error {
+	var loads, stores int
+	for w := range c.load {
+		var ld, st, br uint64
+		for off := w * 64; off < min(n, w*64+64); off++ {
+			idx := c.pcAt(off)
+			if int(idx) >= len(kinds) {
+				return fmt.Errorf("pcIdx[%d] = %d outside code table", off, idx)
+			}
+			k, b := uint64(kinds[idx]), uint(off)&63
+			ld |= k >> kindLoad & 1 << b
+			st |= k >> kindStore & 1 << b
+			br |= k >> kindBranch & 1 << b
+		}
+		if c.load[w] != ld || c.store[w] != st || c.taken[w]&^br != 0 {
+			return fmt.Errorf("bitmap word %d disagrees with the opcodes", w)
+		}
+		if int(c.loadRank[w]) != loads || int(c.storeRank[w]) != stores {
+			return fmt.Errorf("rank of bitmap word %d is %d/%d, want %d/%d", w, c.loadRank[w], c.storeRank[w], loads, stores)
+		}
+		loads += bits.OnesCount64(ld)
+		stores += bits.OnesCount64(st)
+	}
+	if loads != len(c.ldAddr) || stores != len(c.stAddr) {
+		return fmt.Errorf("side tables hold %d loads and %d stores, bitmaps %d and %d", len(c.ldAddr), len(c.stAddr), loads, stores)
+	}
+
 	for i := 1; i < len(c.escKey); i++ {
 		if c.escKey[i] <= c.escKey[i-1] {
 			return fmt.Errorf("escape-table keys not strictly ascending at %d", i)
 		}
 	}
+	// depNone and distances up to seq name strictly older producers;
+	// anything else is an escape or out of range.
 	escaped := 0
-	for field, col := range [...][]uint16{escDep1: c.dep1, escDep2: c.dep2, escProd: c.prod} {
-		for off, enc := range col {
-			// depNone and distances up to seq name strictly older
-			// producers; anything else is an escape or out of range.
-			seq := base + int64(off)
-			if enc != depEscape && int64(enc) <= seq {
-				continue
+	for off := range n {
+		seq := base + int64(off)
+		if d := c.dep1[off]; d == dep16Escape || int64(d) > seq {
+			if err := c.checkEscape(d == dep16Escape, int64(d), seq, off, escDep1); err != nil {
+				return err
 			}
-			if enc != depEscape {
-				return fmt.Errorf("seq %d: dependence %d reaches back %d instructions", seq, field, enc)
-			}
-			i, ok := slices.BinarySearch(c.escKey, escKeyOf(off, field))
-			if !ok {
-				return fmt.Errorf("seq %d: escaped dependence %d has no escape-table key", seq, field)
-			}
-			if v := c.escVal[i]; v < 0 || v >= seq {
-				return fmt.Errorf("seq %d: escaped dependence %d names seq %d", seq, field, v)
+			escaped++
+		}
+		if d := c.dep2[off]; d == dep8Escape || int64(d) > seq {
+			if err := c.checkEscape(d == dep8Escape, int64(d), seq, off, escDep2); err != nil {
+				return err
 			}
 			escaped++
 		}
 	}
+	k := 0
+	for w, word := range c.load {
+		for ; word != 0; word &= word - 1 {
+			off := w*64 + bits.TrailingZeros64(word)
+			seq := base + int64(off)
+			if d := c.ldProd[k]; d == dep16Escape || int64(d) > seq {
+				if err := c.checkEscape(d == dep16Escape, int64(d), seq, off, escProd); err != nil {
+					return err
+				}
+				escaped++
+			}
+			k++
+		}
+	}
 	if escaped != len(c.escKey) {
 		return fmt.Errorf("%d escape-table keys for %d escaped dependences", len(c.escKey), escaped)
+	}
+	return nil
+}
+
+// checkEscape checks distance-column entry d of field for instruction
+// seq, at offset off, that is an escape or reaches before seq 0: an
+// escape must have its key in the escape table, naming an older
+// producer.
+func (c *recChunk) checkEscape(escape bool, d, seq int64, off, field int) error {
+	if !escape {
+		return fmt.Errorf("seq %d: dependence %d reaches back %d instructions", seq, field, d)
+	}
+	i, ok := slices.BinarySearch(c.escKey, escKeyOf(off, field))
+	if !ok {
+		return fmt.Errorf("seq %d: escaped dependence %d has no escape-table key", seq, field)
+	}
+	if v := c.escVal[i]; v < 0 || v >= seq {
+		return fmt.Errorf("seq %d: escaped dependence %d names seq %d", seq, field, v)
 	}
 	return nil
 }
@@ -497,34 +576,12 @@ func (s *sectionReader) raw(size int64) []byte {
 	return b
 }
 
-func (s *sectionReader) u32(count int64) []uint32 {
-	b := s.raw(count * 4)
+// view carves the next section as count elements of T.
+func view[T column](s *sectionReader, count int64) []T {
+	var zero T
+	b := s.raw(count * int64(unsafe.Sizeof(zero)))
 	if len(b) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), count)
-}
-
-func (s *sectionReader) u16(count int64) []uint16 {
-	b := s.raw(count * 2)
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), count)
-}
-
-func (s *sectionReader) u64(count int64) []uint64 {
-	b := s.raw(count * 8)
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), count)
-}
-
-func (s *sectionReader) i64(count int64) []int64 {
-	b := s.raw(count * 8)
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), count)
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), count)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,7 +38,9 @@ func compareStreams(t *testing.T, label string, want, got Stream, limit int64) i
 
 // escapeProgram builds a stream whose register and memory dependences
 // span more than 2^16 dynamic instructions, forcing the uint16 distance
-// columns through the escape side table.
+// columns through the escape side table, and one whose second register
+// source lies a few hundred instructions back, past the uint8 dep2
+// column.
 func escapeProgram() *prog.Program {
 	b := prog.NewBuilder()
 	arena := b.AllocAligned(8, 64)
@@ -52,6 +53,11 @@ func escapeProgram() *prog.Program {
 	b.Bne(isa.R2, isa.R0, "spin")
 	b.Lw(isa.R3, isa.R1, 0) // Dep1Seq (R1) and ProducerSeq both escape
 	b.Sw(isa.R3, isa.R1, 0) // Dep2Seq short, Dep1Seq (R1) escapes
+	b.Li(isa.R2, 200)
+	b.Label("short")
+	b.Addi(isa.R2, isa.R2, -1)
+	b.Bne(isa.R2, isa.R0, "short")
+	b.Add(isa.R4, isa.R2, isa.R3) // Dep2Seq (R3) ~400 back: escapes dep2 only
 	b.Halt()
 	return b.MustProgram()
 }
@@ -61,15 +67,45 @@ func TestColumnarEscapeDistances(t *testing.T) {
 	tr := NewTrace(New(p))
 	rec := NewRecording(New(p))
 	n := compareStreams(t, "escape", tr, rec.NewReplay(), 0)
-	// The point of the program is to exercise the escape table; make
-	// sure it actually did.
-	var escapes int
-	for _, c := range rec.chunks {
-		escapes += len(c.escKey)
+	// The point of the program is to exercise the escape table in every
+	// distance column; make sure it actually did.
+	var escapes [3]int
+	shortDep2 := false
+	for ci, c := range rec.chunks {
+		for i, key := range c.escKey {
+			field := key & 3
+			escapes[field]++
+			seq := int64(ci)<<recChunkShift + int64(key>>2)
+			if field == escDep2 && seq-c.escVal[i] < dep16Escape {
+				shortDep2 = true
+			}
+		}
 	}
-	if escapes == 0 {
-		t.Fatalf("escapeProgram recorded %d insts without touching the escape table", n)
+	if escapes[escDep1] == 0 || escapes[escDep2] == 0 || escapes[escProd] == 0 || !shortDep2 {
+		t.Fatalf("escapeProgram recorded %d insts with escapes %v (dep1, dep2, producer), 8-bit-only dep2 escape %v",
+			n, escapes, shortDep2)
 	}
+}
+
+// widePCProgram has more static instructions than a uint16 can index:
+// it jumps over 70,000 NOPs to a loop of loads and stores.
+func widePCProgram() *prog.Program {
+	b := prog.NewBuilder()
+	arena := b.AllocAligned(8, 64)
+	b.J("far")
+	for range 70_000 {
+		b.Nop()
+	}
+	b.Label("far")
+	b.Li(isa.R1, int64(arena))
+	b.Li(isa.R9, 2_000)
+	b.Label("top")
+	b.Sw(isa.R9, isa.R1, 0)
+	b.Lw(isa.R2, isa.R1, 0)
+	b.Addi(isa.R9, isa.R9, -1)
+	b.Bne(isa.R9, isa.R0, "top")
+	b.Halt()
+	return b.MustProgram()
 }
 
 // recordToFile records the whole program and serializes it.
@@ -97,12 +133,18 @@ func recordToFile(t testing.TB, p *prog.Program, path string) *Recording {
 // back, and requires the mapped replay to match a direct Trace record
 // for record — including the escape table and the frontier NextPC.
 func TestRecordingFileRoundTrip(t *testing.T) {
+	// maxBPI bounds the file's bytes per instruction. The loop is a
+	// load and a store in every five instructions, denser in memory
+	// operations than the suite; the wide-pc loop is a load and a store
+	// in every four, with 4-byte pcIdx entries.
 	for _, tc := range []struct {
-		name string
-		prog *prog.Program
+		name   string
+		prog   *prog.Program
+		maxBPI float64
 	}{
-		{"loop", loopProgram(3000)},
-		{"escape", escapeProgram()},
+		{"loop", loopProgram(3000), 13},
+		{"escape", escapeProgram(), 13},
+		{"wide-pc", widePCProgram(), 17},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "bench.mdrec")
@@ -119,13 +161,17 @@ func TestRecordingFileRoundTrip(t *testing.T) {
 			if n != rec.Len() {
 				t.Fatalf("mapped replay ended at %d, want %d", n, rec.Len())
 			}
-			// The file deliberately beats the old 88 B/inst AoS layout.
-			st, err := os.Stat(path)
+			blob, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bpi := float64(st.Size()) / float64(n); bpi > 24 {
-				t.Errorf("recording file costs %.1f bytes/inst, want <= 24", bpi)
+			if got, want := binary.LittleEndian.Uint32(blob[36:]), pcBytesFor(len(tc.prog.Code)); got != want {
+				t.Errorf("header names %d-byte pcIdx, want %d", got, want)
+			}
+			bpi := float64(len(blob)) / float64(n)
+			t.Logf("%.2f bytes/inst", bpi)
+			if bpi > tc.maxBPI {
+				t.Errorf("recording file costs %.1f bytes/inst, want <= %.0f", bpi, tc.maxBPI)
 			}
 		})
 	}
@@ -162,7 +208,8 @@ func TestRecordingFileRejectsDamage(t *testing.T) {
 		}
 	})
 	t.Run("bit-flip", func(t *testing.T) {
-		for _, pos := range []int{recHeaderSize + 1, len(blob) / 2, len(blob) - 2} {
+		// 9 and 17 are in the header's length and tail PC.
+		for _, pos := range []int{9, 17, recHeaderSize + 1, len(blob) / 2, len(blob) - 2} {
 			mut := bytes.Clone(blob)
 			mut[pos] ^= 0x40
 			if _, err := OpenRecordingFile(write(t, mut), p); !errors.Is(err, ErrCorruptRecording) {
@@ -177,12 +224,58 @@ func TestRecordingFileRejectsDamage(t *testing.T) {
 			t.Errorf("bad magic: err = %v, want ErrCorruptRecording", err)
 		}
 	})
+	t.Run("wrong-pc-width", func(t *testing.T) {
+		mut := bytes.Clone(blob)
+		binary.LittleEndian.PutUint32(mut[36:], 4)
+		binary.LittleEndian.PutUint32(mut[recCRCOffset:], recCRC(mut))
+		if _, err := OpenRecordingFile(write(t, mut), p); !errors.Is(err, ErrCorruptRecording) {
+			t.Errorf("32-bit pcIdx for a small program: err = %v, want ErrCorruptRecording", err)
+		}
+	})
 	t.Run("wrong-program", func(t *testing.T) {
 		other := loopProgram(2999)
 		if _, err := OpenRecordingFile(path, other); !errors.Is(err, ErrRecordingMismatch) {
 			t.Errorf("wrong program: err = %v, want ErrRecordingMismatch", err)
 		}
 	})
+}
+
+// TestRecordingEndsAtChunkBoundary records a program that halts after
+// exactly one chunk of instructions. Reading past its end must not
+// leave an empty chunk behind: the file writer counts chunks by length,
+// and refused to write a recording that had one.
+func TestRecordingEndsAtChunkBoundary(t *testing.T) {
+	b := prog.NewBuilder()
+	for range recChunkSize - 1 {
+		b.Nop()
+	}
+	b.Halt()
+	p := b.MustProgram()
+	path := filepath.Join(t.TempDir(), "boundary.mdrec")
+	rec := recordToFile(t, p, path)
+	if rec.Len() != recChunkSize || len(rec.chunks) != 1 {
+		t.Fatalf("recorded %d insts in %d chunks, want %d in 1", rec.Len(), len(rec.chunks), recChunkSize)
+	}
+	fr, err := OpenRecordingFile(path, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Close()
+	compareStreams(t, "boundary", NewTrace(New(p)), fr.NewReplay(), 0)
+}
+
+// TestRecordingFileRefusesVersion1 opens a version-1 file of
+// loopProgram(60), as the previous build wrote it: it is refused as
+// corrupt, which sends a recording cache to re-capture it.
+func TestRecordingFileRefusesVersion1(t *testing.T) {
+	fr, err := OpenRecordingFile(filepath.Join("testdata", "loop60.mdrec001"), loopProgram(60))
+	if err == nil {
+		fr.Close()
+		t.Fatal("a version-1 file opened")
+	}
+	if !errors.Is(err, ErrCorruptRecording) {
+		t.Fatalf("err = %v, want ErrCorruptRecording", err)
+	}
 }
 
 // TestSealedPrefixRecording pins the sealed-prefix mode used by the
@@ -229,8 +322,8 @@ func TestSealedPrefixRecording(t *testing.T) {
 // opcode satisfies is.
 func firstOf(t testing.TB, c *recChunk, code []isa.Inst, is func(isa.Op) bool) int {
 	t.Helper()
-	for off, idx := range c.pcIdx {
-		if is(code[idx].Op) {
+	for off := range c.dep1 {
+		if is(code[c.pcAt(off)].Op) {
 			return off
 		}
 	}
@@ -238,29 +331,70 @@ func firstOf(t testing.TB, c *recChunk, code []isa.Inst, is func(isa.Op) bool) i
 	return 0
 }
 
+func isALU(op isa.Op) bool { return !op.IsMem() && !op.IsBranch() }
+
+// flip toggles the bit of instruction off in bitmap.
+func flip(bitmap []uint64, off int) { bitmap[off>>6] ^= 1 << (uint(off) & 63) }
+
 // badColumns are mutations of a recording's first chunk that a file
-// with a valid CRC can carry. Open used to accept each: the first three
-// then panicked at replay with an index out of range, and the last two
-// named a producer that is not older than its consumer.
+// with a valid CRC can carry, one or more per section. Each must fail
+// at open: it would index out of bounds at replay, decode another
+// instruction's memory fields, or name a producer that is not older
+// than its consumer.
 var badColumns = []struct {
 	name   string
 	mutate func(t testing.TB, c *recChunk, code []isa.Inst)
 }{
-	{"load-valIdx-at-end", func(t testing.TB, c *recChunk, code []isa.Inst) {
-		c.valIdx[firstOf(t, c, code, isa.Op.IsLoad)] = uint16(len(c.vals))
+	{"pcIdx-outside-code", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.pc16[5] = uint16(len(code))
 	}},
-	{"store-valIdx-at-last-value", func(t testing.TB, c *recChunk, code []isa.Inst) {
-		c.valIdx[firstOf(t, c, code, isa.Op.IsStore)] = uint16(len(c.vals) - 1)
+	{"load-bit-on-alu", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		flip(c.load, firstOf(t, c, code, isALU))
+	}},
+	{"store-bit-missing", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		flip(c.store, firstOf(t, c, code, isa.Op.IsStore))
+	}},
+	{"load-bit-past-end", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.load[len(c.load)-1] |= 1 << 63
+	}},
+	{"taken-alu", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		flip(c.taken, firstOf(t, c, code, isALU))
+	}},
+	{"load-rank-off", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.loadRank[1]++
+	}},
+	{"store-rank-off", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.storeRank[2]--
+	}},
+	{"store-rank-past-table", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.storeRank[len(c.storeRank)-1]++ // the last store's ordinal is the table's length
+	}},
+	{"load-table-short", func(t testing.TB, c *recChunk, code []isa.Inst) { // the last load's ordinal is past the table
+		k := len(c.ldAddr) - 1
+		c.ldAddr, c.ldVal, c.ldProd = c.ldAddr[:k], c.ldVal[:k], c.ldProd[:k]
+	}},
+	{"store-table-long", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.stAddr, c.stVal, c.stOld = append(c.stAddr, 8), append(c.stVal, 1), append(c.stOld, 2)
 	}},
 	{"escape-without-key", func(t testing.TB, c *recChunk, code []isa.Inst) {
-		c.dep1[7] = depEscape
+		c.dep1[7] = dep16Escape
+	}},
+	{"dep2-escape-without-key", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.dep2[8] = dep8Escape
 	}},
 	{"distance-before-seq-0", func(t testing.TB, c *recChunk, code []isa.Inst) {
 		c.dep2[3] = 5 // seq 3 - 5 = -2
 	}},
+	{"producer-before-seq-0", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.ldProd[0] = uint16(firstOf(t, c, code, isa.Op.IsLoad) + 1)
+	}},
 	{"escaped-producer-not-older", func(t testing.TB, c *recChunk, code []isa.Inst) {
-		c.prod[10] = depEscape
-		c.escKey, c.escVal = []uint32{escKeyOf(10, escProd)}, []int64{10}
+		off := firstOf(t, c, code, isa.Op.IsLoad)
+		c.ldProd[0] = dep16Escape
+		c.escKey, c.escVal = []uint32{escKeyOf(off, escProd)}, []int64{int64(off)}
+	}},
+	{"unused-escape-key", func(t testing.TB, c *recChunk, code []isa.Inst) {
+		c.escKey, c.escVal = []uint32{escKeyOf(9, escDep1)}, []int64{0}
 	}},
 }
 
@@ -279,7 +413,7 @@ func mutatedRecording(t testing.TB, p *prog.Program, mutate func(testing.TB, *re
 	}
 	mutate(t, chunks[0], p.Code)
 	var buf bytes.Buffer
-	if _, err := writeRecording(&buf, rec.fp, chunks, n, tail, recFlagDone); err != nil {
+	if _, err := writeRecording(&buf, rec.fp, pcBytesFor(len(p.Code)), chunks, n, tail, recFlagDone); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -317,6 +451,8 @@ func TestRecordingFileRejectsBadColumns(t *testing.T) {
 // column checks instead of stopping at the CRC. The program fits one
 // chunk, which keeps inputs small; the sealed-prefix seed is its file
 // with the prefix flag set, as a seal at a chunk boundary would be.
+// badColumns seeds a mutation of every section, and a version-1 file
+// of the same program is a seed too.
 func FuzzRecordingFile(f *testing.F) {
 	p := loopProgram(60)
 	complete := filepath.Join(f.TempDir(), "complete.mdrec")
@@ -335,7 +471,11 @@ func FuzzRecordingFile(f *testing.F) {
 	}
 	badMagic := bytes.Clone(whole)
 	badMagic[0] = 'X'
-	seeds = append(seeds, badMagic)
+	v1, err := os.ReadFile(filepath.Join("testdata", "loop60.mdrec001"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, badMagic, v1)
 	for _, tc := range badColumns {
 		seeds = append(seeds, mutatedRecording(f, p, tc.mutate))
 	}
@@ -347,7 +487,7 @@ func FuzzRecordingFile(f *testing.F) {
 		data = bytes.Clone(data)
 		if len(data) >= recHeaderSize {
 			binary.LittleEndian.PutUint64(data[24:], fingerprint)
-			binary.LittleEndian.PutUint32(data[36:], crc32.ChecksumIEEE(data[recHeaderSize:]))
+			binary.LittleEndian.PutUint32(data[recCRCOffset:], recCRC(data))
 		}
 		path := filepath.Join(t.TempDir(), "fuzz.mdrec")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"mdspec/internal/isa"
@@ -19,13 +20,16 @@ const (
 )
 
 // Dependence columns hold the distance back to the producer (seq -
-// depSeq) in a uint16. Zero encodes "no dependence" (a distance of zero
-// is impossible: producers are strictly older), and depEscape sends the
-// decoder to the chunk's escape table for the rare distance that does
-// not fit.
+// depSeq). Zero encodes "no dependence" (a distance of zero is
+// impossible: producers are strictly older), and the column's largest
+// value sends the decoder to the chunk's escape table for the rare
+// distance that does not fit: dep1 and the loads' producer column are
+// uint16 (escape 0xffff), dep2 is uint8 (escape 0xff; 99.9% of the
+// suite's dep2 distances are below it).
 const (
-	depNone   = 0
-	depEscape = 0xffff
+	depNone     = 0
+	dep16Escape = 0xffff
+	dep8Escape  = 0xff
 )
 
 // Escape-table keys pack the in-chunk offset with the field the entry
@@ -38,91 +42,67 @@ const (
 
 func escKeyOf(off int, field int) uint32 { return uint32(off)<<2 | uint32(field) }
 
-// recChunk holds recChunkSize instructions in column-per-field layout.
-// Relative to the ~88 B array-of-DynInst chunks this replaces, the
-// fixed columns cost 16 B + 1 bit per instruction; memory values and
-// escaped dependences are appended to variable side tables, for a
-// typical total of 18-21 B/inst:
+// widePCMin is the smallest code table whose pcIdx needs 32 bits.
+const widePCMin = 1<<16 + 1
+
+// recChunk holds recChunkSize instructions in column-per-field layout:
+// 5 B and 3 bits per instruction, plus side tables for what only loads
+// and stores carry, about 12 B/inst over the suite:
 //
 //   - Seq is implicit in the position.
 //   - pcIdx is the static code index (PC-TextBase)/4: it regenerates
 //     both PC and the *isa.Inst pointer, so replay stores no pointers.
+//     It is 16-bit (pc16) unless the program has more than 65,536
+//     static instructions (pc32); the other column is nil.
 //   - NextPC is not stored at all: the emulator guarantees
 //     NextPC(i) == PC(i+1) (Machine.Step ends with m.pc = d.NextPC),
 //     so it is read from the next entry's pcIdx, or from the
 //     recording's published tail PC at the frontier.
-//   - dep1/dep2/prod store the distance to the producer; almost all
-//     register and memory dependences are within 2^16 instructions.
-//   - vals holds LoadVal for loads and StoreVal,OldVal for stores;
-//     valIdx points at each instruction's first entry. Non-memory
-//     instructions have all-zero memory fields by construction.
+//   - dep1/dep2 store the distance to the register producers.
 //   - taken is a branch-outcome bitmap (it cannot be derived from
 //     NextPC: a taken conditional branch may target fall-through).
+//   - load and store are bitmaps of the chunk's loads and stores, and
+//     loadRank/storeRank count the loads and stores before each bitmap
+//     word, so a load's ordinal among the chunk's loads is its word's
+//     rank plus a popcount. The ordinal indexes the side tables:
+//     ldAddr/ldVal/ldProd (address, loaded value, distance to the
+//     producing store) and stAddr/stVal/stOld (address, stored value,
+//     memory value before the store). Every other instruction has
+//     all-zero memory fields and no producer by construction.
 type recChunk struct {
-	pcIdx  []uint32
-	addr   []uint32
-	dep1   []uint16
-	dep2   []uint16
-	prod   []uint16
-	valIdx []uint16
-	taken  []uint64 // recChunkSize/64 bitmap words
-	vals   []int64
-	escKey []uint32 // escKeyOf(off, field), strictly ascending
-	escVal []int64  // absolute producer seq for the escaped entry
+	pc16      []uint16
+	pc32      []uint32
+	dep1      []uint16
+	dep2      []uint8
+	taken     []uint64 // one bit per instruction
+	load      []uint64
+	store     []uint64
+	loadRank  []uint16 // loads before each word of load
+	storeRank []uint16
+	ldAddr    []uint32
+	ldVal     []int64
+	ldProd    []uint16
+	stAddr    []uint32
+	stVal     []int64
+	stOld     []int64
+	escKey    []uint32 // escKeyOf(off, field), strictly ascending
+	escVal    []int64  // absolute producer seq for the escaped entry
 }
 
-func newRecChunk() *recChunk {
-	return &recChunk{
-		pcIdx:  make([]uint32, recChunkSize),
-		addr:   make([]uint32, recChunkSize),
-		dep1:   make([]uint16, recChunkSize),
-		dep2:   make([]uint16, recChunkSize),
-		prod:   make([]uint16, recChunkSize),
-		valIdx: make([]uint16, recChunkSize),
-		taken:  make([]uint64, recChunkSize/64),
-		vals:   make([]int64, 0, recChunkSize/2),
+// pcAt returns the static code index of the instruction at offset off.
+func (c *recChunk) pcAt(off int) uint32 {
+	if c.pc16 != nil {
+		return uint32(c.pc16[off])
 	}
+	return c.pc32[off]
 }
 
-// encode appends d at in-chunk offset off. Offsets are filled in order,
-// so the side tables (vals, escKey/escVal) grow append-only and the
-// escape keys stay sorted.
-func (c *recChunk) encode(off int, d *DynInst) {
-	c.pcIdx[off] = (d.PC - prog.TextBase) / isa.InstBytes
-	c.addr[off] = d.Addr
-	c.dep1[off] = c.encodeDep(off, escDep1, d.Seq, d.Dep1Seq)
-	c.dep2[off] = c.encodeDep(off, escDep2, d.Seq, d.Dep2Seq)
-	c.prod[off] = c.encodeDep(off, escProd, d.Seq, d.ProducerSeq)
-	c.valIdx[off] = uint16(len(c.vals))
-	switch {
-	case d.Inst.Op.IsLoad():
-		c.vals = append(c.vals, d.LoadVal)
-	case d.Inst.Op.IsStore():
-		c.vals = append(c.vals, d.StoreVal, d.OldVal)
-	}
-	if d.Taken {
-		c.taken[off>>6] |= 1 << (uint(off) & 63)
-	}
-}
-
-func (c *recChunk) encodeDep(off, field int, seq, dep int64) uint16 {
-	if dep < 0 {
-		return depNone
-	}
-	if dist := seq - dep; dist < depEscape {
-		return uint16(dist)
-	}
-	c.escKey = append(c.escKey, escKeyOf(off, field))
-	c.escVal = append(c.escVal, dep)
-	return depEscape
-}
-
-// decodeDep recovers an absolute producer seq from a distance column.
-func (c *recChunk) decodeDep(enc uint16, off, field int, seq int64) int64 {
+// dep recovers an absolute producer seq from a distance column entry.
+func (c *recChunk) dep(enc, escape uint16, off, field int, seq int64) int64 {
 	switch enc {
 	case depNone:
 		return -1
-	case depEscape:
+	case escape:
 		return c.escLookup(off, field)
 	}
 	return seq - int64(enc)
@@ -143,12 +123,140 @@ func (c *recChunk) escLookup(off, field int) int64 {
 	return c.escVal[lo]
 }
 
-// sizeBytes is the heap/file footprint of the chunk's columns for its
-// first n entries (n == recChunkSize except for the last chunk).
-func (c *recChunk) sizeBytes(n int64) int64 {
-	fixed := n * (4 + 4 + 2 + 2 + 2 + 2) // pcIdx, addr, dep1, dep2, prod, valIdx
-	fixed += (n + 63) / 64 * 8           // taken bitmap
-	return fixed + int64(len(c.vals))*8 + int64(len(c.escKey))*4 + int64(len(c.escVal))*8
+// sizeBytes is the heap/file footprint of the chunk's columns.
+func (c *recChunk) sizeBytes() int64 {
+	var total int64
+	for _, s := range c.sections() {
+		total += int64(len(s))
+	}
+	return total
+}
+
+// chunkBuilder is the scratch a chunk is captured into: every column
+// at full chunk capacity, so capture never grows a slice. seal copies
+// the filled prefix of each column into a chunk of exact lengths, so a
+// chunk holds no spare capacity. Builders are pooled: a lazily extended
+// recording seals one chunk per extension.
+type chunkBuilder struct {
+	n, loads, stores   int
+	pc                 [recChunkSize]uint32
+	dep1               [recChunkSize]uint16
+	dep2               [recChunkSize]uint8
+	taken, load, store [recChunkSize / 64]uint64
+	ldAddr             [recChunkSize]uint32
+	ldVal              [recChunkSize]int64
+	ldProd             [recChunkSize]uint16
+	stAddr             [recChunkSize]uint32
+	stVal, stOld       [recChunkSize]int64
+	escKey             []uint32
+	escVal             []int64
+}
+
+var chunkBuilders = sync.Pool{New: func() any { return new(chunkBuilder) }}
+
+// encode appends d, which must be the next instruction of the chunk.
+// The escape table grows in offset order, and each instruction's
+// fields are encoded in escDep1, escDep2, escProd order, so its keys
+// stay sorted.
+func (b *chunkBuilder) encode(d *DynInst) {
+	off := b.n
+	b.pc[off] = (d.PC - prog.TextBase) / isa.InstBytes
+	b.dep1[off] = uint16(b.distance(off, escDep1, d.Seq, d.Dep1Seq, dep16Escape))
+	b.dep2[off] = uint8(b.distance(off, escDep2, d.Seq, d.Dep2Seq, dep8Escape))
+	w, bit := off>>6, uint64(1)<<(uint(off)&63)
+	switch {
+	case d.Inst.Op.IsLoad():
+		k := b.loads
+		b.load[w] |= bit
+		b.ldAddr[k], b.ldVal[k] = d.Addr, d.LoadVal
+		b.ldProd[k] = uint16(b.distance(off, escProd, d.Seq, d.ProducerSeq, dep16Escape))
+		b.loads++
+	case d.Inst.Op.IsStore():
+		k := b.stores
+		b.store[w] |= bit
+		b.stAddr[k], b.stVal[k], b.stOld[k] = d.Addr, d.StoreVal, d.OldVal
+		b.stores++
+	}
+	if d.Taken {
+		b.taken[w] |= bit
+	}
+	b.n++
+}
+
+// distance encodes dep as a distance back from seq, escaping distances
+// at or above escape.
+func (b *chunkBuilder) distance(off, field int, seq, dep, escape int64) int64 {
+	if dep < 0 {
+		return depNone
+	}
+	if dist := seq - dep; dist < escape {
+		return dist
+	}
+	b.escKey = append(b.escKey, escKeyOf(off, field))
+	b.escVal = append(b.escVal, dep)
+	return escape
+}
+
+// seal returns the filled prefix as a chunk of exact column lengths and
+// resets the builder. wide selects the 32-bit pcIdx column.
+func (b *chunkBuilder) seal(wide bool) *recChunk {
+	n, words := b.n, (b.n+63)/64
+	c := &recChunk{
+		dep1:   exact(b.dep1[:n]),
+		dep2:   exact(b.dep2[:n]),
+		taken:  exact(b.taken[:words]),
+		load:   exact(b.load[:words]),
+		store:  exact(b.store[:words]),
+		ldAddr: exact(b.ldAddr[:b.loads]),
+		ldVal:  exact(b.ldVal[:b.loads]),
+		ldProd: exact(b.ldProd[:b.loads]),
+		stAddr: exact(b.stAddr[:b.stores]),
+		stVal:  exact(b.stVal[:b.stores]),
+		stOld:  exact(b.stOld[:b.stores]),
+		escKey: exact(b.escKey),
+		escVal: exact(b.escVal),
+	}
+	c.loadRank, c.storeRank = ranks(c.load), ranks(c.store)
+	if wide {
+		c.pc32 = exact(b.pc[:n])
+	} else {
+		c.pc16 = make([]uint16, n)
+		for i, idx := range b.pc[:n] {
+			c.pc16[i] = uint16(idx)
+		}
+	}
+	b.n, b.loads, b.stores = 0, 0, 0
+	clear(b.taken[:])
+	clear(b.load[:])
+	clear(b.store[:])
+	b.escKey, b.escVal = b.escKey[:0], b.escVal[:0]
+	return c
+}
+
+// exact copies s into a fresh slice of its length, nil if empty: a
+// sealed chunk must not share (or pin) the builder's arrays.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// ranks returns, for each word of bitmap, the number of set bits in
+// the words before it.
+func ranks(bitmap []uint64) []uint16 {
+	if len(bitmap) == 0 {
+		return nil
+	}
+	r := make([]uint16, len(bitmap))
+	var sum int
+	for w, word := range bitmap {
+		r[w] = uint16(sum)
+		sum += bits.OnesCount64(word)
+	}
+	return r
 }
 
 // Recording captures the dynamic instruction stream of a Machine exactly
@@ -160,7 +268,7 @@ func (c *recChunk) sizeBytes(n int64) int64 {
 // prefixes are published with release/acquire semantics so other replays
 // (possibly on other goroutines) index them lock-free.
 //
-// Storage is columnar (see recChunk): ~18-21 B/inst shared by all
+// Storage is columnar (see recChunk): about 12 B/inst shared by all
 // replays, unlike Trace, whose buffer is per-pipeline but stays
 // proportional to the instruction window. A Recording can be
 // serialized with WriteSealedTo and mapped back with OpenRecordingFile
@@ -168,9 +276,9 @@ func (c *recChunk) sizeBytes(n int64) int64 {
 // Lock ordering: mu > chunksMu > lenMu. extend holds mu for the whole
 // extension and takes chunksMu, then lenMu, strictly nested inside it;
 // readers take chunksMu or lenMu alone and never mu — so no cycle is
-// possible. Chunk *contents* are guarded by mu until the lenMu-published
-// length covers them (immutable once visible), which is why readers can
-// index chunks lock-free after snapshot.
+// possible. A chunk is sealed before it is linked in and never changes
+// after, which is why readers can index chunks lock-free after
+// snapshot.
 type Recording struct {
 	mu      sync.Mutex // serializes extension of the stream
 	m       *Machine   //md:guardedby mu
@@ -213,24 +321,14 @@ func (r *Recording) Len() int64 {
 }
 
 // SizeBytes returns the memory footprint of the recorded columns — the
-// basis of the bytes/inst benchmark metric.
+// basis of the bytes/inst benchmark metric. Sealed chunks hold no spare
+// capacity, so it is also the heap they occupy, up to allocator
+// rounding.
 func (r *Recording) SizeBytes() int64 {
-	r.lenMu.RLock()
-	n := r.n
-	r.lenMu.RUnlock()
-	r.chunksMu.RLock()
-	chunks := r.chunks
-	r.chunksMu.RUnlock()
+	chunks, n, _, _ := r.snapshot()
 	var total int64
-	for ci, c := range chunks {
-		cn := n - int64(ci)<<recChunkShift
-		if cn <= 0 {
-			break
-		}
-		if cn > recChunkSize {
-			cn = recChunkSize
-		}
-		total += c.sizeBytes(cn)
+	for _, c := range chunks[:(n+recChunkMask)>>recChunkShift] {
+		total += c.sizeBytes()
 	}
 	return total
 }
@@ -246,7 +344,8 @@ func (r *Recording) Record(n int64) {
 
 // snapshot returns the published state under the recording's locks. The
 // length is read first: extend links a chunk in before publishing the
-// length that covers it, so the returned slice always spans n.
+// length that covers it, so the returned slice always spans n (and may
+// hold one chunk more).
 func (r *Recording) snapshot() ([]*recChunk, int64, uint32, bool) {
 	r.lenMu.RLock()
 	n, tail, done := r.n, r.tail, r.done
@@ -259,35 +358,35 @@ func (r *Recording) snapshot() ([]*recChunk, int64, uint32, bool) {
 
 // extend advances the recording until seq is covered or the program
 // halts. Only one goroutine extends at a time; the rest re-check the
-// published length after the lock drops. The length is published only
-// on chunk boundaries (or at program end), so readers never observe a
-// chunk whose side tables are still growing.
+// published length after the lock drops. Each chunk is captured into a
+// pooled builder and linked in once sealed, and the length is published
+// only on chunk boundaries (or at program end), so readers never
+// observe a chunk that is still growing.
 func (r *Recording) extend(seq int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n, done := r.length()
+	if seq < n || done {
+		return
+	}
+	b := chunkBuilders.Get().(*chunkBuilder)
+	defer chunkBuilders.Put(b)
+	wide := len(r.code) >= widePCMin
 	for seq >= n && !done {
-		ci, off := n>>recChunkShift, n&recChunkMask
-		if off == 0 {
-			r.chunksMu.Lock()
-			r.chunks = append(r.chunks, newRecChunk())
-			r.chunksMu.Unlock()
-		}
-		r.chunksMu.RLock()
-		c := r.chunks[ci]
-		r.chunksMu.RUnlock()
-		// Fill the rest of the chunk (or stop at the program's end)
-		// before publishing, so the length bump is amortized and the
-		// chunk is immutable once visible.
-		filled := off
-		for ; filled < recChunkSize; filled++ {
+		for b.n < recChunkSize {
 			if !r.m.Step(&r.scratch) {
 				done = true
 				break
 			}
-			c.encode(int(filled&recChunkMask), &r.scratch)
+			b.encode(&r.scratch)
 		}
-		n += filled - off
+		if b.n > 0 {
+			n += int64(b.n)
+			c := b.seal(wide)
+			r.chunksMu.Lock()
+			r.chunks = append(r.chunks, c)
+			r.chunksMu.Unlock()
+		}
 		r.lenMu.Lock()
 		r.n, r.tail, r.done = n, r.m.PC(), done
 		r.lenMu.Unlock()
@@ -356,28 +455,27 @@ func (rp *Replay) At(seq int64) *DynInst {
 func (rp *Replay) decode(seq int64) {
 	c := rp.chunks[seq>>recChunkShift]
 	off := int(seq & recChunkMask)
-	idx := c.pcIdx[off]
-	in := &rp.code[idx]
+	idx := c.pcAt(off)
 	d := &rp.scratch
 	d.Seq = seq
 	d.PC = prog.TextBase + idx*isa.InstBytes
-	d.Inst = in
-	d.Addr = c.addr[off]
-	d.LoadVal, d.StoreVal, d.OldVal = 0, 0, 0
-	switch {
-	case in.Op.IsLoad():
-		d.LoadVal = c.vals[c.valIdx[off]]
-	case in.Op.IsStore():
-		vi := c.valIdx[off]
-		d.StoreVal, d.OldVal = c.vals[vi], c.vals[vi+1]
+	d.Inst = &rp.code[idx]
+	w, bit := off>>6, uint64(1)<<(uint(off)&63)
+	d.Addr, d.LoadVal, d.StoreVal, d.OldVal, d.ProducerSeq = 0, 0, 0, 0, -1
+	if lw := c.load[w]; lw&bit != 0 {
+		k := int(c.loadRank[w]) + bits.OnesCount64(lw&(bit-1))
+		d.Addr, d.LoadVal = c.ldAddr[k], c.ldVal[k]
+		d.ProducerSeq = c.dep(c.ldProd[k], dep16Escape, off, escProd, seq)
+	} else if sw := c.store[w]; sw&bit != 0 {
+		k := int(c.storeRank[w]) + bits.OnesCount64(sw&(bit-1))
+		d.Addr, d.StoreVal, d.OldVal = c.stAddr[k], c.stVal[k], c.stOld[k]
 	}
-	d.Dep1Seq = c.decodeDep(c.dep1[off], off, escDep1, seq)
-	d.Dep2Seq = c.decodeDep(c.dep2[off], off, escDep2, seq)
-	d.ProducerSeq = c.decodeDep(c.prod[off], off, escProd, seq)
-	d.Taken = c.taken[off>>6]>>(uint(off)&63)&1 != 0
+	d.Dep1Seq = c.dep(c.dep1[off], dep16Escape, off, escDep1, seq)
+	d.Dep2Seq = c.dep(uint16(c.dep2[off]), dep8Escape, off, escDep2, seq)
+	d.Taken = c.taken[w]&bit != 0
 	if next := seq + 1; next < rp.n {
 		nc := rp.chunks[next>>recChunkShift]
-		d.NextPC = prog.TextBase + nc.pcIdx[next&recChunkMask]*isa.InstBytes
+		d.NextPC = prog.TextBase + nc.pcAt(int(next&recChunkMask))*isa.InstBytes
 	} else {
 		// The frontier: the recording publishes the machine's PC (the
 		// last instruction's NextPC) alongside every length bump.

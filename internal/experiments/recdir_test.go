@@ -80,6 +80,45 @@ func TestRecordingDirCachesAndReplays(t *testing.T) {
 	defer r3.Close()
 }
 
+// TestRecordingDirRecapturesVersion1: a cache file in the previous
+// format (MDREC001, here the emu package's fixture, which a build of
+// that format wrote) is refused as corrupt, so the runner captures the
+// benchmark once, republishes it in the current format and simulates
+// what a runner without a cache does.
+func TestRecordingDirRecapturesVersion1(t *testing.T) {
+	dir := t.TempDir()
+	const bench = "129.compress"
+	v1, err := os.ReadFile(filepath.Join("..", "emu", "testdata", "loop60.mdrec001"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, bench+".mdrec")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default128().WithPolicy(config.Naive)
+	run := func(opt Options) (*stats.Run, Counters) {
+		r := NewRunner(opt)
+		defer r.Close()
+		res, _, err := r.RunWithSource(context.Background(), bench, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, r.Counters()
+	}
+	want, _ := run(Options{Insts: 10_000})
+	got, c := run(Options{Insts: 10_000, RecordingDir: dir})
+	if c.RecordingMisses != 1 || c.RecordingHits != 0 {
+		t.Errorf("recording_misses = %d, recording_hits = %d over a version-1 file; want one capture", c.RecordingMisses, c.RecordingHits)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("stats after re-capturing a version-1 file differ from an uncached runner's")
+	}
+	if _, c := run(Options{Insts: 10_000, RecordingDir: dir}); c.RecordingHits != 1 || c.RecordingMisses != 0 {
+		t.Errorf("the republished file gave %d hits and %d misses, want 1 and 0", c.RecordingHits, c.RecordingMisses)
+	}
+}
+
 // TestRecordingDirServesMixedBudgets runs a small and a large budget
 // over one recording directory, in both orders, with full timing and
 // with sampling. A file captured for the smaller budget is sealed short

@@ -278,10 +278,14 @@ type ckptKey struct {
 }
 
 // call is an in-flight simulation that duplicate requests wait on.
+// canceled records that the owner's context ended before the cell
+// settled, so err says nothing about the cell: a joiner whose own
+// context is live settles it afresh instead of taking err.
 type call struct {
-	done chan struct{}
-	rec  RunRecord
-	err  error
+	done     chan struct{}
+	rec      RunRecord
+	err      error
+	canceled bool
 }
 
 // NewRunner returns a Runner with the given options.
@@ -681,7 +685,7 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine)
 	if err != nil {
 		return nil, err
 	}
-	res, err := pl.Run(r.opt.Insts)
+	res, err := pl.RunContext(ctx, r.opt.Insts)
 	if err != nil {
 		return nil, err
 	}
@@ -853,11 +857,14 @@ const (
 // deduplicated against an in-flight duplicate, or replayed from a
 // primed journal. Results are memoized, and concurrent calls for the
 // same (bench, cfg) pair share a single simulation (singleflight). A
-// canceled context aborts before starting new work; an already-running
-// duplicate is abandoned (it completes and populates the cache for
-// later callers). Errors are returned naming the offending (bench,
-// config) pair and are not cached. mdserve responses carry the source
-// so clients can tell a cache hit from a paid simulation.
+// canceled context aborts before starting new work and stops the
+// simulation this call owns; a call that joined a duplicate just stops
+// waiting. When the owner of a shared simulation is canceled, each
+// joiner whose context is still live settles the cell afresh (one of
+// them simulates it again) rather than inheriting the owner's context
+// error. Errors are returned naming the offending (bench, config) pair
+// and are not cached. mdserve responses carry the source so clients
+// can tell a cache hit from a paid simulation.
 func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, RunSource, error) {
 	key := runKey{bench, cfg}
 	rec, src, c, err := r.lookup(ctx, key, true)
@@ -925,6 +932,7 @@ func (r *Runner) RunWithSource(ctx context.Context, bench string, cfg config.Mac
 	}
 
 	c.rec, c.err = rec, err
+	c.canceled = err != nil && ctx.Err() != nil
 	close(c.done)
 	return res, SourceSimulated, err
 }
@@ -943,10 +951,12 @@ func (r *Runner) Lookup(ctx context.Context, bench string, cfg config.Machine) (
 }
 
 // lookup is the part of RunWithSource that needs no simulation, decided
-// under one hold of mu. A cell it cannot settle is claimed when claim
-// is set: it goes in flight under the returned call, which the caller
-// owes a simulation. Otherwise an unsettled cell returns an empty
-// source, a nil call and a nil error.
+// under one hold of mu, or by the in-flight duplicate it joins; a
+// duplicate whose owner was canceled settles nothing, and lookup
+// decides again. A cell it cannot settle is claimed when claim is set:
+// it goes in flight under the returned call, which the caller owes a
+// simulation. Otherwise an unsettled cell returns an empty source, a
+// nil call and a nil error.
 func (r *Runner) lookup(ctx context.Context, key runKey, claim bool) (RunRecord, RunSource, *call, error) {
 	if err := ctx.Err(); err != nil {
 		return RunRecord{}, "", nil, err
@@ -984,6 +994,11 @@ func (r *Runner) lookup(ctx context.Context, key runKey, claim bool) (RunRecord,
 		r.mu.Unlock()
 		select {
 		case <-c.done:
+			if c.canceled {
+				// The owner's context ended, not the cell, and the owner
+				// has left the in-flight set: decide again.
+				return r.lookup(ctx, key, claim)
+			}
 			if c.err != nil {
 				return RunRecord{}, "", nil, c.err
 			}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -375,6 +376,86 @@ func TestRunnerDeadline(t *testing.T) {
 	res, err := r.grid(ctx, []string{"a", "b", "c"}, nas(config.Naive))
 	if !errors.Is(err, context.DeadlineExceeded) || res != nil {
 		t.Fatalf("grid past deadline = %v, %v, want DeadlineExceeded and no rows", res, err)
+	}
+}
+
+// TestFullTimingCellStopsOnCancel: a full-timing cell whose context
+// expires mid-simulation returns the context's error within a poll
+// interval of the pipeline instead of running its budget out, so a
+// canceled request frees its worker.
+func TestFullTimingCellStopsOnCancel(t *testing.T) {
+	r := NewRunner(Options{Insts: 2_000_000, Parallel: 1})
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(bg, 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := r.RunWithSource(ctx, "126.gcc", nas(config.NoSpec))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunWithSource past its deadline = %v, want DeadlineExceeded", err)
+	}
+	if wall := time.Since(start); wall > time.Second {
+		t.Errorf("a canceled cell took %v to give up", wall)
+	}
+}
+
+// TestJoinerOutlivesCanceledOwner: when the caller that owns a
+// full-timing cell is canceled while others wait on that cell, each
+// waiter whose context is live still gets the cell's stats (one of them
+// simulates it again), through RunWithSource and through mdserve's
+// RunGuarded alike, instead of the owner's context error.
+func TestJoinerOutlivesCanceledOwner(t *testing.T) {
+	const insts = 20_000
+	started, proceed := make(chan struct{}), make(chan struct{})
+	var jobs atomic.Int64
+	r := NewRunner(Options{Insts: insts, Parallel: 2, Hooks: Hooks{JobStarted: func(string, string) {
+		if jobs.Add(1) == 1 {
+			close(started)
+			<-proceed // hold the owner in flight until the waiters have joined
+		}
+	}}})
+	defer r.Close()
+	cfg := nas(config.Sync)
+
+	ctx, cancel := context.WithCancel(bg)
+	ownerErr := make(chan error, 1)
+	go func() {
+		_, _, err := r.RunWithSource(ctx, "129.compress", cfg)
+		ownerErr <- err
+	}()
+	<-started
+	var wg sync.WaitGroup
+	runs := make([]*stats.Run, 2)
+	errs := make([]error, 2)
+	for i, run := range []func(context.Context, string, config.Machine) (*stats.Run, RunSource, error){r.RunWithSource, r.RunGuarded} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], _, errs[i] = run(bg, "129.compress", cfg)
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let both waiters join the owner's call
+	cancel()
+	close(proceed)
+	if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled owner = %v, want context.Canceled", err)
+	}
+	wg.Wait()
+
+	fresh := NewRunner(Options{Insts: insts})
+	defer fresh.Close()
+	want, _, err := fresh.RunWithSource(bg, "129.compress", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"RunWithSource", "RunGuarded"} {
+		if errs[i] != nil {
+			t.Errorf("%s waiting on a canceled owner: %v", name, errs[i])
+		} else if !reflect.DeepEqual(runs[i], want) {
+			t.Errorf("%s waiting on a canceled owner = %+v, want %+v", name, runs[i], want)
+		}
+	}
+	if n := jobs.Load(); n != 2 {
+		t.Errorf("%d simulations started, want 2: the canceled owner's and one rerun", n)
 	}
 }
 

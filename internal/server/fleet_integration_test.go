@@ -51,6 +51,13 @@ func saturate(t *testing.T, ts string, s *Server, release chan struct{}, entered
 	}
 }
 
+// idle reports whether the scheduler has no cell queued or running.
+func idle(s *Server) bool {
+	s.sched.infMu.Lock()
+	defer s.sched.infMu.Unlock()
+	return s.sched.queue().Depth == 0 && len(s.sched.inflight) == 0
+}
+
 // A client cell refused with 503 must wait out the Retry-After hint
 // (floored by the deterministic backoff) and resubmit instead of
 // failing the sweep.
@@ -77,8 +84,17 @@ func TestClientRetriesOn503(t *testing.T) {
 		waits = append(waits, d)
 		mu.Unlock()
 		// The saturated scheduler frees up while the client waits —
-		// exactly the transient overload the retry exists for.
+		// exactly the transient overload the retry exists for. The wait
+		// lasts until it has: the queued cell taken and both released
+		// cells returned. Returning at once would let the retry meet the
+		// still-full queue, and the next ones too, until the attempt
+		// budget ran out.
 		unblock()
+		for deadline := time.Now().Add(5 * time.Second); !idle(s); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				return errors.New("the released scheduler never emptied")
+			}
+		}
 		return nil
 	}
 	res, err := c.Run(context.Background(), "126.gcc", cfgWith(config.Oracle))
