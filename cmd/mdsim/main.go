@@ -9,10 +9,10 @@
 //	      [-trace file]
 //
 // With -sample, the run is the interval-parallel sampled engine that
-// mdexp -sampled and mdserve run, over an in-memory recording and
-// warm-state checkpoint set; -par is its worker count (default 0 = one
-// per CPU core). The result is bit-identical for every -par value and
-// equals mdexp's for the same cell.
+// mdexp -sampled and mdserve run, over an in-memory recording and, with
+// more than one worker, a warm-state checkpoint set; -par is its worker
+// count (default 0 = one per CPU core). The result is bit-identical for
+// every -par value and equals mdexp's for the same cell.
 //
 // With -json, a single provenance-carrying run record (config name and
 // hash, instruction budget, wall time, runner version, raw counters) is
@@ -119,13 +119,17 @@ func main() {
 	var r *stats.Run
 	start := time.Now()
 	if *sample != "" {
-		// Segments over a shared recording, each restored from the
-		// checkpoint at its warm-up start, as the runner does without
-		// -recdir.
-		rec := emu.NewRecording(emu.New(p))
+		// Segments over a recording captured to the run's horizon, each
+		// restored from the checkpoint at its warm-up start, as the
+		// runner does without -recdir. One worker walks the segments in
+		// order behind one warmer instead, and needs no checkpoints.
 		popt := parsim.Options{TotalTiming: *n, TimingInsts: tw, FunctionalInsts: fw, Workers: *par}
-		if popt.Checkpoints, err = ckpt.Build(cfg, rec, rec.Fingerprint(), popt.CheckpointSeqs()); err != nil {
-			fatal(err)
+		rec := emu.NewRecording(emu.New(p))
+		rec.Record(popt.Horizon())
+		if *par != 1 {
+			if popt.Checkpoints, err = ckpt.Build(cfg, rec, rec.Fingerprint(), popt.CheckpointSeqs()); err != nil {
+				fatal(err)
+			}
 		}
 		if r, err = parsim.Run(context.Background(), cfg, rec, popt); err != nil {
 			fatal(err)

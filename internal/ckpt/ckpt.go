@@ -173,9 +173,10 @@ func Positions(totalTiming, timingInsts, functionalInsts int64, segmentPeriods i
 
 // Build captures a checkpoint set in one functional pass over the
 // recording: a machine-shaped Warmer advances to each position in seqs
-// (strictly ascending) and snapshots its state there. Positions beyond
-// the recording's end are skipped — the frames that exist are exact.
-func Build(cfg config.Machine, rec emu.ReplaySource, recFP uint64, seqs []int64) (*Set, error) {
+// (strictly ascending) and snapshots its state there. Positions past
+// the end of a halted program are skipped — the frames that exist are
+// exact — and a sealed prefix must reach the last position.
+func Build(cfg config.Machine, rec *emu.Recording, recFP uint64, seqs []int64) (*Set, error) {
 	tr := rec.NewReplay()
 	w := core.NewMachineWarmer(cfg, tr)
 	s := &Set{RecFP: recFP, WarmHash: WarmConfigOf(cfg).Hash(), Frames: make([]Frame, 0, len(seqs))}

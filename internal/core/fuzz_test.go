@@ -58,7 +58,9 @@ func FuzzValidatedConfigRuns(f *testing.F) {
 			s.entries, s.assoc, s.units, s.frontEnd, s.squash, s.lsq)
 	}
 	gcc := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
+	gcc.Record(8_192 + ReadAhead)
 	fpppp := emu.NewRecording(emu.New(workload.MustBuild("145.fpppp")))
+	fpppp.Record(8_192 + ReadAhead)
 	f.Fuzz(func(t *testing.T, fp bool, window, fetch, issue, commit, branches, ports int, as bool,
 		latency, policy, entries, assoc, units, frontEnd, squash, lsq int) {
 		cfg := config.Default128()

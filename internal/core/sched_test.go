@@ -183,6 +183,7 @@ func TestAddrMapsMirrorROBUnderSquashStorms(t *testing.T) {
 // storage, and the shared recording serves reads without copying.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
+	rec.Record(22_000*8 + ReadAhead)
 	cfgs := []struct {
 		name string
 		cfg  config.Machine
@@ -238,6 +239,7 @@ func TestNoOverflowEventsAtCaps(t *testing.T) {
 	}
 	for _, bench := range []string{"126.gcc", "145.fpppp"} {
 		rec := emu.NewRecording(emu.New(workload.MustBuild(bench)))
+		rec.Record(8_192 + ReadAhead)
 		for _, cfg := range cfgs {
 			if err := cfg.Validate(); err != nil {
 				t.Fatalf("%s: %v", cfg.Name(), err)
@@ -294,6 +296,7 @@ func TestConstructionAllocsBounded(t *testing.T) {
 // unreachable in a healthy build, so the renderer gets its own test.
 func TestDeadlockSnapshotRenders(t *testing.T) {
 	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
+	rec.Record(500 * 8)
 	pl, err := New(config.Default128().WithPolicy(config.Sync), rec.NewReplay())
 	if err != nil {
 		t.Fatal(err)

@@ -163,6 +163,7 @@ func TestRestoreWarmRejects(t *testing.T) {
 // builds, and the pipeline that handed them back holds neither.
 func TestRecycleResetsToFresh(t *testing.T) {
 	rec := emu.NewRecording(emu.New(workload.MustBuild("126.gcc")))
+	rec.Record(20_000 + ReadAhead)
 	for _, perfect := range []bool{false, true} {
 		for _, kind := range []bpred.Kind{bpred.Combined, bpred.GShare, bpred.Bimodal, bpred.StaticTaken} {
 			cfg := config.Default128().WithPolicy(config.Naive)

@@ -21,6 +21,12 @@ import (
 // 8-byte aligned so a read-only mmap can be viewed in place as typed
 // column slices — multiple mdserve worker processes then share one
 // physical copy of each benchmark's recording through the page cache.
+// There is one recording type. Record captures a stream whole, to a
+// horizon or the program's end, and drops its machine; WriteSealedTo
+// writes that capture; OpenRecordingFile returns a Recording whose
+// chunks are views into the mapped file instead of copies out of a
+// builder. Neither kind changes once it exists, and every replay
+// decodes both alike. pcIdx is always 16-bit (prog.MaxInsts).
 //
 //	[0]  magic    "MDREC002"
 //	[8]  n        int64   total instructions
@@ -28,13 +34,12 @@ import (
 //	[20] flags    uint32  bit 0: recording is complete; bit 1: sealed prefix
 //	[24] progHash uint64  fingerprint of the program the columns index
 //	[32] nChunks  uint32
-//	[36] pcBytes  uint32  width of a pcIdx entry: 2, or 4 for programs of
-//	                      more than 65,536 static instructions
+//	[36] pcBytes  uint32  width of a pcIdx entry: 2, the only width read
 //	[40] reserved uint32  zero
 //	[44] crc      uint32  CRC-32 (IEEE) of bytes [0,44) and [48,end)
 //	[48] directory: per chunk {chunkLen, nLoads, nStores, nEsc} uint32
 //	then per chunk, each section padded to 8 bytes (w = (chunkLen+63)/64):
-//	     pcIdx[chunkLen]u16|u32  dep1[chunkLen]u16  dep2[chunkLen]u8
+//	     pcIdx[chunkLen]u16  dep1[chunkLen]u16  dep2[chunkLen]u8
 //	     taken[w]u64  load[w]u64  store[w]u64  loadRank[w]u16
 //	     storeRank[w]u16
 //	     ldAddr[nLoads]u32  ldVal[nLoads]i64  ldProd[nLoads]u16
@@ -58,6 +63,11 @@ const (
 	// instructions of a longer program. Replays past the seal fail
 	// loudly (they would otherwise silently simulate a shorter program).
 	recFlagPrefix = 1 << 1
+	// recPCBytes is the header's pcIdx width. Programs have at most
+	// prog.MaxInsts instructions, so the column is always 16-bit; the
+	// word stays, and must read 2, so the files older builds wrote for
+	// the suite still open.
+	recPCBytes = 2
 )
 
 // recCRC is the checksum a recording file's header carries: the header
@@ -127,12 +137,8 @@ func asBytes[T column](s []T) []byte {
 
 // sections lists the chunk's payload sections in file order.
 func (c *recChunk) sections() [][]byte {
-	pc := asBytes(c.pc16)
-	if c.pc16 == nil {
-		pc = asBytes(c.pc32)
-	}
 	return [][]byte{
-		pc, asBytes(c.dep1), asBytes(c.dep2),
+		asBytes(c.pc), asBytes(c.dep1), asBytes(c.dep2),
 		asBytes(c.taken), asBytes(c.load), asBytes(c.store),
 		asBytes(c.loadRank), asBytes(c.storeRank),
 		asBytes(c.ldAddr), asBytes(c.ldVal), asBytes(c.ldProd),
@@ -141,30 +147,20 @@ func (c *recChunk) sections() [][]byte {
 	}
 }
 
-// WriteSealedTo serializes whatever has been recorded so far in format
-// version 2. A halted recording is written whole; an unfinished one is
-// sealed at its current frontier (always a chunk boundary) and marked
-// as a prefix, so replays that run past the seal panic instead of
-// silently treating it as the program's end. Callers pre-extend with
-// Record to the horizon their consumers replay.
+// WriteSealedTo serializes the recording in format version 2. A halted
+// program is written whole; a prefix recorded to a horizon is sealed at
+// its end (always a chunk boundary) and marked as a prefix, so replays
+// that run past the seal panic instead of silently treating it as the
+// program's end.
 func (r *Recording) WriteSealedTo(w io.Writer) (int64, error) {
-	chunks, n, tail, done := r.snapshot()
 	flags := uint32(recFlagDone)
-	if !done {
+	if !r.done {
 		flags |= recFlagPrefix
 	}
-	return writeRecording(w, r.fp, pcBytesFor(len(r.code)), chunks[:(n+recChunkMask)>>recChunkShift], n, tail, flags)
+	return writeRecording(w, r.fp, r.chunks, r.n, r.tail, flags)
 }
 
-// pcBytesFor is the pcIdx width of a program of codeLen instructions.
-func pcBytesFor(codeLen int) uint32 {
-	if codeLen >= widePCMin {
-		return 4
-	}
-	return 2
-}
-
-func writeRecording(w io.Writer, fp uint64, pcBytes uint32, chunks []*recChunk, n int64, tail uint32, flags uint32) (int64, error) {
+func writeRecording(w io.Writer, fp uint64, chunks []*recChunk, n int64, tail uint32, flags uint32) (int64, error) {
 	if !hostLittleEndian() {
 		return 0, fmt.Errorf("emu: recording files require a little-endian host")
 	}
@@ -181,7 +177,7 @@ func writeRecording(w io.Writer, fp uint64, pcBytes uint32, chunks []*recChunk, 
 	binary.LittleEndian.PutUint32(head[20:], flags)
 	binary.LittleEndian.PutUint64(head[24:], fp)
 	binary.LittleEndian.PutUint32(head[32:], uint32(nChunks))
-	binary.LittleEndian.PutUint32(head[36:], pcBytes)
+	binary.LittleEndian.PutUint32(head[36:], recPCBytes)
 	for ci, c := range chunks {
 		e := head[recHeaderSize+ci*recDirEntry:]
 		binary.LittleEndian.PutUint32(e, uint32(chunkLenOf(n, ci)))
@@ -233,71 +229,35 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// FileRecording is a read-only recording backed by a mapped (or loaded)
-// recording file. Its replay cursors decode straight out of the mapped
-// columns; concurrent worker processes opening the same file share the
-// pages. It implements ReplaySource next to the live *Recording.
-type FileRecording struct {
-	chunks []*recChunk
-	n      int64
-	tail   uint32
-	code   []isa.Inst
-	fp     uint64 // ProgramFingerprint of the recorded program
-	prefix bool   // sealed prefix of a longer program
+// Mmapped reports whether the recording is a memory-mapped file (as
+// opposed to a capture, or a file the fallback read into memory).
+func (r *Recording) Mmapped() bool { return r.mmapped }
 
-	data    []byte // backing bytes; keeps the mapping alive
-	unmap   func() error
-	mmapped bool
-}
-
-// Prefix reports whether the file is a sealed prefix (recorded to a
-// horizon) rather than a whole halted program.
-func (f *FileRecording) Prefix() bool { return f.prefix }
-
-// Len returns the recorded program length.
-func (f *FileRecording) Len() int64 { return f.n }
-
-// Fingerprint returns the ProgramFingerprint of the recorded program.
-func (f *FileRecording) Fingerprint() uint64 { return f.fp }
-
-// SizeBytes returns the byte size of the mapped column payload.
-func (f *FileRecording) SizeBytes() int64 { return int64(len(f.data)) }
-
-// Mmapped reports whether the file is memory-mapped (as opposed to read
-// into private memory by the fallback path).
-func (f *FileRecording) Mmapped() bool { return f.mmapped }
-
-// NewReplay returns a replay cursor over the mapped recording. The
-// cursor's snapshot is the whole file: file recordings are complete by
-// construction, so the cursor never refreshes or extends.
-func (f *FileRecording) NewReplay() *Replay {
-	return &Replay{chunks: f.chunks, n: f.n, tail: f.tail, done: true, sealed: f.prefix, code: f.code, cur: -1}
-}
-
-// DropPages gives the mapping's resident pages back to the kernel while
-// keeping the mapping: every replay cursor, open or new, stays valid and
-// faults the pages it reads back in from the page cache. A batch calls
-// it once it is done with a benchmark, so a sweep's resident recordings
-// are those it is replaying, not every one it has opened. It does
-// nothing for a file the fallback read into memory, nor on platforms
-// other than Linux.
-func (f *FileRecording) DropPages() error {
-	if !f.mmapped || len(f.data) == 0 {
+// DropPages gives a mapped recording's resident pages back to the
+// kernel while keeping the mapping: every replay cursor, open or new,
+// stays valid and faults the pages it reads back in from the page
+// cache. A batch calls it once it is done with a benchmark, so a
+// sweep's resident recordings are those it is replaying, not every one
+// it has opened. It does nothing for a capture, for a file the fallback
+// read into memory, nor on platforms other than Linux.
+func (r *Recording) DropPages() error {
+	if !r.mmapped || len(r.data) == 0 {
 		return nil
 	}
-	return dropPages(f.data)
+	return dropPages(r.data)
 }
 
-// Close releases the mapping. Replay cursors must not be used after
+// Close releases a mapped recording's mapping; it does nothing for a
+// capture. Replay cursors of a mapped recording must not be used after
 // Close.
-func (f *FileRecording) Close() error {
-	if f.unmap == nil {
+func (r *Recording) Close() error {
+	if r.unmap == nil {
 		return nil
 	}
-	u := f.unmap
-	f.unmap = nil
-	f.data = nil
-	f.chunks = nil
+	u := r.unmap
+	r.unmap = nil
+	r.data = nil
+	r.chunks = nil
 	return u()
 }
 
@@ -305,7 +265,7 @@ func (f *FileRecording) Close() error {
 // uncorrupted recording of p. Structural damage (torn tail, flipped
 // bits) returns an error wrapping ErrCorruptRecording; a recording of a
 // different program returns one wrapping ErrRecordingMismatch.
-func OpenRecordingFile(path string, p *prog.Program) (*FileRecording, error) {
+func OpenRecordingFile(path string, p *prog.Program) (*Recording, error) {
 	if !hostLittleEndian() {
 		return nil, fmt.Errorf("emu: recording files require a little-endian host")
 	}
@@ -322,18 +282,18 @@ func OpenRecordingFile(path string, p *prog.Program) (*FileRecording, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := parseRecording(data, p)
+	r, err := parseRecording(data, p)
 	if err != nil {
 		unmap() //md:errok teardown of a read-only mapping on an already-failing open; the parse error is the one reported
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	f.unmap = unmap
-	f.mmapped = mmapped
-	return f, nil
+	r.unmap = unmap
+	r.mmapped = mmapped
+	return r, nil
 }
 
 // parseRecording builds typed column views over the raw file bytes.
-func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
+func parseRecording(data []byte, p *prog.Program) (*Recording, error) {
 	if len(data) < recHeaderSize || string(data[:8]) != recMagic {
 		return nil, fmt.Errorf("%w: bad magic or short header", ErrCorruptRecording)
 	}
@@ -356,9 +316,9 @@ func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
 	if hash != progFingerprint(p) {
 		return nil, fmt.Errorf("%w: program fingerprint %#x, file has %#x", ErrRecordingMismatch, progFingerprint(p), hash)
 	}
-	if want := pcBytesFor(len(p.Code)); pcBytes != want || reserved != 0 {
-		return nil, fmt.Errorf("%w: %d-byte pcIdx (reserved %#x), want %d bytes for %d instructions",
-			ErrCorruptRecording, pcBytes, reserved, want, len(p.Code))
+	if pcBytes != recPCBytes || reserved != 0 {
+		return nil, fmt.Errorf("%w: %d-byte pcIdx (reserved %#x), want %d bytes",
+			ErrCorruptRecording, pcBytes, reserved, recPCBytes)
 	}
 
 	rest := data[recHeaderSize:]
@@ -367,8 +327,8 @@ func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
 		return nil, fmt.Errorf("%w: truncated directory", ErrCorruptRecording)
 	}
 	dir := rest[:dirLen]
-	f := &FileRecording{n: n, tail: tail, code: p.Code, fp: hash, data: data,
-		prefix: flags&recFlagPrefix != 0, chunks: make([]*recChunk, nChunks)}
+	r := &Recording{n: n, tail: tail, code: p.Code, fp: hash, data: data,
+		done: flags&recFlagPrefix == 0, chunks: make([]*recChunk, nChunks)}
 	sr := &sectionReader{payload: rest[dirLen:]}
 	kinds := opKinds(p.Code)
 	for ci := int64(0); ci < nChunks; ci++ {
@@ -382,11 +342,7 @@ func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
 		}
 		words := (chunkLen + 63) / 64
 		c := &recChunk{}
-		if pcBytes == 2 {
-			c.pc16 = view[uint16](sr, chunkLen)
-		} else {
-			c.pc32 = view[uint32](sr, chunkLen)
-		}
+		c.pc = view[uint16](sr, chunkLen)
 		c.dep1 = view[uint16](sr, chunkLen)
 		c.dep2 = view[uint8](sr, chunkLen)
 		c.taken = view[uint64](sr, words)
@@ -408,12 +364,12 @@ func parseRecording(data []byte, p *prog.Program) (*FileRecording, error) {
 		if err := c.check(ci<<recChunkShift, int(chunkLen), kinds); err != nil {
 			return nil, fmt.Errorf("%w: chunk %d: %v", ErrCorruptRecording, ci, err)
 		}
-		f.chunks[ci] = c
+		r.chunks[ci] = c
 	}
 	if sr.off != int64(len(sr.payload)) {
 		return nil, fmt.Errorf("%w: payload is %d bytes, its chunks span %d", ErrCorruptRecording, len(sr.payload), sr.off)
 	}
-	return f, nil
+	return r, nil
 }
 
 // Per static instruction, the bitmaps its dynamic instances may set,
@@ -457,7 +413,7 @@ func (c *recChunk) check(base int64, n int, kinds []uint8) error {
 	for w := range c.load {
 		var ld, st, br uint64
 		for off := w * 64; off < min(n, w*64+64); off++ {
-			idx := c.pcAt(off)
+			idx := c.pc[off]
 			if int(idx) >= len(kinds) {
 				return fmt.Errorf("pcIdx[%d] = %d outside code table", off, idx)
 			}

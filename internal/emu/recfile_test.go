@@ -66,6 +66,7 @@ func TestColumnarEscapeDistances(t *testing.T) {
 	p := escapeProgram()
 	tr := NewTrace(New(p))
 	rec := NewRecording(New(p))
+	rec.Record(1 << 22)
 	n := compareStreams(t, "escape", tr, rec.NewReplay(), 0)
 	// The point of the program is to exercise the escape table in every
 	// distance column; make sure it actually did.
@@ -87,33 +88,12 @@ func TestColumnarEscapeDistances(t *testing.T) {
 	}
 }
 
-// widePCProgram has more static instructions than a uint16 can index:
-// it jumps over 70,000 NOPs to a loop of loads and stores.
-func widePCProgram() *prog.Program {
-	b := prog.NewBuilder()
-	arena := b.AllocAligned(8, 64)
-	b.J("far")
-	for range 70_000 {
-		b.Nop()
-	}
-	b.Label("far")
-	b.Li(isa.R1, int64(arena))
-	b.Li(isa.R9, 2_000)
-	b.Label("top")
-	b.Sw(isa.R9, isa.R1, 0)
-	b.Lw(isa.R2, isa.R1, 0)
-	b.Addi(isa.R9, isa.R9, -1)
-	b.Bne(isa.R9, isa.R0, "top")
-	b.Halt()
-	return b.MustProgram()
-}
-
 // recordToFile records the whole program and serializes it.
 func recordToFile(t testing.TB, p *prog.Program, path string) *Recording {
 	t.Helper()
 	rec := NewRecording(New(p))
 	rec.Record(1 << 22)
-	if _, done := rec.length(); !done {
+	if rec.Prefix() {
 		t.Fatalf("program did not halt within the recording bound")
 	}
 	f, err := os.Create(path)
@@ -135,8 +115,7 @@ func recordToFile(t testing.TB, p *prog.Program, path string) *Recording {
 func TestRecordingFileRoundTrip(t *testing.T) {
 	// maxBPI bounds the file's bytes per instruction. The loop is a
 	// load and a store in every five instructions, denser in memory
-	// operations than the suite; the wide-pc loop is a load and a store
-	// in every four, with 4-byte pcIdx entries.
+	// operations than the suite.
 	for _, tc := range []struct {
 		name   string
 		prog   *prog.Program
@@ -144,7 +123,6 @@ func TestRecordingFileRoundTrip(t *testing.T) {
 	}{
 		{"loop", loopProgram(3000), 13},
 		{"escape", escapeProgram(), 13},
-		{"wide-pc", widePCProgram(), 17},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "bench.mdrec")
@@ -165,8 +143,8 @@ func TestRecordingFileRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := binary.LittleEndian.Uint32(blob[36:]), pcBytesFor(len(tc.prog.Code)); got != want {
-				t.Errorf("header names %d-byte pcIdx, want %d", got, want)
+			if got := binary.LittleEndian.Uint32(blob[36:]); got != 2 {
+				t.Errorf("header names %d-byte pcIdx, want 2", got)
 			}
 			bpi := float64(len(blob)) / float64(n)
 			t.Logf("%.2f bytes/inst", bpi)
@@ -281,7 +259,8 @@ func TestRecordingFileRefusesVersion1(t *testing.T) {
 // TestSealedPrefixRecording pins the sealed-prefix mode used by the
 // runner's on-disk cache: a recording sealed mid-program replays
 // identically inside the seal, and a read past the seal panics loudly
-// instead of masquerading as the program's end.
+// instead of masquerading as the program's end, the same panic whether
+// the recording was captured or mapped from its file.
 func TestSealedPrefixRecording(t *testing.T) {
 	p := loopProgram(100_000) // far longer than the sealed horizon
 	rec := NewRecording(New(p))
@@ -302,20 +281,26 @@ func TestSealedPrefixRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fr.Close()
-	if !fr.Prefix() {
-		t.Fatal("sealed file not marked as a prefix")
+	if !fr.Prefix() || !rec.Prefix() {
+		t.Fatalf("prefix: mapped %v, captured %v; want both", fr.Prefix(), rec.Prefix())
 	}
-	if fr.Len() < 10_000 {
-		t.Fatalf("sealed at %d, want >= 10000", fr.Len())
+	if fr.Len() < 10_000 || fr.Len() != rec.Len() {
+		t.Fatalf("sealed at %d, captured %d; want equal and >= 10000", fr.Len(), rec.Len())
 	}
 	compareStreams(t, "prefix", NewTrace(New(p)), fr.NewReplay(), fr.Len())
 
-	defer func() {
-		if recover() == nil {
-			t.Error("reading past the seal should panic, not report end-of-program")
-		}
-	}()
-	fr.NewReplay().At(fr.Len())
+	pastSeal := func(r *Recording) (v any) {
+		defer func() { v = recover() }()
+		r.NewReplay().At(r.Len())
+		return nil
+	}
+	mapped, captured := pastSeal(fr), pastSeal(rec)
+	if mapped == nil || captured == nil {
+		t.Fatalf("reading past the seal: mapped panicked with %v, captured with %v; want a panic from both", mapped, captured)
+	}
+	if mapped != captured {
+		t.Errorf("past the seal the mapped recording panics with %q, the captured one with %q", mapped, captured)
+	}
 }
 
 // firstOf returns the offset of the first instruction in chunk c whose
@@ -323,7 +308,7 @@ func TestSealedPrefixRecording(t *testing.T) {
 func firstOf(t testing.TB, c *recChunk, code []isa.Inst, is func(isa.Op) bool) int {
 	t.Helper()
 	for off := range c.dep1 {
-		if is(code[c.pcAt(off)].Op) {
+		if is(code[c.pc[off]].Op) {
 			return off
 		}
 	}
@@ -346,7 +331,7 @@ var badColumns = []struct {
 	mutate func(t testing.TB, c *recChunk, code []isa.Inst)
 }{
 	{"pcIdx-outside-code", func(t testing.TB, c *recChunk, code []isa.Inst) {
-		c.pc16[5] = uint16(len(code))
+		c.pc[5] = uint16(len(code))
 	}},
 	{"load-bit-on-alu", func(t testing.TB, c *recChunk, code []isa.Inst) {
 		flip(c.load, firstOf(t, c, code, isALU))
@@ -404,16 +389,15 @@ func mutatedRecording(t testing.TB, p *prog.Program, mutate func(testing.TB, *re
 	t.Helper()
 	rec := NewRecording(New(p))
 	rec.Record(1 << 22)
-	if _, done := rec.length(); !done {
+	if rec.Prefix() {
 		t.Fatal("program did not halt within the recording bound")
 	}
-	chunks, n, tail, _ := rec.snapshot()
-	if len(chunks[0].escKey) != 0 {
+	if len(rec.chunks[0].escKey) != 0 {
 		t.Fatal("the first chunk already has escapes")
 	}
-	mutate(t, chunks[0], p.Code)
+	mutate(t, rec.chunks[0], p.Code)
 	var buf bytes.Buffer
-	if _, err := writeRecording(&buf, rec.fp, pcBytesFor(len(p.Code)), chunks, n, tail, recFlagDone); err != nil {
+	if _, err := writeRecording(&buf, rec.fp, rec.chunks, rec.n, rec.tail, recFlagDone); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -1,17 +1,15 @@
 package emu
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"mdspec/internal/isa"
 	"mdspec/internal/prog"
 )
 
-// recChunkShift sizes Recording chunks at 4096 instructions. Chunks are
-// immutable once the published length covers them, so readers can index
-// them without locks.
+// recChunkShift sizes Recording chunks at 4096 instructions.
 const recChunkShift = 12
 
 const (
@@ -42,22 +40,19 @@ const (
 
 func escKeyOf(off int, field int) uint32 { return uint32(off)<<2 | uint32(field) }
 
-// widePCMin is the smallest code table whose pcIdx needs 32 bits.
-const widePCMin = 1<<16 + 1
-
 // recChunk holds recChunkSize instructions in column-per-field layout:
 // 5 B and 3 bits per instruction, plus side tables for what only loads
 // and stores carry, about 12 B/inst over the suite:
 //
 //   - Seq is implicit in the position.
-//   - pcIdx is the static code index (PC-TextBase)/4: it regenerates
-//     both PC and the *isa.Inst pointer, so replay stores no pointers.
-//     It is 16-bit (pc16) unless the program has more than 65,536
-//     static instructions (pc32); the other column is nil.
+//   - pc is the static code index (PC-TextBase)/4: it regenerates both
+//     PC and the *isa.Inst pointer, so replay stores no pointers. It is
+//     16-bit: prog.Builder refuses programs of more than
+//     prog.MaxInsts = 65,536 instructions.
 //   - NextPC is not stored at all: the emulator guarantees
 //     NextPC(i) == PC(i+1) (Machine.Step ends with m.pc = d.NextPC),
-//     so it is read from the next entry's pcIdx, or from the
-//     recording's published tail PC at the frontier.
+//     so it is read from the next entry's pc, or from the recording's
+//     tail PC at its end.
 //   - dep1/dep2 store the distance to the register producers.
 //   - taken is a branch-outcome bitmap (it cannot be derived from
 //     NextPC: a taken conditional branch may target fall-through).
@@ -70,8 +65,7 @@ const widePCMin = 1<<16 + 1
 //     memory value before the store). Every other instruction has
 //     all-zero memory fields and no producer by construction.
 type recChunk struct {
-	pc16      []uint16
-	pc32      []uint32
+	pc        []uint16
 	dep1      []uint16
 	dep2      []uint8
 	taken     []uint64 // one bit per instruction
@@ -87,14 +81,6 @@ type recChunk struct {
 	stOld     []int64
 	escKey    []uint32 // escKeyOf(off, field), strictly ascending
 	escVal    []int64  // absolute producer seq for the escaped entry
-}
-
-// pcAt returns the static code index of the instruction at offset off.
-func (c *recChunk) pcAt(off int) uint32 {
-	if c.pc16 != nil {
-		return uint32(c.pc16[off])
-	}
-	return c.pc32[off]
 }
 
 // dep recovers an absolute producer seq from a distance column entry.
@@ -135,11 +121,10 @@ func (c *recChunk) sizeBytes() int64 {
 // chunkBuilder is the scratch a chunk is captured into: every column
 // at full chunk capacity, so capture never grows a slice. seal copies
 // the filled prefix of each column into a chunk of exact lengths, so a
-// chunk holds no spare capacity. Builders are pooled: a lazily extended
-// recording seals one chunk per extension.
+// chunk holds no spare capacity.
 type chunkBuilder struct {
 	n, loads, stores   int
-	pc                 [recChunkSize]uint32
+	pc                 [recChunkSize]uint16
 	dep1               [recChunkSize]uint16
 	dep2               [recChunkSize]uint8
 	taken, load, store [recChunkSize / 64]uint64
@@ -152,15 +137,13 @@ type chunkBuilder struct {
 	escVal             []int64
 }
 
-var chunkBuilders = sync.Pool{New: func() any { return new(chunkBuilder) }}
-
 // encode appends d, which must be the next instruction of the chunk.
 // The escape table grows in offset order, and each instruction's
 // fields are encoded in escDep1, escDep2, escProd order, so its keys
 // stay sorted.
 func (b *chunkBuilder) encode(d *DynInst) {
 	off := b.n
-	b.pc[off] = (d.PC - prog.TextBase) / isa.InstBytes
+	b.pc[off] = uint16((d.PC - prog.TextBase) / isa.InstBytes)
 	b.dep1[off] = uint16(b.distance(off, escDep1, d.Seq, d.Dep1Seq, dep16Escape))
 	b.dep2[off] = uint8(b.distance(off, escDep2, d.Seq, d.Dep2Seq, dep8Escape))
 	w, bit := off>>6, uint64(1)<<(uint(off)&63)
@@ -198,10 +181,11 @@ func (b *chunkBuilder) distance(off, field int, seq, dep, escape int64) int64 {
 }
 
 // seal returns the filled prefix as a chunk of exact column lengths and
-// resets the builder. wide selects the 32-bit pcIdx column.
-func (b *chunkBuilder) seal(wide bool) *recChunk {
+// resets the builder.
+func (b *chunkBuilder) seal() *recChunk {
 	n, words := b.n, (b.n+63)/64
 	c := &recChunk{
+		pc:     exact(b.pc[:n]),
 		dep1:   exact(b.dep1[:n]),
 		dep2:   exact(b.dep2[:n]),
 		taken:  exact(b.taken[:words]),
@@ -217,14 +201,6 @@ func (b *chunkBuilder) seal(wide bool) *recChunk {
 		escVal: exact(b.escVal),
 	}
 	c.loadRank, c.storeRank = ranks(c.load), ranks(c.store)
-	if wide {
-		c.pc32 = exact(b.pc[:n])
-	} else {
-		c.pc16 = make([]uint16, n)
-		for i, idx := range b.pc[:n] {
-			c.pc16[i] = uint16(idx)
-		}
-	}
 	b.n, b.loads, b.stores = 0, 0, 0
 	clear(b.taken[:])
 	clear(b.load[:])
@@ -259,147 +235,108 @@ func ranks(bitmap []uint64) []uint16 {
 	return r
 }
 
-// Recording captures the dynamic instruction stream of a Machine exactly
-// once so that many timing configurations can replay it concurrently.
-// The paper's sweeps run every policy over the same benchmark slice; the
-// architectural stream is identical across configurations, so emulating
-// it per configuration is pure waste. A Recording is extended on demand
-// by whichever replay reads furthest ahead, under a mutex; completed
-// prefixes are published with release/acquire semantics so other replays
-// (possibly on other goroutines) index them lock-free.
+// Recording is one run of a program's dynamic instruction stream,
+// captured once so that every timing configuration of a sweep replays
+// the same run: the architectural stream is identical across
+// configurations, so emulating it per configuration is pure waste.
+//
+// A recording is captured whole before any replay reads it.
+// NewRecording takes the machine, and Record emulates it in
+// 4,096-instruction chunks up to a horizon (or the program's end) and
+// drops it. OpenRecordingFile maps a recording that WriteSealedTo wrote.
+// Either way the recording never changes afterwards, so any number of
+// replays on any goroutines read it without locks. A replay gets nil
+// past the end of a halted program and panics past a sealed prefix:
+// callers capture to the horizon their reads are bounded by.
 //
 // Storage is columnar (see recChunk): about 12 B/inst shared by all
 // replays, unlike Trace, whose buffer is per-pipeline but stays
-// proportional to the instruction window. A Recording can be
-// serialized with WriteSealedTo and mapped back with OpenRecordingFile
-// so separate processes share one on-disk copy per benchmark.
-// Lock ordering: mu > chunksMu > lenMu. extend holds mu for the whole
-// extension and takes chunksMu, then lenMu, strictly nested inside it;
-// readers take chunksMu or lenMu alone and never mu — so no cycle is
-// possible. A chunk is sealed before it is linked in and never changes
-// after, which is why readers can index chunks lock-free after
-// snapshot.
+// proportional to the instruction window.
 type Recording struct {
-	mu      sync.Mutex // serializes extension of the stream
-	m       *Machine   //md:guardedby mu
-	scratch DynInst    //md:guardedby mu
+	m *Machine // the machine Record captures from; nil once captured
 
-	code []isa.Inst // static code table; pcIdx columns index into it
-	fp   uint64     // ProgramFingerprint of the program, for the file header
+	code   []isa.Inst // static code table; the pc columns index into it
+	fp     uint64     // ProgramFingerprint of the program
+	chunks []*recChunk
+	n      int64  // instructions recorded
+	tail   uint32 // NextPC of instruction n-1
+	done   bool   // the program halted; n is its exact length
 
-	chunksMu sync.RWMutex // guards growth of the chunk slice header
-	chunks   []*recChunk  //md:guardedby chunksMu
-
-	lenMu sync.RWMutex
-	n     int64  //md:guardedby lenMu instructions recorded so far
-	tail  uint32 //md:guardedby lenMu NextPC of instruction n-1 (the machine's frontier PC)
-	done  bool   //md:guardedby lenMu machine halted; n is the exact program length
+	// A mapped recording's file bytes, which its chunks view.
+	data    []byte
+	unmap   func() error
+	mmapped bool
 }
 
-// NewRecording returns a Recording over m. The machine must not be
-// stepped directly once it is owned by a Recording.
+// NewRecording returns an empty recording that Record captures from m.
+// The machine must not be stepped directly once it is owned by a
+// Recording. Its program must have at most prog.MaxInsts instructions,
+// as prog.Builder ensures.
 func NewRecording(m *Machine) *Recording {
+	if len(m.code) > prog.MaxInsts {
+		panic(fmt.Sprintf("emu: a program of %d instructions does not fit a recording's 16-bit code index", len(m.code)))
+	}
 	return &Recording{m: m, code: m.code, fp: m.fp, tail: m.PC()}
 }
 
 // Fingerprint returns the ProgramFingerprint of the recorded program.
 func (r *Recording) Fingerprint() uint64 { return r.fp }
 
-// length returns the published prefix length and whether the program has
-// ended within it.
-func (r *Recording) length() (int64, bool) {
-	r.lenMu.RLock()
-	n, done := r.n, r.done
-	r.lenMu.RUnlock()
-	return n, done
-}
+// Len returns the number of instructions recorded.
+func (r *Recording) Len() int64 { return r.n }
 
-// Len returns the number of instructions recorded so far.
-func (r *Recording) Len() int64 {
-	n, _ := r.length()
-	return n
-}
+// Prefix reports whether the recording is a sealed prefix of a longer
+// program, recorded to a horizon, rather than a whole halted program.
+func (r *Recording) Prefix() bool { return !r.done }
 
-// SizeBytes returns the memory footprint of the recorded columns — the
-// basis of the bytes/inst benchmark metric. Sealed chunks hold no spare
-// capacity, so it is also the heap they occupy, up to allocator
-// rounding.
+// SizeBytes returns the bytes the recording occupies: its columns, the
+// basis of the bytes/inst benchmark metric, or a mapped recording's
+// file. Captured chunks hold no spare capacity, so it is also the heap
+// they occupy, up to allocator rounding.
 func (r *Recording) SizeBytes() int64 {
-	chunks, n, _, _ := r.snapshot()
+	if r.data != nil {
+		return int64(len(r.data))
+	}
 	var total int64
-	for _, c := range chunks[:(n+recChunkMask)>>recChunkShift] {
+	for _, c := range r.chunks {
 		total += c.sizeBytes()
 	}
 	return total
 }
 
-// Record extends the recording to cover at least n instructions (or the
-// whole program if it is shorter). Benchmarks use it to pre-record their
-// full horizon so measured iterations never pay emulation.
+// Record captures whole chunks until the recording covers n
+// instructions or the program halts, then drops the machine, so a
+// recording does not keep its emulator's memory alive. It must be
+// called once, before any replay.
 func (r *Recording) Record(n int64) {
-	if n > 0 {
-		r.extend(n - 1)
-	}
+	r.RecordContext(context.Background(), n) //md:errok a background context is never done
 }
 
-// snapshot returns the published state under the recording's locks. The
-// length is read first: extend links a chunk in before publishing the
-// length that covers it, so the returned slice always spans n (and may
-// hold one chunk more).
-func (r *Recording) snapshot() ([]*recChunk, int64, uint32, bool) {
-	r.lenMu.RLock()
-	n, tail, done := r.n, r.tail, r.done
-	r.lenMu.RUnlock()
-	r.chunksMu.RLock()
-	chunks := r.chunks
-	r.chunksMu.RUnlock()
-	return chunks, n, tail, done
-}
-
-// extend advances the recording until seq is covered or the program
-// halts. Only one goroutine extends at a time; the rest re-check the
-// published length after the lock drops. Each chunk is captured into a
-// pooled builder and linked in once sealed, and the length is published
-// only on chunk boundaries (or at program end), so readers never
-// observe a chunk that is still growing.
-func (r *Recording) extend(seq int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, done := r.length()
-	if seq < n || done {
-		return
+// RecordContext is Record, giving up between chunks once ctx is done:
+// it then returns ctx's error, and the recording, sealed short of n, is
+// the caller's to discard.
+func (r *Recording) RecordContext(ctx context.Context, n int64) error {
+	if r.m == nil {
+		panic("emu: Record on a recording that is already captured")
 	}
-	b := chunkBuilders.Get().(*chunkBuilder)
-	defer chunkBuilders.Put(b)
-	wide := len(r.code) >= widePCMin
-	for seq >= n && !done {
-		for b.n < recChunkSize {
-			if !r.m.Step(&r.scratch) {
-				done = true
-				break
-			}
-			b.encode(&r.scratch)
+	b := new(chunkBuilder)
+	var d DynInst
+	var err error
+	for r.n < n && !r.m.Halted() {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		for b.n < recChunkSize && r.m.Step(&d) {
+			b.encode(&d)
 		}
 		if b.n > 0 {
-			n += int64(b.n)
-			c := b.seal(wide)
-			r.chunksMu.Lock()
-			r.chunks = append(r.chunks, c)
-			r.chunksMu.Unlock()
+			r.n += int64(b.n)
+			r.chunks = append(r.chunks, b.seal())
 		}
-		r.lenMu.Lock()
-		r.n, r.tail, r.done = n, r.m.PC(), done
-		r.lenMu.Unlock()
 	}
-}
-
-// ReplaySource is anything that can hand out replay cursors over a
-// shared recorded stream: a live *Recording or a mapped *FileRecording.
-// Fingerprint names the recorded program (ProgramFingerprint), so state
-// derived from the stream, such as checkpoint sets, can be keyed by it.
-type ReplaySource interface {
-	NewReplay() *Replay
-	Fingerprint() uint64
+	r.tail, r.done = r.m.PC(), r.m.Halted()
+	r.m = nil
+	return err
 }
 
 // Replay is a read cursor over a Recording, satisfying Stream. Each
@@ -412,15 +349,12 @@ type ReplaySource interface {
 // as full records. Callers must therefore finish with the returned
 // record before calling At again on the same cursor — the discipline
 // Trace.At (whose buffer reallocates on append) already imposes. A
-// Replay must not be shared between goroutines (Recordings may be;
-// snapshots are refreshed through the recording's locks).
+// Replay must not be shared between goroutines; its Recording may be.
 type Replay struct {
-	rec    *Recording // nil for file-backed replays
 	chunks []*recChunk
 	n      int64
 	tail   uint32
 	done   bool
-	sealed bool // file-backed prefix: reading past n is an error
 	code   []isa.Inst
 
 	cur     int64 // seq currently decoded in scratch, -1 for none
@@ -429,7 +363,7 @@ type Replay struct {
 
 // NewReplay returns a fresh replay cursor over the recording.
 func (r *Recording) NewReplay() *Replay {
-	return &Replay{rec: r, code: r.code, cur: -1}
+	return &Replay{chunks: r.chunks, n: r.n, tail: r.tail, done: r.done, code: r.code, cur: -1}
 }
 
 // At returns the dynamic instruction with sequence number seq, or nil if
@@ -445,17 +379,24 @@ func (rp *Replay) At(seq int64) *DynInst {
 		rp.decode(seq)
 		return &rp.scratch
 	}
-	return rp.atSlow(seq)
+	if rp.done {
+		return nil
+	}
+	// Returning nil here would silently simulate a shorter program than
+	// the one recorded; the capture horizon is sized so a correct replay
+	// never gets here.
+	//md:allocok a read past a sealed prefix is a bug, reported once by a panic
+	panic(fmt.Sprintf("emu: replay past sealed recording prefix (seq %d, sealed at %d)", seq, rp.n))
 }
 
-// decode materializes instruction seq (which must be below the cursor's
-// published length) into the scratch record. It touches only the
+// decode materializes instruction seq (which must be below the
+// recording's length) into the scratch record. It touches only the
 // columns, allocates nothing, and leaves every field of the scratch in
 // the exact state Machine.Step would have produced.
 func (rp *Replay) decode(seq int64) {
 	c := rp.chunks[seq>>recChunkShift]
 	off := int(seq & recChunkMask)
-	idx := c.pcAt(off)
+	idx := uint32(c.pc[off])
 	d := &rp.scratch
 	d.Seq = seq
 	d.PC = prog.TextBase + idx*isa.InstBytes
@@ -475,54 +416,18 @@ func (rp *Replay) decode(seq int64) {
 	d.Taken = c.taken[w]&bit != 0
 	if next := seq + 1; next < rp.n {
 		nc := rp.chunks[next>>recChunkShift]
-		d.NextPC = prog.TextBase + nc.pcAt(int(next&recChunkMask))*isa.InstBytes
+		d.NextPC = prog.TextBase + uint32(nc.pc[next&recChunkMask])*isa.InstBytes
 	} else {
-		// The frontier: the recording publishes the machine's PC (the
-		// last instruction's NextPC) alongside every length bump.
+		// The end of the recording: its tail PC is the machine's PC
+		// after the last instruction, that instruction's NextPC.
 		d.NextPC = rp.tail
 	}
 	rp.cur = seq
 }
 
-// atSlow refreshes the cursor's snapshot, extending the recording when
-// seq has genuinely not been recorded yet.
-//
-// Runs once per 4096-instruction chunk (and on snapshot refreshes),
-// never in the steady replay state.
-//
-//md:allocok recording-extension boundary, never in steady replay
-func (rp *Replay) atSlow(seq int64) *DynInst {
-	for {
-		if rp.rec == nil {
-			if rp.sealed {
-				// Returning nil here would silently simulate a shorter
-				// program than the live recording; the capture horizon is
-				// sized so a correct replay never gets here.
-				panic(fmt.Sprintf("emu: replay past sealed recording prefix (seq %d, sealed at %d)", seq, rp.n))
-			}
-			return nil // file-backed: the stream is complete as mapped
-		}
-		rp.chunks, rp.n, rp.tail, rp.done = rp.rec.snapshot()
-		if seq < rp.n {
-			rp.decode(seq)
-			return &rp.scratch
-		}
-		if rp.done {
-			return nil
-		}
-		rp.rec.extend(seq)
-	}
-}
-
 // Release is a no-op; the recording is shared and retained in full.
 func (rp *Replay) Release(int64) {}
 
-// Len returns the number of instructions recorded so far. Once At has
-// returned nil it is the exact program length, matching Trace.Len.
-func (rp *Replay) Len() int64 {
-	if rp.rec == nil {
-		return rp.n
-	}
-	n, _ := rp.rec.length()
-	return n
-}
+// Len returns the number of instructions recorded. Once At has returned
+// nil it is the exact program length, matching Trace.Len.
+func (rp *Replay) Len() int64 { return rp.n }

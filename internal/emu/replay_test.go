@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -33,7 +35,9 @@ func loopProgram(iters int64) *prog.Program {
 func TestReplayMatchesTrace(t *testing.T) {
 	p := loopProgram(3000) // ~15k dynamic instructions, several chunks
 	tr := NewTrace(New(p))
-	rp := NewRecording(New(p)).NewReplay()
+	rec := NewRecording(New(p))
+	rec.Record(1 << 20)
+	rp := rec.NewReplay()
 	var n int64
 	for ; ; n++ {
 		want := tr.At(n)
@@ -57,12 +61,14 @@ func TestReplayMatchesTrace(t *testing.T) {
 	}
 }
 
-// TestReplayConcurrentCursors races many cursors over one recording,
-// each reading a different interleaving (stride and offset), so cursors
-// both extend the recording and read far behind its frontier. Run under
-// -race this checks the publication protocol.
+// TestReplayConcurrentCursors runs many readers of one captured
+// recording at once, each cursor reading a different interleaving
+// (stride and offset) to the program's end. Run under -race this checks
+// that readers share a recording without locks: Record returns before
+// any replay starts, and nothing writes to the recording after it.
 func TestReplayConcurrentCursors(t *testing.T) {
 	rec := NewRecording(New(loopProgram(2000)))
+	rec.Record(1 << 20)
 	ref := NewTrace(New(loopProgram(2000)))
 	var refSum int64
 	var refLen int64
@@ -92,6 +98,9 @@ func TestReplayConcurrentCursors(t *testing.T) {
 					sum += int64(d.PC) + d.LoadVal + d.StoreVal
 				}
 			}
+			if rp.At(refLen) != nil {
+				errs <- fmt.Errorf("replay past the program's end at seq %d returned an instruction", refLen)
+			}
 			if sum != refSum {
 				errs <- fmt.Errorf("checksum %d, want %d", sum, refSum)
 			}
@@ -107,28 +116,52 @@ func TestReplayConcurrentCursors(t *testing.T) {
 // TestRecordingDoesNotPinProgram: a machine and a recording over it
 // keep the program's code table and fingerprint, not the program, so
 // the caller's copy (with its data image) is collected while the
-// recording is still live and replaying.
+// recording is still live and replaying; and Record drops the machine,
+// so its memory image is collected too.
 func TestRecordingDoesNotPinProgram(t *testing.T) {
 	p := loopProgram(3000)
 	fp := ProgramFingerprint(p)
-	freed := make(chan struct{})
-	runtime.SetFinalizer(p, func(*prog.Program) { close(freed) })
-	rec := NewRecording(New(p))
+	progFreed, machineFreed := make(chan struct{}), make(chan struct{})
+	runtime.SetFinalizer(p, func(*prog.Program) { close(progFreed) })
+	m := New(p)
+	runtime.SetFinalizer(m, func(*Machine) { close(machineFreed) })
+	rec := NewRecording(m)
 	rec.Record(10_000)
-	p = nil
-	collected := false
-	for i := 0; i < 20 && !collected; i++ {
-		runtime.GC()
-		select {
-		case <-freed:
-			collected = true
-		case <-time.After(10 * time.Millisecond):
+	p, m = nil, nil
+	for _, c := range []struct {
+		what  string
+		freed chan struct{}
+	}{{"program", progFreed}, {"machine", machineFreed}} {
+		collected := false
+		for i := 0; i < 20 && !collected; i++ {
+			runtime.GC()
+			select {
+			case <-c.freed:
+				collected = true
+			case <-time.After(10 * time.Millisecond):
+			}
 		}
-	}
-	if !collected {
-		t.Fatal("the program was not collected while its recording is live")
+		if !collected {
+			t.Fatalf("the %s was not collected while its recording is live", c.what)
+		}
 	}
 	if rec.NewReplay().At(9_999) == nil || rec.Fingerprint() != fp {
 		t.Error("the recording lost its stream or its fingerprint")
+	}
+}
+
+// TestRecordContextStopsWhenDone: a capture whose context is done stops
+// at the next chunk boundary with the context's error and drops its
+// machine, so a canceled request does not wait for a whole capture.
+func TestRecordContextStopsWhenDone(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := NewRecording(New(loopProgram(100_000)))
+	if err := rec.RecordContext(ctx, 1<<20); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RecordContext under a canceled context = %v, want context.Canceled", err)
+	}
+	if rec.Len() != 0 || !rec.Prefix() || rec.m != nil {
+		t.Errorf("canceled capture holds %d instructions (prefix %v, machine kept %v), want an empty prefix and no machine",
+			rec.Len(), rec.Prefix(), rec.m != nil)
 	}
 }

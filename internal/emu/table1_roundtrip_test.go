@@ -25,7 +25,9 @@ func TestColumnarRoundTripTable1(t *testing.T) {
 			t.Parallel()
 			p := workload.MustBuild(name)
 			tr := emu.NewTrace(emu.New(p))
-			rp := emu.NewRecording(emu.New(p)).NewReplay()
+			rec := emu.NewRecording(emu.New(p))
+			rec.Record(horizon)
+			rp := rec.NewReplay()
 			var n int64
 			for ; n < horizon; n++ {
 				want := tr.At(n)
@@ -75,8 +77,6 @@ func TestRecordingHeapMatchesSizeBytes(t *testing.T) {
 		horizon = 20_000
 	}
 	heap := func() int64 {
-		// The second collection empties the pooled chunk builders.
-		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)

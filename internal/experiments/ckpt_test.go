@@ -51,7 +51,9 @@ func TestRunnerCheckpointsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := parsim.Run(bg, cfg, emu.NewRecording(emu.New(p)), parsim.Options{
+	rec := emu.NewRecording(emu.New(p))
+	rec.Record(opt.captureHorizon())
+	want, err := parsim.Run(bg, cfg, rec, parsim.Options{
 		TotalTiming: opt.Insts, TimingInsts: opt.timingWindow(),
 		FunctionalInsts: opt.functionalWindow(), SegmentPeriods: opt.SegmentPeriods,
 	})

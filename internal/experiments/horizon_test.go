@@ -7,7 +7,6 @@ import (
 
 	"mdspec/internal/cache"
 	"mdspec/internal/config"
-	"mdspec/internal/emu"
 	"mdspec/internal/stats"
 )
 
@@ -50,11 +49,12 @@ func horizonConfigs(t *testing.T) []config.Machine {
 
 // TestCaptureHorizonCoversEveryReplay holds captureHorizon, and with it
 // core.ReadAhead, to every replay a cell makes. Each budget's horizon
-// is a multiple of the recording chunk (4,096 instructions), so the
-// file is sealed exactly at the horizon and a read one instruction past
-// it panics. Full timing and sampled runs (with a functional window
-// shorter than the bound) over machines at the caps must finish with
-// no panic, retry or abandoned cell, and equal an uncached runner.
+// is a multiple of the recording chunk (4,096 instructions), so both
+// the uncached runner's capture and the recording file are sealed
+// exactly at the horizon, and a read one instruction past it panics.
+// Full timing and sampled runs (with a functional window shorter than
+// the bound) over machines at the caps must finish with no panic, retry
+// or abandoned cell, in memory and over the file, with equal stats.
 func TestCaptureHorizonCoversEveryReplay(t *testing.T) {
 	benches := []string{"126.gcc", "145.fpppp"}
 	cfgs := horizonConfigs(t)
@@ -84,34 +84,39 @@ func TestCaptureHorizonCoversEveryReplay(t *testing.T) {
 				}
 				return out, r
 			}
-			want, live := run(mode.opt)
-			live.Close()
+			// check requires every cell of r to have run once, with no
+			// panic, and each benchmark's recording to be sealed at the
+			// horizon, mapped from its file or captured in memory.
+			check := func(r *Runner, mapped bool) {
+				t.Helper()
+				if c := r.Counters(); c.JobsRetried != 0 || c.JobsFailed != 0 {
+					t.Errorf("mapped %v: retried %d and failed %d cells", mapped, c.JobsRetried, c.JobsFailed)
+				}
+				if ab := r.Abandoned(); len(ab) != 0 {
+					t.Errorf("mapped %v: abandoned %+v", mapped, ab)
+				}
+				for _, b := range benches {
+					rec, err := r.recording(bg, b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rec.Mmapped() != mapped || !rec.Prefix() || rec.Len() != h {
+						t.Errorf("%s: recording of %d instructions (prefix %v, mapped %v), want a prefix sealed at the horizon %d (mapped %v)",
+							b, rec.Len(), rec.Prefix(), rec.Mmapped(), h, mapped)
+					}
+				}
+			}
+			want, mem := run(mode.opt)
+			check(mem, false)
+			mem.Close()
 
 			opt := mode.opt
 			opt.RecordingDir = t.TempDir()
 			got, r := run(opt)
 			defer r.Close()
-			if c := r.Counters(); c.JobsRetried != 0 || c.JobsFailed != 0 {
-				t.Errorf("retried %d and failed %d cells over sealed recordings", c.JobsRetried, c.JobsFailed)
-			}
-			if ab := r.Abandoned(); len(ab) != 0 {
-				t.Errorf("abandoned %+v", ab)
-			}
+			check(r, true)
 			if !reflect.DeepEqual(got, want) {
-				t.Error("stats over sealed recordings differ from an uncached runner's")
-			}
-			for _, b := range benches {
-				src, err := r.recording(b)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, ok := src.(*emu.FileRecording)
-				if !ok {
-					t.Fatalf("%s: replayed from %T, want the recording file", b, src)
-				}
-				if !f.Prefix() || f.Len() != h {
-					t.Errorf("%s: file holds %d instructions (prefix %v), want a prefix sealed at the horizon %d", b, f.Len(), f.Prefix(), h)
-				}
+				t.Error("stats over sealed recording files differ from captured recordings'")
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"mdspec/internal/config"
-	"mdspec/internal/emu"
 	"mdspec/internal/stats"
 )
 
@@ -46,13 +45,12 @@ func TestRecordingDirCachesAndReplays(t *testing.T) {
 	if got2 := key(r2); got2 != got {
 		t.Errorf("file-backed run diverged: %s vs %s", got2, got)
 	}
-	src, err := r2.recording(bench)
+	f, err := r2.recording(bg, bench)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, ok := src.(*emu.FileRecording)
-	if !ok {
-		t.Fatalf("second runner should replay from the file, got %T", src)
+	if c := r2.Counters(); c.RecordingHits != 1 || c.RecordingMisses != 0 {
+		t.Fatalf("second runner: recording_hits %d, recording_misses %d; want it to replay from the file", c.RecordingHits, c.RecordingMisses)
 	}
 	if !f.Mmapped() {
 		t.Log("recording file loaded without mmap (fallback path)")

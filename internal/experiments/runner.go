@@ -215,7 +215,7 @@ type Runner struct {
 
 	// Per-benchmark set-up, each built once outside mu: recordings and
 	// warm-state checkpoint sets.
-	recs  buildOnce[string, emu.ReplaySource]
+	recs  buildOnce[string, *emu.Recording]
 	ckpts buildOnce[ckptKey, *ckpt.Set]
 
 	mu sync.Mutex
@@ -476,24 +476,35 @@ func (o *buildOnce[K, V]) build(key K, ch chan struct{}, build func() (V, error)
 	return v, err
 }
 
-// recording returns the shared dynamic-instruction replay source for
-// bench, creating it on first use. Every configuration of a sweep
+// recording returns the shared recording of bench, capturing it to the
+// options' capture horizon on first use. Every configuration of a sweep
 // replays the same recording, so the architectural stream is emulated
 // exactly once per benchmark regardless of how many configurations run
 // over it. With RecordingDir set, the recording additionally persists
 // across processes as an mmapped column file. The program is built
-// here and dropped: only its code table outlives the build.
-func (r *Runner) recording(bench string) (emu.ReplaySource, error) {
-	return r.recs.get(bench, func() (emu.ReplaySource, error) {
+// here and dropped: only its code table outlives the build. A capture
+// stops when ctx is done; it is not kept, so the next caller captures
+// again.
+func (r *Runner) recording(ctx context.Context, bench string) (*emu.Recording, error) {
+	return r.recs.get(bench, func() (*emu.Recording, error) {
 		p, err := workload.Build(bench)
 		if err != nil {
 			return nil, err
 		}
 		if r.opt.RecordingDir != "" {
-			return r.fileRecording(bench, p), nil
+			return r.fileRecording(ctx, bench, p)
 		}
-		return emu.NewRecording(emu.New(p)), nil
+		return r.capture(ctx, p)
 	})
+}
+
+// capture records p to the options' capture horizon.
+func (r *Runner) capture(ctx context.Context, p *prog.Program) (*emu.Recording, error) {
+	rec := emu.NewRecording(emu.New(p))
+	if err := rec.RecordContext(ctx, r.opt.captureHorizon()); err != nil {
+		return nil, err
+	}
+	return rec, nil
 }
 
 // fileRecording serves bench from the RecordingDir cache: an existing
@@ -503,63 +514,61 @@ func (r *Runner) recording(bench string) (emu.ReplaySource, error) {
 // reopened mapped. A file sealed short of the horizon (captured for a
 // smaller budget) is replaced by the longer capture, so files only
 // grow and a larger file serves every smaller budget. Every failure
-// path falls back to a live in-memory recording — the disk cache is an
-// optimization, never a correctness dependency.
-func (r *Runner) fileRecording(bench string, p *prog.Program) emu.ReplaySource {
+// path after the capture falls back to the capture in memory — the
+// disk cache is an optimization, never a correctness dependency.
+func (r *Runner) fileRecording(ctx context.Context, bench string, p *prog.Program) (*emu.Recording, error) {
 	path := filepath.Join(r.opt.RecordingDir, bench+".mdrec")
 	if f, err := emu.OpenRecordingFile(path, p); err == nil {
 		if !f.Prefix() || f.Len() >= r.opt.captureHorizon() {
 			r.recHits.Add(1)
 			r.recBytes.Add(f.SizeBytes())
-			return f
+			return f, nil
 		}
 		f.Close() //md:errok a read-only mapping of the file about to be replaced
 	}
 	r.recMisses.Add(1)
-	rec := emu.NewRecording(emu.New(p))
-	rec.Record(r.opt.captureHorizon())
+	rec, err := r.capture(ctx, p)
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(r.opt.RecordingDir, 0o755); err != nil {
-		return rec
+		return rec, nil
 	}
 	if err := atomicio.WriteFile(path, func(w io.Writer) error {
 		_, err := rec.WriteSealedTo(w)
 		return err
 	}); err != nil {
-		return rec
+		return rec, nil
 	}
 	if f, err := emu.OpenRecordingFile(path, p); err == nil {
 		r.recBytes.Add(f.SizeBytes())
-		return f
+		return f, nil
 	}
-	return rec
+	return rec, nil
 }
 
 // captureHorizon bounds the stream prefix any simulation under these
-// options can touch, so a sealed recording file covers every replay. A
-// full timing run stops committing at Insts, and a sampled run at the
-// end of its last period; either reads at most core.ReadAhead past that
-// point, whatever the configuration.
+// options can touch, so a recording captured to it covers every
+// replay. A full timing run stops committing at Insts and reads at most
+// core.ReadAhead past it, whatever the configuration; a sampled run
+// reads to its parsim horizon, which covers the full timing run a
+// split-window machine falls back to.
 func (o Options) captureHorizon() int64 {
-	h := o.Insts
 	if o.Sampled {
-		tw, fw := o.timingWindow(), o.functionalWindow()
-		periods := (o.Insts + tw - 1) / tw
-		h = periods * (tw + fw)
+		return o.sampling().Horizon()
 	}
-	return h + core.ReadAhead
+	return o.Insts + core.ReadAhead
 }
 
-// Close releases resources held by the runner's replay sources (mmapped
-// recording files). The runner must be idle.
+// Close releases the runner's recordings (the mappings of recording
+// files). The runner must be idle.
 func (r *Runner) Close() error {
 	r.recs.mu.Lock()
 	defer r.recs.mu.Unlock()
 	var firstErr error
-	for bench, src := range r.recs.done {
-		if f, ok := src.(*emu.FileRecording); ok {
-			if err := f.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for bench, rec := range r.recs.done {
+		if err := rec.Close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		delete(r.recs.done, bench)
 	}
@@ -571,16 +580,14 @@ func (r *Runner) Close() error {
 // pages, and the benchmark's checkpoint sets, which a later batch reads
 // from their files again. The recording stays mapped, so cursors of
 // concurrent callers stay valid. Without RecordingDir nothing is
-// released: a live recording or an in-memory checkpoint set could only
-// come back by re-capture.
+// released: a recording or checkpoint set in memory could only come
+// back by re-capture.
 func (r *Runner) release(bench string) {
 	if r.opt.RecordingDir == "" {
 		return
 	}
-	if src, ok := r.recs.lookup(bench); ok {
-		if f, ok := src.(*emu.FileRecording); ok {
-			f.DropPages() //md:errok residency only: the mapping and the bytes it reads are unchanged either way
-		}
+	if rec, ok := r.recs.lookup(bench); ok {
+		rec.DropPages() //md:errok residency only: the mapping and the bytes it reads are unchanged either way
 	}
 	r.ckpts.forget(func(k ckptKey) bool { return k.bench == bench })
 }
@@ -591,9 +598,9 @@ func (r *Runner) release(bench string) {
 // functional pass). A nil result means checkpointing is unavailable
 // for these options; callers proceed without it — checkpoints are an
 // optimization, never a correctness dependency.
-func (r *Runner) checkpointSet(bench string, cfg config.Machine) *ckpt.Set {
+func (r *Runner) checkpointSet(bench string, cfg config.Machine, rec *emu.Recording) *ckpt.Set {
 	s, _ := r.ckpts.get(ckptKey{bench, ckpt.WarmConfigOf(cfg)}, func() (*ckpt.Set, error) {
-		return r.buildCheckpointSet(bench, cfg), nil
+		return r.buildCheckpointSet(bench, cfg, rec), nil
 	})
 	return s
 }
@@ -608,15 +615,11 @@ func (r *Runner) checkpointSet(bench string, cfg config.Machine) *ckpt.Set {
 // which covers settles. A corrupt, mismatched, or non-covering file is
 // silently re-captured and rewritten. Every failure path degrades to a
 // smaller or nil set, never an error.
-func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set {
+func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine, rec *emu.Recording) *ckpt.Set {
 	popt := r.opt.sampling()
 	seqs := popt.CheckpointSeqs()
 	if len(seqs) == 0 {
 		return nil // single-segment decomposition: nothing to resume
-	}
-	rec, err := r.recording(bench)
-	if err != nil {
-		return nil
 	}
 	warm := ckpt.WarmConfigOf(cfg)
 
@@ -654,15 +657,15 @@ func (r *Runner) buildCheckpointSet(bench string, cfg config.Machine) *ckpt.Set 
 // positions got serves a sweep that wants positions want, so that
 // checkpoint files, like recordings, only grow. A set captured for this
 // or a larger budget holds want as a prefix. A shorter set serves only
-// if ckpt.Build would capture no more frames: the recording ends before
+// if ckpt.Build would capture no more frames: the program halts before
 // the first missing position. Anything else (a smaller budget, frames
 // off the schedule) is re-captured.
-func covers(got, want []int64, rec emu.ReplaySource) bool {
+func covers(got, want []int64, rec *emu.Recording) bool {
 	n := min(len(got), len(want))
 	if !slices.Equal(got[:n], want[:n]) {
 		return false
 	}
-	return n == len(want) || rec.NewReplay().At(want[n]-1) == nil
+	return n == len(want) || !rec.Prefix() && rec.Len() < want[n]
 }
 
 // simulate is the real simulation backend behind Run. With
@@ -671,15 +674,15 @@ func covers(got, want []int64, rec emu.ReplaySource) bool {
 // budget and restore warm-state checkpoints (split-window machines fall
 // back to a full timing run — sampling needs a continuous window).
 func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
+	rec, err := r.recording(ctx, bench)
+	if err != nil {
+		return nil, err
+	}
 	if r.opt.Sampled && !cfg.SplitWindow {
 		popt := r.opt.sampling()
 		popt.Sem = r.sem
-		popt.Checkpoints = r.checkpointSet(bench, cfg)
-		return r.simulateSampled(ctx, bench, cfg, popt)
-	}
-	rec, err := r.recording(bench)
-	if err != nil {
-		return nil, err
+		popt.Checkpoints = r.checkpointSet(bench, cfg, rec)
+		return simulateSampled(ctx, bench, cfg, rec, popt)
 	}
 	pl, err := core.New(cfg, rec.NewReplay())
 	if err != nil {
@@ -702,17 +705,17 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Machine)
 // stream order behind one functional warmer, so the attempt reads the
 // stream about twice, not once per segment.
 func (r *Runner) simulateSerialSegments(ctx context.Context, bench string, cfg config.Machine) (*stats.Run, error) {
-	popt := r.opt.sampling()
-	popt.Workers = 1
-	return r.simulateSampled(ctx, bench, cfg, popt)
-}
-
-// simulateSampled runs one sampled cell over popt.
-func (r *Runner) simulateSampled(ctx context.Context, bench string, cfg config.Machine, popt parsim.Options) (*stats.Run, error) {
-	rec, err := r.recording(bench)
+	rec, err := r.recording(ctx, bench)
 	if err != nil {
 		return nil, err
 	}
+	popt := r.opt.sampling()
+	popt.Workers = 1
+	return simulateSampled(ctx, bench, cfg, rec, popt)
+}
+
+// simulateSampled runs one sampled cell of bench over rec and popt.
+func simulateSampled(ctx context.Context, bench string, cfg config.Machine, rec *emu.Recording, popt parsim.Options) (*stats.Run, error) {
 	res, err := parsim.Run(ctx, cfg, rec, popt)
 	if err != nil {
 		return nil, err

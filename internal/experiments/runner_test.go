@@ -160,11 +160,11 @@ func TestRunnerSharesRecordingAcrossConfigs(t *testing.T) {
 	if n != 1 {
 		t.Errorf("three configs over one benchmark created %d recordings, want 1", n)
 	}
-	a, err := r.recording("129.compress")
+	a, err := r.recording(bg, "129.compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.recording("129.compress")
+	b, err := r.recording(bg, "129.compress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestRunnerFirstUseBuildsOnce(t *testing.T) {
 	r := NewRunner(Options{Insts: 2000, RecordingDir: t.TempDir()})
 	defer r.Close()
 	cfgs := []config.Machine{nas(config.NoSpec), nas(config.Naive), nas(config.Sync), nas(config.Oracle)}
-	recs := make([]emu.ReplaySource, len(cfgs))
+	recs := make([]*emu.Recording, len(cfgs))
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for i, cfg := range cfgs {
@@ -191,7 +191,7 @@ func TestRunnerFirstUseBuildsOnce(t *testing.T) {
 			if _, _, err := r.RunWithSource(bg, "129.compress", cfg); err != nil {
 				t.Error(err)
 			}
-			rec, err := r.recording("129.compress")
+			rec, err := r.recording(bg, "129.compress")
 			if err != nil {
 				t.Error(err)
 			}

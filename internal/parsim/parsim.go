@@ -7,10 +7,10 @@
 //
 // The decomposition is fixed by the options (period size × periods per
 // segment), never by the worker count: each segment is simulated on a
-// private core.Pipeline over a replay cursor of the shared replay
-// source (a live emu.Recording or an mmapped recording file),
-// fast-forwarding functionally to its segment start and then running
-// the timing/functional alternation within its bounds.
+// private core.Pipeline over a replay cursor of the shared recording
+// (captured in memory or mapped from its file), fast-forwarding
+// functionally to its segment start and then running the
+// timing/functional alternation within its bounds.
 // Every segment's result depends only on the configuration, the
 // recording, and the segment bounds, and stats.Merge combines the
 // per-segment results in stream order — so the merged Run is
@@ -160,6 +160,17 @@ func (o Options) CheckpointGrid() (first, spacing int64) {
 	return spacing - o.warmup(), spacing
 }
 
+// Horizon bounds the stream prefix a Run over these options reads: its
+// last segment ends with the last sampling period, and a pipeline reads
+// at most core.ReadAhead past where it stops. A recording captured to
+// the horizon serves the run.
+func (o Options) Horizon() int64 {
+	return o.periods()*(o.TimingInsts+o.FunctionalInsts) + core.ReadAhead
+}
+
+// periods is the number of sampling periods the timing budget spans.
+func (o Options) periods() int64 { return (o.TotalTiming + o.TimingInsts - 1) / o.TimingInsts }
+
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -200,7 +211,7 @@ type segment struct {
 // / TimingInsts) sampling periods, grouped SegmentPeriods at a time.
 func (o Options) segments() []segment {
 	period := o.TimingInsts + o.FunctionalInsts
-	nPeriods := (o.TotalTiming + o.TimingInsts - 1) / o.TimingInsts
+	nPeriods := o.periods()
 	perSeg := o.segmentPeriods()
 	segs := make([]segment, 0, (nPeriods+perSeg-1)/perSeg)
 	for p := int64(0); p < nPeriods; p += perSeg {
@@ -217,7 +228,7 @@ func (o Options) segments() []segment {
 // sharded into segments and merged in stream order. The result is
 // deterministic for fixed options: worker count and scheduling change
 // only the wall-clock time.
-func Run(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, opt Options) (*stats.Run, error) {
+func Run(ctx context.Context, cfg config.Machine, rec *emu.Recording, opt Options) (*stats.Run, error) {
 	if opt.TotalTiming <= 0 {
 		return nil, fmt.Errorf("parsim: invalid timing budget %d", opt.TotalTiming)
 	}
@@ -267,7 +278,7 @@ func Run(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, opt Opti
 // runPool simulates the segments on up to opt.workers() goroutines, each
 // restoring its segment's nearest checkpoint frame when opt.Checkpoints
 // holds one.
-func runPool(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, segs []segment, opt Options, results []*stats.Run, errs []error) {
+func runPool(ctx context.Context, cfg config.Machine, rec *emu.Recording, segs []segment, opt Options, results []*stats.Run, errs []error) {
 	var next atomic.Int64
 	worker := func() {
 		for {
@@ -318,7 +329,7 @@ func runPool(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, segs
 // walks the stream once, and each segment restores the warmer's state
 // at its warm-up start, the state ckpt.Build would capture there. The
 // stream is read about twice instead of once per segment.
-func runInOrder(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, segs []segment, opt Options, results []*stats.Run, errs []error) {
+func runInOrder(ctx context.Context, cfg config.Machine, rec *emu.Recording, segs []segment, opt Options, results []*stats.Run, errs []error) {
 	w := core.NewMachineWarmer(cfg, replay(rec))
 	var buf []byte
 	for i, s := range segs {
@@ -341,7 +352,7 @@ func runInOrder(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, s
 var testStreamHook func(emu.Stream) emu.Stream
 
 // replay opens a replay cursor over the shared recording.
-func replay(rec emu.ReplaySource) emu.Stream {
+func replay(rec *emu.Recording) emu.Stream {
 	if testStreamHook != nil {
 		return testStreamHook(rec.NewReplay())
 	}
@@ -354,7 +365,7 @@ func replay(rec emu.ReplaySource) emu.Stream {
 // recovered into a *PanicError naming the segment, so one poisoned
 // segment fails its own result slot instead of killing the worker pool
 // (and with it the whole sweep).
-func runSegment(ctx context.Context, cfg config.Machine, rec emu.ReplaySource, i int, s segment, opt Options, state []byte) (res *stats.Run, err error) {
+func runSegment(ctx context.Context, cfg config.Machine, rec *emu.Recording, i int, s segment, opt Options, state []byte) (res *stats.Run, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			res = nil

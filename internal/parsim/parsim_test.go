@@ -18,7 +18,9 @@ var bg = context.Background()
 
 func recordingOf(t testing.TB, bench string) *emu.Recording {
 	t.Helper()
-	return emu.NewRecording(emu.New(workload.MustBuild(bench)))
+	rec := emu.NewRecording(emu.New(workload.MustBuild(bench)))
+	rec.Record(1 << 18)
+	return rec
 }
 
 // TestBitIdenticalAcrossWorkerCounts is the determinism contract: with
@@ -90,6 +92,7 @@ func TestFiniteProgramCovered(t *testing.T) {
 	}
 
 	rec := emu.NewRecording(emu.New(p))
+	rec.Record(1 << 30)
 	var first *stats.Run
 	for _, workers := range []int{4, 1} {
 		res, err := Run(bg, config.Default128().WithPolicy(config.Naive), rec, Options{

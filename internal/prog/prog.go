@@ -24,6 +24,10 @@ const StackBase uint32 = 0x7fff_0000
 // WordBytes is the size of a data word in bytes.
 const WordBytes = 8
 
+// MaxInsts is the most instructions a program may have: a recording
+// stores each dynamic instruction's static code index in 16 bits.
+const MaxInsts = 1 << 16
+
 // Program is an assembled program: code, initial data image and entry PC.
 type Program struct {
 	Code  []isa.Inst
@@ -350,7 +354,8 @@ func (b *Builder) Nop() { b.Emit(isa.Inst{Op: isa.NOP}) }
 func (b *Builder) Halt() { b.Emit(isa.Inst{Op: isa.HALT}) }
 
 // Program resolves fixups and returns the assembled program. It returns
-// an error if any label was duplicated or left unresolved.
+// an error if any label was duplicated or left unresolved, or if the
+// program has more than MaxInsts instructions.
 func (b *Builder) Program() (*Program, error) {
 	for _, f := range b.fixups {
 		pc, ok := b.labels[f.label]
@@ -359,6 +364,9 @@ func (b *Builder) Program() (*Program, error) {
 			continue
 		}
 		b.code[f.instIdx].Target = pc
+	}
+	if len(b.code) > MaxInsts {
+		b.setErr(fmt.Errorf("prog: %d instructions, more than the %d a program may have", len(b.code), MaxInsts))
 	}
 	if b.err != nil {
 		return nil, b.err

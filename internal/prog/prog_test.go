@@ -201,3 +201,21 @@ func TestBuilderPC(t *testing.T) {
 		t.Errorf("PC after one inst = %#x", b.PC())
 	}
 }
+
+// TestProgramRefusesMoreThanMaxInsts: a recording indexes the code table
+// in 16 bits, so MaxInsts instructions assemble and one more is an
+// error, not a program.
+func TestProgramRefusesMoreThanMaxInsts(t *testing.T) {
+	b := NewBuilder()
+	for range MaxInsts - 1 {
+		b.Nop()
+	}
+	b.Halt()
+	if p, err := b.Program(); err != nil || len(p.Code) != MaxInsts {
+		t.Fatalf("%d instructions: err %v", MaxInsts, err)
+	}
+	b.Halt()
+	if _, err := b.Program(); err == nil {
+		t.Fatalf("a program of %d instructions assembled", MaxInsts+1)
+	}
+}

@@ -109,7 +109,11 @@ func Generate(pr Profile) (*prog.Program, error) {
 	}
 	g.plan()
 	g.emit()
-	return g.b.Program()
+	p, err := g.b.Program()
+	if err != nil {
+		return nil, fmt.Errorf("workload %s: %w", pr.Name, err)
+	}
+	return p, nil
 }
 
 type generator struct {

@@ -99,18 +99,3 @@ func LoadProfile(path string) (Profile, error) {
 	}
 	return ParseProfile(data)
 }
-
-// MarshalProfile encodes a Profile as indented JSON (for documentation
-// and round-tripping).
-func MarshalProfile(p Profile) ([]byte, error) {
-	out := map[string]any{
-		"name": p.Name, "fp": p.FP,
-		"loadFrac": p.LoadFrac, "storeFrac": p.StoreFrac,
-		"trueDepFrac": p.TrueDepFrac, "depDistance": p.DepDistance,
-		"pointerFrac": p.PointerFrac,
-		"branchEvery": p.BranchEvery, "branchNoise": p.BranchNoise,
-		"callFrac": p.CallFrac, "footprintWords": p.FootprintWords,
-		"seed": p.Seed,
-	}
-	return json.MarshalIndent(out, "", "  ")
-}

@@ -154,13 +154,6 @@ func filterNames(fp bool) []string {
 	return out
 }
 
-// Profiles returns a copy of all benchmark profiles.
-func Profiles() []Profile {
-	out := make([]Profile, len(profiles))
-	copy(out, profiles)
-	return out
-}
-
 // ProfileByName looks up a benchmark profile.
 func ProfileByName(name string) (Profile, error) {
 	for _, p := range profiles {
@@ -189,6 +182,3 @@ func shortName(full string) string {
 	}
 	return full
 }
-
-// ShortName exposes the paper's numeric shorthand for a benchmark name.
-func ShortName(full string) string { return shortName(full) }

@@ -35,8 +35,8 @@ func TestProfileLookup(t *testing.T) {
 	if _, err := ProfileByName("999.nope"); err == nil {
 		t.Fatal("unknown benchmark should error")
 	}
-	if ShortName("102.swim") != "102" {
-		t.Error("ShortName wrong")
+	if p, err := ProfileByName("102"); err != nil || p.Name != "102.swim" {
+		t.Errorf("lookup of 102 by paper shorthand: %q, %v", p.Name, err)
 	}
 }
 
@@ -63,8 +63,11 @@ func TestMixMatchesTable1(t *testing.T) {
 	// The achieved dynamic load/store fractions must track the paper's
 	// Table 1 within a reasonable calibration tolerance.
 	const tol = 0.045
-	for _, pr := range Profiles() {
-		pr := pr
+	for _, name := range Names() {
+		pr, err := ProfileByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(pr.Name, func(t *testing.T) {
 			mix := Measure(MustBuild(pr.Name), 60_000)
 			if d := math.Abs(mix.LoadFrac() - pr.LoadFrac); d > tol {
@@ -135,12 +138,16 @@ func TestGenerationDeterministic(t *testing.T) {
 }
 
 func TestGenerateRejectsBadProfiles(t *testing.T) {
-	bad := Profiles()[0]
+	first, err := ProfileByName(Names()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := first
 	bad.FootprintWords = 1000 // not a power of two
 	if _, err := Generate(bad); err == nil {
 		t.Error("non-power-of-two footprint should be rejected")
 	}
-	bad = Profiles()[0]
+	bad = first
 	bad.BranchEvery = 1
 	if _, err := Generate(bad); err == nil {
 		t.Error("tiny BranchEvery should be rejected")
@@ -167,6 +174,19 @@ func TestGenerateRejectsOversizedFootprint(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("footprint of %d words allocated %d bytes before failing", words, grew)
 		}
+	}
+}
+
+// TestGenerateRejectsTooManyInstructions: a profile with one branch in
+// 20,000 instructions lays out 164,370 static instructions, more than
+// prog.MaxInsts, and Generate returns the assembler's error for it.
+func TestGenerateRejectsTooManyInstructions(t *testing.T) {
+	p, err := ParseProfile([]byte(`{"name":"big","branchEvery":20000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Generate(p); err == nil || !strings.Contains(err.Error(), "instructions") {
+		t.Fatalf("Generate of a 164,370-instruction profile: err = %v, want the instruction limit", err)
 	}
 }
 
